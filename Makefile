@@ -20,7 +20,7 @@ test:
 
 # race covers the packages where concurrency lives (the scheduler, the
 # experiment fan-out, the timing core — SMT suites included — the
-# shared replay tapes, and the dpbpd sweep server) plus the
+# shared predictor overlays, and the dpbpd sweep server) plus the
 # root-package determinism regression tests, which drive the fan-out
 # end to end, and the oracle's SMT differential wall.
 race:

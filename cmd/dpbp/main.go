@@ -12,11 +12,9 @@
 //	-format text|json|csv output format (default text)
 //	-insts N              timing-run instruction budget (0 = library default)
 //	-profinsts N          profiling-run instruction budget (0 = library default)
-//	-j N                  parallel benchmark runs (0 = GOMAXPROCS; overrides -par)
-//	-par N                deprecated alias for -j
+//	-j N                  parallel benchmark runs (0 = GOMAXPROCS)
 //	-timeout D            whole-invocation time budget (e.g. 90s; 0 = none)
 //	-nocache              recompute every run instead of memoizing
-//	-noreplay             re-execute programs live instead of replaying the tape
 //	-trace FILE           write a Chrome trace-event JSON of every timing run
 //	-metrics              append a metrics section (unified counters/histograms)
 //	-cpuprofile FILE      write a CPU profile of the whole invocation
@@ -35,12 +33,9 @@
 // once. Results are bit-identical either way; -nocache exists for
 // timing comparisons.
 //
-// Cached sweeps also record each benchmark's retirement stream once and
-// replay it into every timing configuration (internal/replay), sharing
-// one branch-predictor pass per backend across runs. -noreplay forces
-// live functional re-execution instead; results are bit-identical
-// either way, and the flag exists for timing comparisons and as an
-// escape hatch.
+// Cached sweeps also record each benchmark's branch-predictor decisions
+// once per backend and read them back in every timing configuration
+// (internal/replay) instead of re-simulating the predictor per run.
 //
 // -trace attaches a lifecycle tracer to every timing run and writes one
 // Chrome trace-event JSON document (loadable in Perfetto or
@@ -96,19 +91,17 @@ func main() {
 	format := flag.String("format", "", "output format: text, json, csv (default text)")
 	insts := flag.Uint64("insts", 0, "timing-run instruction budget (0 = library default)")
 	profInsts := flag.Uint64("profinsts", 0, "profiling-run instruction budget (0 = library default)")
-	jobs := flag.Int("j", 0, "parallel benchmark runs (0 = GOMAXPROCS; overrides -par)")
-	par := flag.Int("par", 0, "deprecated alias for -j")
+	jobs := flag.Int("j", 0, "parallel benchmark runs (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "whole-invocation time budget; expired sweeps emit partial results (0 = none)")
 	noCache := flag.Bool("nocache", false, "recompute every run instead of memoizing shared ones")
-	noReplay := flag.Bool("noreplay", false, "re-execute programs live instead of replaying the shared retirement tape")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of every timing run to this file")
 	metrics := flag.Bool("metrics", false, "append a metrics section (unified counters and histograms)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 
-	os.Exit(mainExit(*expName, *bench, *bpredName, *smtSpec, *format, *insts, *profInsts, *jobs, *par,
-		*timeout, *noCache, *noReplay, obsOpts{traceFile: *traceFile, metrics: *metrics},
+	os.Exit(mainExit(*expName, *bench, *bpredName, *smtSpec, *format, *insts, *profInsts, *jobs,
+		*timeout, *noCache, obsOpts{traceFile: *traceFile, metrics: *metrics},
 		*cpuProfile, *memProfile))
 }
 
@@ -126,8 +119,8 @@ func (o obsOpts) enabled() bool { return o.traceFile != "" || o.metrics }
 
 // mainExit is main minus os.Exit, so profile writers run via defer before
 // the process terminates.
-func mainExit(expName, bench, bpredName, smtSpec, format string, insts, profInsts uint64, jobs, par int,
-	timeout time.Duration, noCache, noReplay bool, oo obsOpts, cpuProfile, memProfile string) int {
+func mainExit(expName, bench, bpredName, smtSpec, format string, insts, profInsts uint64, jobs int,
+	timeout time.Duration, noCache bool, oo obsOpts, cpuProfile, memProfile string) int {
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)
 		if err != nil {
@@ -169,11 +162,6 @@ func mainExit(expName, bench, bpredName, smtSpec, format string, insts, profInst
 		defer cancel()
 	}
 
-	jobs, err := resolveJobs(os.Stderr, jobs, par)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dpbp:", err)
-		return 1
-	}
 	if err := checkBackend(bpredName); err != nil {
 		fmt.Fprintln(os.Stderr, "dpbp:", err)
 		return 1
@@ -191,7 +179,6 @@ func mainExit(expName, bench, bpredName, smtSpec, format string, insts, profInst
 		SMT:          smt,
 	}
 	opts.BPred.Name = bpredName
-	opts.NoReplay = noReplay
 	if !noCache {
 		opts.Cache = dpbp.NewRunCache()
 	}
@@ -201,20 +188,6 @@ func mainExit(expName, bench, bpredName, smtSpec, format string, insts, profInst
 		return 1
 	}
 	return 0
-}
-
-// resolveJobs reconciles -j with its deprecated alias -par: any -par use
-// draws a deprecation warning, and conflicting nonzero values are an
-// error rather than silently preferring one of them.
-func resolveJobs(warnTo io.Writer, jobs, par int) (int, error) {
-	if par == 0 {
-		return jobs, nil
-	}
-	fmt.Fprintln(warnTo, "dpbp: warning: -par is deprecated; use -j")
-	if jobs != 0 && jobs != par {
-		return 0, fmt.Errorf("conflicting -j %d and -par %d; drop the deprecated -par", jobs, par)
-	}
-	return par, nil
 }
 
 // parseBenchList splits a -bench argument; empty means all benchmarks.

@@ -467,43 +467,3 @@ func keysOf(m map[string]json.RawMessage) []string {
 	}
 	return out
 }
-
-// TestResolveJobs pins the -j / -par reconciliation: -par alone works
-// (with a deprecation warning), agreement is tolerated, and conflicting
-// nonzero values are an error rather than a silent preference.
-func TestResolveJobs(t *testing.T) {
-	cases := []struct {
-		name      string
-		jobs, par int
-		want      int
-		wantErr   bool
-		wantWarn  bool
-	}{
-		{name: "neither", jobs: 0, par: 0, want: 0},
-		{name: "j only", jobs: 3, par: 0, want: 3},
-		{name: "par only", jobs: 0, par: 2, want: 2, wantWarn: true},
-		{name: "agreeing", jobs: 4, par: 4, want: 4, wantWarn: true},
-		{name: "conflicting", jobs: 3, par: 2, wantErr: true, wantWarn: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var warn bytes.Buffer
-			got, err := resolveJobs(&warn, tc.jobs, tc.par)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatal("conflicting -j/-par accepted")
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != tc.want {
-				t.Errorf("resolveJobs(%d, %d) = %d, want %d", tc.jobs, tc.par, got, tc.want)
-			}
-			if gotWarn := strings.Contains(warn.String(), "deprecated"); gotWarn != tc.wantWarn {
-				t.Errorf("warning output %q, wantWarn=%v", warn.String(), tc.wantWarn)
-			}
-		})
-	}
-}

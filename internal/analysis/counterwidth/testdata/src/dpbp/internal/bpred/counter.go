@@ -43,7 +43,7 @@ func train(pht []counter2, hits hitCtr, taken bool) (counter2, hitCtr) {
 	} else {
 		c-- // want `saturating counter counter2 decremented directly`
 	}
-	c += 1        // want `saturating counter counter2 op-assigned directly`
+	c += 1          // want `saturating counter counter2 op-assigned directly`
 	c = c + 1       // want `saturating counter counter2 used in direct arithmetic`
 	hits = hits - 1 // want `saturating counter hitCtr used in direct arithmetic`
 

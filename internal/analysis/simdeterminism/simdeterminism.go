@@ -45,9 +45,9 @@ var SimPackages = []string{
 	"internal/bpred/h2p",
 	"internal/mem",
 	"internal/cache",
-	// replay regenerates the retirement stream and the predictor's
-	// recorded decisions; any nondeterminism here would split a replayed
-	// run from its live twin, so it lives under the same contract.
+	// replay records the predictor's decisions that overlay runs read
+	// back; any nondeterminism here would split an overlay run from its
+	// live twin, so it lives under the same contract.
 	"internal/replay",
 }
 

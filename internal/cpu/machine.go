@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"context"
+	"fmt"
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/bpred/h2p"
@@ -14,6 +15,7 @@ import (
 	"dpbp/internal/pathcache"
 	"dpbp/internal/pcache"
 	"dpbp/internal/program"
+	"dpbp/internal/replay"
 	"dpbp/internal/uthread"
 	"dpbp/internal/vpred"
 )
@@ -29,14 +31,13 @@ type Machine struct {
 	prog *program.Program
 	em   *emu.Machine
 
-	// src is the functional instruction stream the run consumes: the
-	// private emulator (wrapped by live) by default, or a replay source
-	// passed to RunContextFrom. preds is non-nil when src carries a
-	// recorded predictor interaction, in which case the machine's own
-	// predictor tables are never consulted.
-	src   Source
-	live  liveSource
-	preds PredictionSource
+	// ov, when non-nil, is the recorded predictor interaction the run
+	// reads in place of the machine's own predictor tables (see
+	// RunContextFrom): ovBr indexes the next branch's decision and ovCP
+	// holds the final statistics at the run's budget.
+	ov   *replay.Overlay
+	ovCP *replay.Checkpoint
+	ovBr uint64
 
 	pred    *bpred.Predictor
 	vp, ap  *vpred.Predictor
@@ -155,13 +156,10 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 	if fresh {
 		m.em = emu.New(prog)
 		// The closures dereference m at call time, so they stay correct
-		// when Reset swaps components (emulator, predictors, the stream
-		// source) underneath. Reading through m.src keeps spawn-point
-		// state correct under replay, where the architectural state
-		// lives in the cursor's shadow emulator.
+		// when Reset swaps components (predictors) underneath.
 		m.uenv = uthread.Env{
-			ReadReg: func(r isa.Reg) isa.Word { return m.src.Reg(r) },
-			LoadMem: func(a isa.Addr) isa.Word { return m.src.Load(a) },
+			ReadReg: func(r isa.Reg) isa.Word { return m.em.Reg(r) },
+			LoadMem: func(a isa.Addr) isa.Word { return m.em.Mem.Load(a) },
 			PredictValue: func(pc isa.Addr, ahead int) (isa.Word, bool) {
 				return m.vp.Predict(pc, ahead)
 			},
@@ -172,9 +170,9 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 	} else {
 		m.em.Reset(prog)
 	}
-	m.live.em = m.em
-	m.src = &m.live
-	m.preds = nil
+	m.ov = nil
+	m.ovCP = nil
+	m.ovBr = 0
 	if fresh || prev.Predictor != cfg.Predictor || prev.BPred != cfg.BPred {
 		p, err := bpred.NewFromSpec(cfg.Predictor, cfg.BPred)
 		if err != nil {
@@ -348,20 +346,25 @@ func (m *Machine) RunContext(ctx context.Context, prog *program.Program, cfg Con
 	return m.RunContextFrom(ctx, prog, cfg, nil)
 }
 
-// RunContextFrom is RunContext with the functional stream supplied
-// externally: src replaces the machine's private emulator as the
-// instruction source (nil means live execution). The source must be
-// positioned at the start of prog's stream and must cover cfg.MaxInsts
-// records (or end at the program's halt). Because the retirement
-// stream is config-invariant, a run replayed from a recorded source
-// returns a Result bit-identical to live execution; sources that also
-// carry recorded predictions (PredictionSource with predictions
-// attached) additionally bypass the machine's branch-predictor tables.
-func (m *Machine) RunContextFrom(ctx context.Context, prog *program.Program, cfg Config, src Source) (*Result, error) {
+// RunContextFrom is RunContext with the branch predictor's decisions
+// read from ov instead of simulated (nil ov means the live predictor).
+// ov must have been built from prog with cfg's canonical Predictor and
+// BPred and must carry a checkpoint at cfg's budget; a run at a budget
+// the overlay lacks executes nothing and returns an error. Because the
+// retirement stream is config-invariant, the Result is bit-identical to
+// a live run's.
+func (m *Machine) RunContextFrom(ctx context.Context, prog *program.Program, cfg Config, ov *replay.Overlay) (*Result, error) {
 	m.Reset(prog, cfg)
 	cfg = m.cfg // defaults applied
+	if ov != nil {
+		cp, ok := ov.Checkpoint(cfg.MaxInsts)
+		if !ok {
+			return nil, fmt.Errorf("cpu: overlay has no checkpoint at budget %d", cfg.MaxInsts)
+		}
+		m.ov, m.ovCP = ov, cp
+	}
 	var rs runState
-	m.beginRun(src, &rs)
+	m.beginRun(&rs)
 	for m.res.Insts < cfg.MaxInsts && !rs.halted {
 		if m.res.Insts%ctxCheckInterval == 0 && ctx.Err() != nil {
 			break
@@ -376,49 +379,32 @@ func (m *Machine) RunContextFrom(ctx context.Context, prog *program.Program, cfg
 }
 
 // runState is the per-thread progress of one timing run: the locally
-// tracked stream position plus the devirtualized stepper. RunContextFrom
-// drives one to completion; RunSMT interleaves one per primary context
-// under the fetch arbiter.
+// tracked stream position. RunContextFrom drives one to completion;
+// RunSMT interleaves one per primary context under the fetch arbiter.
 type runState struct {
 	rec    emu.Record
 	pc     isa.Addr
 	seq    uint64
 	halted bool
-	// stepEm devirtualizes stepping when the source is a shell over an
-	// emulator (both the live source and the replay cursor are); nil
-	// falls back to the interface.
-	stepEm *emu.Machine
 	// expire: only microthread runs populate the prediction cache, so
 	// only they have entries to expire.
 	expire bool
 }
 
-// beginRun points the machine at its instruction source (nil src keeps
-// the private emulator) and initializes rs at the source's position.
-// Must follow Reset; pc and seq track the source's fetch point locally —
-// after each record they are rec.NextPC and rec.Seq+1 by the stream
-// contract, so the run loop pays one source call per instruction (Next)
-// instead of four.
-func (m *Machine) beginRun(src Source, rs *runState) {
-	if src != nil {
-		m.src = src
-		if ps, ok := src.(PredictionSource); ok && ps.HasPredictions() {
-			m.preds = ps
-		}
-	}
-	rs.stepEm = nil
-	if eb, ok := m.src.(emuBacked); ok {
-		rs.stepEm = eb.Emu()
-	}
-	rs.pc, rs.seq = m.src.PC(), m.src.Seq()
-	rs.halted = m.src.Halted()
+// beginRun initializes rs at the emulator's position. Must follow
+// Reset; pc and seq track the fetch point locally — after each record
+// they are rec.NextPC and rec.Seq+1 — so the run loop pays one emulator
+// call per instruction (Step) instead of four.
+func (m *Machine) beginRun(rs *runState) {
+	rs.pc, rs.seq = m.em.PC(), m.em.Seq()
+	rs.halted = m.em.Halted()
 	rs.expire = m.cfg.Mode == ModeMicrothread
 }
 
 // stepOne fetches, executes, and retires the machine's next primary
-// instruction. It returns false when the source is exhausted; the halt
+// instruction. It returns false when the emulator is exhausted; the halt
 // idiom (an unconditional self-jump) turns rs.halted true instead,
-// exactly when the source's Halted would. The operation order is the
+// exactly when the emulator's Halted would. The operation order is the
 // single-thread run loop's, unchanged — RunContextFrom is a straight
 // loop over stepOne, which is what keeps solo runs and 1-context SMT
 // runs bit-identical to the pre-SMT machine.
@@ -442,11 +428,7 @@ func (m *Machine) stepOne(rs *runState) bool {
 	if m.cfg.Mode == ModeMicrothread {
 		m.trySpawns(rs.pc, rs.seq, fc)
 	}
-	if rs.stepEm != nil {
-		if !rs.stepEm.Step(&rs.rec) {
-			return false
-		}
-	} else if !m.src.Next(&rs.rec) {
+	if !m.em.Step(&rs.rec) {
 		return false
 	}
 	m.res.Insts++
@@ -468,8 +450,8 @@ func (m *Machine) stepOne(rs *runState) bool {
 // finishRun assembles the run's statistics into m.res.
 func (m *Machine) finishRun() {
 	m.res.Cycles = m.lastRet
-	if m.preds != nil {
-		m.res.PredStats, m.res.Backend = m.preds.FinalPredStats()
+	if m.ov != nil {
+		m.res.PredStats, m.res.Backend = m.ovCP.Stats()
 	} else {
 		m.res.PredStats = m.pred.Stats
 		m.res.Backend = m.pred.BackendStats()
@@ -484,15 +466,13 @@ func (m *Machine) finishRun() {
 }
 
 // ArchRegs returns the architectural register file as of the last retired
-// instruction — the run's stream-source state (the machine's internal
-// emulator when live, the replay cursor's shadow state when replayed).
-// Valid after RunContext returns, until the next Reset.
-func (m *Machine) ArchRegs() [isa.NumRegs]isa.Word { return m.src.Regs() }
+// instruction. Valid after RunContext returns, until the next Reset.
+func (m *Machine) ArchRegs() [isa.NumRegs]isa.Word { return m.em.Regs }
 
 // ArchMem appends the final architectural memory image (nonzero words,
 // ascending address order) to dst and returns it. Valid after RunContext
 // returns, until the next Reset.
-func (m *Machine) ArchMem(dst []emu.MemWord) []emu.MemWord { return m.src.SnapshotMem(dst) }
+func (m *Machine) ArchMem(dst []emu.MemWord) []emu.MemWord { return m.em.Mem.Snapshot(dst) }
 
 func buildConfigOf(cfg Config) uthread.BuildConfig {
 	bc := uthread.DefaultBuildConfig(cfg.Pruning)
@@ -720,11 +700,12 @@ func (m *Machine) handleBranch(rec *emu.Record, fc, resolve uint64, termID path.
 	in := rec.Inst
 	var pr bpred.Prediction
 	var hwMiss bool
-	if m.preds != nil {
-		// Replay: the recorded overlay yields exactly what Predict and
-		// Update would have computed for this branch, in the same
-		// one-call-per-retired-branch order.
-		pr, hwMiss = m.preds.NextPrediction()
+	if m.ov != nil {
+		// The recorded overlay yields exactly what Predict and Update
+		// would have computed for this branch, in the same
+		// one-decision-per-retired-branch order.
+		pr, hwMiss = m.ov.Branch(m.ovBr)
+		m.ovBr++
 	} else {
 		pr = m.pred.Predict(rec.PC, in)
 		hwMiss = m.pred.Update(rec.PC, in, pr, rec.Taken, rec.NextPC)

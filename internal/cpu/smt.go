@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the SMT extension of the timing core: N primary contexts
-// — each a full per-thread architectural replica (stream source,
+// — each a full per-thread architectural replica (emulator,
 // retirement ring, path tracker, front-end state) — time-share one
 // machine's execution resources. The always-shared back end is the
 // functional-unit and L1-port calendars, the data-memory hierarchy, and
@@ -177,8 +177,8 @@ func RunSMT(ctx context.Context, progs []*program.Program, cfg Config) (*SMTResu
 
 // RunContext executes one SMT run: progs[i] is the program of
 // cfg.SMT.Contexts[i] (the caller resolves WorkloadRef names; lengths
-// must match). Execution is live-only — replay sources and recorded
-// predictions are a single-thread facility. On cancellation the partial
+// must match). Execution is live-only — recorded predictor overlays are
+// a single-thread facility. On cancellation the partial
 // statistics accumulated so far are returned alongside the context's
 // error.
 func (s *SMTMachine) RunContext(ctx context.Context, progs []*program.Program, cfg Config) (*SMTResult, error) {
@@ -247,14 +247,14 @@ func (s *SMTMachine) RunContext(ctx context.Context, progs []*program.Program, c
 
 	states := make([]runState, k)
 	for i, m := range s.ms {
-		m.beginRun(nil, &states[i])
+		m.beginRun(&states[i])
 	}
 
 	// The fetch arbiter: one instruction per grant. Round-robin advances
 	// the thread whose front-end clock is furthest behind (the slot
 	// lattice then makes fetch cycles strictly alternate); icount
 	// advances the thread with the least unretired work in flight. Ties
-	// go to the lower context index; finished threads (halted, source
+	// go to the lower context index; finished threads (halted, emulator
 	// exhausted, or at budget) drop out.
 	var steps uint64
 	for {

@@ -60,13 +60,6 @@ type Options struct {
 	// experiment varies the backend itself and only honours the Spec's
 	// sizing sections.
 	BPred bpred.Spec
-	// NoReplay forces every timing and profiling run to re-execute the
-	// program functionally instead of replaying the shared retirement
-	// tape (see internal/replay). Results are bit-identical either way;
-	// the switch exists for timing comparisons and as an escape hatch,
-	// mirroring the cache's -nocache. Replay requires a Cache (the tape
-	// is memoized there), so a cacheless harness is implicitly live.
-	NoReplay bool
 	// SMT, when enabled, overrides the SMT interference study's workload
 	// mix, fetch policy, and sharing flags (the CLI's -smt flag; see
 	// ParseSMTSpec for the spec vocabulary). Only the "smt" experiment
@@ -138,33 +131,6 @@ var testHookBeforeRun func(bench string)
 // cpu.Pool. BenchmarkAblationSweepAllocs measures what this saves.
 var machines cpu.Pool
 
-// tapeCeiling is the record budget one shared tape must cover for every
-// run of the harness: timing runs consume TimingInsts records, profiling
-// runs ProfileInsts, so one recording at the maximum serves both (tape
-// prefixes are free — the stream is program-determined).
-func tapeCeiling(o Options) uint64 {
-	if o.ProfileInsts > o.TimingInsts {
-		return o.ProfileInsts
-	}
-	return o.TimingInsts
-}
-
-// tapeFor returns the benchmark's shared retirement tape, recording it
-// on first request and memoizing it in o.Cache (which must be non-nil —
-// replay is only attempted with a cache, since an unshared tape would
-// cost more than it saves).
-func tapeFor(ctx context.Context, o Options, prog *program.Program) (*replay.Tape, error) {
-	ceiling := tapeCeiling(o)
-	v, err := o.Cache.Do(ctx, runcache.KeyOf("tape", prog.Fingerprint(), ceiling),
-		func() (any, error) {
-			return replay.Record(prog, ceiling), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*replay.Tape), nil
-}
-
 // overlayBudgets returns the record budgets every overlay checkpoints,
 // sorted: the timing budget and the profiling budget. One overlay pass
 // at the larger serves both kinds of run (predictor decisions for a
@@ -183,18 +149,18 @@ func overlayBudgets(o Options) []uint64 {
 }
 
 // overlayFor returns the recorded predictor interaction for one
-// (predictor front-end, direction backend) pair over prog's tape,
+// (predictor front-end, direction backend) pair over prog's stream,
 // checkpointed at the harness budgets and memoized in o.Cache. Every
 // timing config sharing the pair — all of an ablation's variants, every
 // figure sweep point — shares one overlay; the profiler reuses the
 // mechanism with the zero backend spec. pcfg and spec must already be
 // canonical (they are cache key inputs).
-func overlayFor(ctx context.Context, o Options, prog *program.Program, t *replay.Tape,
+func overlayFor(ctx context.Context, o Options, prog *program.Program,
 	pcfg bpred.Config, spec bpred.Spec) (*replay.Overlay, error) {
 	budgets := overlayBudgets(o)
 	v, err := o.Cache.Do(ctx, runcache.KeyOf("overlay", prog.Fingerprint(), pcfg, spec, budgets),
 		func() (any, error) {
-			return replay.NewOverlay(t, pcfg, spec, budgets)
+			return replay.NewOverlay(prog, pcfg, spec, budgets)
 		})
 	if err != nil {
 		return nil, err
@@ -203,64 +169,37 @@ func overlayFor(ctx context.Context, o Options, prog *program.Program, t *replay
 }
 
 // timedRun executes one cancellable timing run, memoized through o.Cache
-// when one is set. A cache-eligible run replays the benchmark's shared
-// retirement tape with a prediction overlay instead of re-executing the
-// program and predictor — bit-identical by construction (see
-// internal/replay), held by TestReplayMatchesLive and the oracle — and
-// falls back to fresh execution under o.NoReplay or a budget the tape
-// does not cover. A config carrying an OnBuild hook or a tracer is
-// observable (the hook sees every built routine, the tracer every
-// lifecycle event), so it always runs fresh and uncached.
+// when one is set. A cache-eligible run reads the branch predictor's
+// decisions from the benchmark's shared overlay instead of simulating
+// the predictor — bit-identical by construction (see internal/replay),
+// held by TestReplayMatchesLive and the oracle — and runs the live
+// predictor only when the overlay has no checkpoint for its budget. A
+// config carrying an OnBuild hook or a tracer is observable (the hook
+// sees every built routine, the tracer every lifecycle event), so it
+// always runs fresh and uncached.
 func timedRun(ctx context.Context, o Options, prog *program.Program, cfg cpu.Config) (*cpu.Result, error) {
 	if o.Trace != nil {
 		cfg.Obs = o.Trace.StartRun(runName(prog, cfg))
 	}
 	if o.Cache == nil || cfg.OnBuild != nil || cfg.Obs != nil {
-		return timedRunFresh(ctx, prog, cfg)
+		return timedRunFrom(ctx, prog, cfg, nil)
 	}
 	canon := cfg.Canonical()
 	key := runcache.KeyOf("cpu", prog.Fingerprint(), canon)
 	v, err := o.Cache.Do(ctx, key, func() (any, error) {
-		if !o.NoReplay {
-			if r, err, ok := timedRunReplay(ctx, o, prog, cfg, canon); ok {
-				return r, err
-			}
+		ov, err := overlayFor(ctx, o, prog, canon.Predictor, canon.BPred)
+		if err != nil {
+			return nil, err
 		}
-		return timedRunFresh(ctx, prog, cfg)
+		if _, ok := ov.Checkpoint(canon.MaxInsts); !ok {
+			ov = nil
+		}
+		return timedRunFrom(ctx, prog, cfg, ov)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*cpu.Result), nil
-}
-
-// timedRunReplay attempts cfg against the benchmark's shared tape. The
-// third return is false when replay cannot serve this run — the tape or
-// the overlay was not built for cfg's budget (a non-harness MaxInsts) —
-// and the caller should execute fresh.
-func timedRunReplay(ctx context.Context, o Options, prog *program.Program,
-	cfg, canon cpu.Config) (*cpu.Result, error, bool) {
-	t, err := tapeFor(ctx, o, prog)
-	if err != nil {
-		return nil, err, true
-	}
-	if !t.Covers(canon.MaxInsts) {
-		return nil, nil, false
-	}
-	ov, err := overlayFor(ctx, o, prog, t, canon.Predictor, canon.BPred)
-	if err != nil {
-		return nil, err, true
-	}
-	c := t.Cursor()
-	if !c.WithOverlay(ov, canon.MaxInsts) {
-		t.Release(c)
-		return nil, nil, false
-	}
-	m := machines.Get()
-	r, err := m.RunContextFrom(ctx, prog, cfg, c)
-	machines.Put(m)
-	t.Release(c)
-	return r, err, true
 }
 
 // runName labels one timing run in trace output: benchmark, mode, and
@@ -284,9 +223,11 @@ func runName(prog *program.Program, cfg cpu.Config) string {
 	return name
 }
 
-func timedRunFresh(ctx context.Context, prog *program.Program, cfg cpu.Config) (*cpu.Result, error) {
+// timedRunFrom executes one timing run on a pooled machine, reading
+// predictions from ov (nil means the live predictor).
+func timedRunFrom(ctx context.Context, prog *program.Program, cfg cpu.Config, ov *replay.Overlay) (*cpu.Result, error) {
 	m := machines.Get()
-	r, err := m.RunContext(ctx, prog, cfg)
+	r, err := m.RunContextFrom(ctx, prog, cfg, ov)
 	machines.Put(m)
 	if err != nil {
 		return nil, err
@@ -295,9 +236,10 @@ func timedRunFresh(ctx context.Context, prog *program.Program, cfg cpu.Config) (
 }
 
 // profileRun executes one functional profiling run, memoized through
-// o.Cache when one is set. Like timedRun it prefers replaying the shared
-// tape — the profiler's predictor interaction is an overlay with the
-// zero backend spec — and falls back to a fresh functional run.
+// o.Cache when one is set. Like timedRun it reads the benchmark's shared
+// overlay — the profiler's predictor interaction is an overlay with the
+// zero backend spec — and simulates the predictor only when the overlay
+// has no checkpoint for its budget.
 func profileRun(ctx context.Context, o Options, prog *program.Program, cfg pathprof.Config) (*pathprof.Profile, error) {
 	if o.Cache == nil {
 		return pathprof.Run(prog, cfg), nil
@@ -305,39 +247,19 @@ func profileRun(ctx context.Context, o Options, prog *program.Program, cfg pathp
 	canon := cfg.Canonical()
 	key := runcache.KeyOf("pathprof", prog.Fingerprint(), canon)
 	v, err := o.Cache.Do(ctx, key, func() (any, error) {
-		if !o.NoReplay {
-			if p, err, ok := profileRunReplay(ctx, o, prog, canon); ok {
-				return p, err
-			}
+		ov, err := overlayFor(ctx, o, prog, canon.Predictor.Canonical(), bpred.Spec{}.Canonical())
+		if err != nil {
+			return nil, err
 		}
-		return pathprof.Run(prog, cfg), nil
+		if _, ok := ov.Checkpoint(canon.MaxInsts); !ok {
+			return pathprof.Run(prog, cfg), nil
+		}
+		return pathprof.RunOverlay(prog, ov, canon), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*pathprof.Profile), nil
-}
-
-// profileRunReplay attempts the profiling run against the shared tape;
-// false means the tape does not cover canon's budget and the caller
-// should run fresh.
-func profileRunReplay(ctx context.Context, o Options, prog *program.Program,
-	canon pathprof.Config) (*pathprof.Profile, error, bool) {
-	t, err := tapeFor(ctx, o, prog)
-	if err != nil {
-		return nil, err, true
-	}
-	if !t.Covers(canon.MaxInsts) {
-		return nil, nil, false
-	}
-	ov, err := overlayFor(ctx, o, prog, t, canon.Predictor.Canonical(), bpred.Spec{}.Canonical())
-	if err != nil {
-		return nil, err, true
-	}
-	if _, ok := ov.Checkpoint(canon.MaxInsts); !ok {
-		return nil, nil, false
-	}
-	return pathprof.RunTape(t, ov, canon), nil, true
 }
 
 // sweep runs body for every program via the scheduler and returns one

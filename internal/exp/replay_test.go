@@ -20,37 +20,6 @@ func progFor(t *testing.T, name string) *program.Program {
 	return synth.Generate(p)
 }
 
-// TestTapeMemoizedPerBenchmark holds the record-once contract: every
-// request for a benchmark's tape through the cache returns the same
-// shared recording, and distinct benchmarks get distinct tapes.
-func TestTapeMemoizedPerBenchmark(t *testing.T) {
-	o := quick("comp", "li")
-	o.Cache = runcache.New()
-	o = o.withDefaults()
-
-	a := progFor(t, "comp")
-	b := progFor(t, "li")
-
-	t1, err := tapeFor(ctx(), o, a)
-	if err != nil {
-		t.Fatalf("tapeFor: %v", err)
-	}
-	t2, err := tapeFor(ctx(), o, a)
-	if err != nil {
-		t.Fatalf("tapeFor (again): %v", err)
-	}
-	if t1 != t2 {
-		t.Error("two requests for one benchmark's tape recorded twice")
-	}
-	t3, err := tapeFor(ctx(), o, b)
-	if err != nil {
-		t.Fatalf("tapeFor (other benchmark): %v", err)
-	}
-	if t3 == t1 {
-		t.Error("distinct benchmarks shared a tape")
-	}
-}
-
 // TestOverlayKeyedByPredictor holds the one-pass-per-backend contract:
 // one overlay per (front-end config, backend spec) pair, shared across
 // requests, with distinct specs kept apart.
@@ -60,25 +29,21 @@ func TestOverlayKeyedByPredictor(t *testing.T) {
 	o = o.withDefaults()
 	prog := progFor(t, "comp")
 
-	tape, err := tapeFor(ctx(), o, prog)
-	if err != nil {
-		t.Fatalf("tapeFor: %v", err)
-	}
 	hybrid := bpred.Spec{}.Canonical()
 	tage := bpred.Spec{Name: bpred.BackendTAGE}.Canonical()
 
-	ov1, err := overlayFor(ctx(), o, prog, tape, bpred.Config{}.Canonical(), hybrid)
+	ov1, err := overlayFor(ctx(), o, prog, bpred.Config{}.Canonical(), hybrid)
 	if err != nil {
 		t.Fatalf("overlayFor: %v", err)
 	}
-	ov2, err := overlayFor(ctx(), o, prog, tape, bpred.Config{}.Canonical(), hybrid)
+	ov2, err := overlayFor(ctx(), o, prog, bpred.Config{}.Canonical(), hybrid)
 	if err != nil {
 		t.Fatalf("overlayFor (again): %v", err)
 	}
 	if ov1 != ov2 {
 		t.Error("one (config, spec) pair built two overlays")
 	}
-	ov3, err := overlayFor(ctx(), o, prog, tape, bpred.Config{}.Canonical(), tage)
+	ov3, err := overlayFor(ctx(), o, prog, bpred.Config{}.Canonical(), tage)
 	if err != nil {
 		t.Fatalf("overlayFor (tage): %v", err)
 	}
@@ -87,34 +52,24 @@ func TestOverlayKeyedByPredictor(t *testing.T) {
 	}
 }
 
-// TestNoReplayBitIdentical runs one figure sweep three ways — replayed
-// through the shared tape, forced live with NoReplay, and cacheless
-// (implicitly live) — and requires identical results, the user-visible
-// form of the replay-equivalence guarantee behind the -noreplay flag.
-func TestNoReplayBitIdentical(t *testing.T) {
-	replayed := quick("comp")
-	replayed.Cache = runcache.New()
-	live := quick("comp")
-	live.Cache = runcache.New()
-	live.NoReplay = true
+// TestCachedMatchesCacheless runs one figure sweep through the run cache
+// — where every timing run reads the benchmark's shared overlay — and
+// without one — where every run simulates its predictor live — and
+// requires identical results.
+func TestCachedMatchesCacheless(t *testing.T) {
+	cached := quick("comp")
+	cached.Cache = runcache.New()
 	cacheless := quick("comp")
 
-	r1, err := Figure6(ctx(), replayed)
+	r1, err := Figure6(ctx(), cached)
 	if err != nil {
-		t.Fatalf("replayed sweep: %v", err)
+		t.Fatalf("cached sweep: %v", err)
 	}
-	r2, err := Figure6(ctx(), live)
-	if err != nil {
-		t.Fatalf("NoReplay sweep: %v", err)
-	}
-	r3, err := Figure6(ctx(), cacheless)
+	r2, err := Figure6(ctx(), cacheless)
 	if err != nil {
 		t.Fatalf("cacheless sweep: %v", err)
 	}
 	if !reflect.DeepEqual(r1, r2) {
-		t.Error("replayed and NoReplay results differ")
-	}
-	if !reflect.DeepEqual(r1, r3) {
-		t.Error("replayed and cacheless results differ")
+		t.Error("cached and cacheless results differ")
 	}
 }

@@ -12,26 +12,23 @@ import (
 
 // FuzzDifferentialRun is the open-ended form of the smoke suite: any
 // (seed, units) pair must generate a program whose architectural
-// behaviour is identical under the emulator and every timing ablation.
-// The replay dimension flips each sweep between a live emulator and the
-// recorded tape + overlay fast path, so the fuzzer also hunts for
-// programs whose replayed stream diverges from live execution. The smt
-// dimension, when nonzero, co-schedules a second random program as an
-// SMT primary context (fetch policy and sharing flags decoded from the
-// bits), hunting for co-runner configurations that leak architectural
-// state across contexts; replay is ignored there, since SMT runs are
-// live-only. The per-execution budget is small so the engine explores
-// many programs per second; the 64-seed deterministic suite covers
-// longer runs.
+// behaviour is identical under the emulator and every timing ablation,
+// and whose overlay re-runs match the live runs. The smt dimension,
+// when nonzero, co-schedules a second random program as an SMT primary
+// context (fetch policy and sharing flags decoded from the bits),
+// hunting for co-runner configurations that leak architectural state
+// across contexts. The per-execution budget is small so the engine
+// explores many programs per second; the 64-seed deterministic suite
+// covers longer runs.
 func FuzzDifferentialRun(f *testing.F) {
-	f.Add(int64(1), uint64(4), false, uint64(0))
-	f.Add(int64(42), uint64(1), false, uint64(0))
-	f.Add(int64(-7), uint64(8), true, uint64(0))
-	f.Add(int64(1<<40), uint64(3), true, uint64(0))
-	f.Add(int64(5), uint64(4), false, uint64(1))  // smt: icount, all private
-	f.Add(int64(9), uint64(6), false, uint64(30)) // smt: rr, everything shared
-	f.Add(int64(-3), uint64(5), false, uint64(6)) // smt: rr, shared path+pred caches
-	f.Fuzz(func(t *testing.T, seed int64, units uint64, replay bool, smtBits uint64) {
+	f.Add(int64(1), uint64(4), uint64(0))
+	f.Add(int64(42), uint64(1), uint64(0))
+	f.Add(int64(-7), uint64(8), uint64(0))
+	f.Add(int64(1<<40), uint64(3), uint64(0))
+	f.Add(int64(5), uint64(4), uint64(1))  // smt: icount, all private
+	f.Add(int64(9), uint64(6), uint64(30)) // smt: rr, everything shared
+	f.Add(int64(-3), uint64(5), uint64(6)) // smt: rr, shared path+pred caches
+	f.Fuzz(func(t *testing.T, seed int64, units uint64, smtBits uint64) {
 		spec := synth.RandSpec{Seed: seed, Units: int(1 + units%8)}
 		if smtBits%32 != 0 {
 			cfg := Ablations()[1].Config // full microthread mechanism
@@ -43,8 +40,8 @@ func FuzzDifferentialRun(f *testing.F) {
 			return
 		}
 		prog := synth.RandomProgram(spec)
-		if err := Verify(prog, Options{MaxInsts: 6_000, Trace: true, Replay: replay}); err != nil {
-			t.Fatalf("spec %v replay=%v: %v", spec, replay, err)
+		if err := Verify(prog, Options{MaxInsts: 6_000, Trace: true}); err != nil {
+			t.Fatalf("spec %v: %v", spec, err)
 		}
 	})
 }

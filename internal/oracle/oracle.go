@@ -24,12 +24,10 @@
 //     the conservation laws the model implies (see CheckStats), and an
 //     attached obs.Tracer's per-kind counts must reconcile with the
 //     legacy statistics (see CheckTrace).
-//
-// Options.Replay re-runs the whole sweep with every configuration fed
-// from a recorded retirement tape and prediction overlay
-// (internal/replay) instead of a live emulator — the experiment
-// harness's record-once/replay-many fast path — so the same lockstep
-// reference that proves live equivalence proves replay equivalence.
+//  4. Overlay equivalence. Every configuration is re-run on a fresh
+//     machine reading the branch predictor's decisions from a recorded
+//     overlay (internal/replay) — the experiment harness's fast path —
+//     and its Result must deeply equal the live run's.
 //
 // A failing random program is shrunk (Shrink) to a minimal failing unit
 // subset and written to testdata/repros as JSON + disassembly.
@@ -38,6 +36,7 @@ package oracle
 import (
 	"context"
 	"fmt"
+	"reflect"
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/cpu"
@@ -110,12 +109,6 @@ type Options struct {
 	// Trace attaches an obs tracer to microthread configurations and
 	// reconciles its per-kind counts against the legacy statistics.
 	Trace bool
-	// Replay drives every run from a recorded retirement tape with a
-	// prediction overlay (internal/replay) instead of a live emulator,
-	// so the lockstep reference diffs the replayed stream — the dynamic
-	// check behind the experiment harness's record-once/replay-many
-	// fast path.
-	Replay bool
 	// Fault optionally injects a stream corruption (harness self-test).
 	Fault *Fault
 }
@@ -125,7 +118,7 @@ type Options struct {
 type Divergence struct {
 	Program string
 	Config  string
-	Kind    string // "stream", "regs", "mem", "stats", "trace", "cross"
+	Kind    string // "stream", "regs", "mem", "stats", "trace", "overlay", "cross"
 	Seq     uint64
 	Detail  string
 }
@@ -150,14 +143,10 @@ func Verify(prog *program.Program, opts Options) error {
 	if opts.Configs == nil {
 		opts.Configs = Ablations()
 	}
-	var tape *replay.Tape
-	if opts.Replay {
-		tape = replay.Record(prog, opts.MaxInsts)
-	}
 	var first *runSummary
 	var firstName string
 	for _, nc := range opts.Configs {
-		sum, err := verifyOne(prog, nc, opts, tape)
+		sum, err := verifyOne(prog, nc, opts)
 		if err != nil {
 			return err
 		}
@@ -177,11 +166,9 @@ func Verify(prog *program.Program, opts Options) error {
 }
 
 // verifyOne runs prog under one configuration with a lockstep reference
-// emulator and checks the stream, the final state, and the statistics.
-// With a tape it replays the recorded stream through an overlay-carrying
-// cursor — exactly the harness's fast path — so the same lockstep diff
-// that proves live equivalence proves replay equivalence.
-func verifyOne(prog *program.Program, nc NamedConfig, opts Options, tape *replay.Tape) (*runSummary, error) {
+// emulator and checks the stream, the final state, the statistics, and
+// the overlay re-run.
+func verifyOne(prog *program.Program, nc NamedConfig, opts Options) (*runSummary, error) {
 	cfg := nc.Config
 	cfg.MaxInsts = opts.MaxInsts
 
@@ -219,26 +206,7 @@ func verifyOne(prog *program.Program, nc NamedConfig, opts Options, tape *replay
 	}
 
 	m := cpu.NewMachine()
-	var res *cpu.Result
-	var err error
-	if tape != nil {
-		canon := cfg.Canonical()
-		ov, oerr := replay.NewOverlay(tape, canon.Predictor, canon.BPred, []uint64{canon.MaxInsts})
-		if oerr != nil {
-			return nil, oerr
-		}
-		c := tape.Cursor()
-		// Released only after the final-state checks below: ArchRegs and
-		// ArchMem read the cursor's emulator, which a released cursor
-		// would let another run rewind.
-		defer tape.Release(c)
-		if !c.WithOverlay(ov, canon.MaxInsts) {
-			return nil, fmt.Errorf("oracle: overlay has no checkpoint for budget %d", canon.MaxInsts)
-		}
-		res, err = m.RunContextFrom(context.Background(), prog, cfg, c)
-	} else {
-		res, err = m.RunContext(context.Background(), prog, cfg)
-	}
+	res, err := m.RunContext(context.Background(), prog, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +247,39 @@ func verifyOne(prog *program.Program, nc NamedConfig, opts Options, tape *replay
 			}
 		}
 	}
+	if err := checkOverlay(prog, nc, opts.MaxInsts, res); err != nil {
+		return nil, err
+	}
 	return &runSummary{insts: res.Insts, branches: res.Branches}, nil
+}
+
+// newOverlay builds the overlay checkOverlay re-runs from; the mutation
+// test swaps it to hand the check a wrong overlay.
+var newOverlay = replay.NewOverlay
+
+// checkOverlay re-runs nc on a fresh machine with the branch predictor's
+// decisions read from an overlay — the experiment harness's fast path —
+// and requires a Result deeply equal to the live run's.
+func checkOverlay(prog *program.Program, nc NamedConfig, maxInsts uint64, live *cpu.Result) error {
+	cfg := nc.Config
+	cfg.MaxInsts = maxInsts
+	canon := cfg.Canonical()
+	ov, err := newOverlay(prog, canon.Predictor, canon.BPred, []uint64{canon.MaxInsts})
+	if err != nil {
+		return err
+	}
+	res, err := cpu.NewMachine().RunContextFrom(context.Background(), prog, cfg, ov)
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(res, live) {
+		return &Divergence{
+			Program: prog.Name, Config: nc.Name, Kind: "overlay", Seq: res.Insts,
+			Detail: fmt.Sprintf("overlay run: %d cycles, %d hardware mispredicts; live run: %d cycles, %d",
+				res.Cycles, res.HWMispredicts, live.Cycles, live.HWMispredicts),
+		}
+	}
+	return nil
 }
 
 // diffRecords names the fields on which two retirement records differ.

@@ -107,17 +107,17 @@ func Run(prog *program.Program, cfg Config) *Profile {
 	return p
 }
 
-// RunTape profiles a recorded retirement stream (internal/replay),
-// reading the baseline predictor's per-branch outcomes from ov instead
-// of simulating the predictor. The overlay must have been built from t
-// with cfg's canonical Predictor, the zero backend spec, and cfg's
-// canonical MaxInsts — then the miss sequence is identical to what Run
-// would compute, and so is the Profile.
-func RunTape(t *replay.Tape, ov *replay.Overlay, cfg Config) *Profile {
+// RunOverlay profiles prog reading the baseline predictor's per-branch
+// outcomes from ov instead of simulating the predictor. The overlay must
+// have been built from prog with cfg's canonical Predictor, the zero
+// backend spec, and a checkpoint at cfg's canonical MaxInsts — then the
+// miss sequence is identical to what Run would compute, and so is the
+// Profile.
+func RunOverlay(prog *program.Program, ov *replay.Overlay, cfg Config) *Profile {
 	cfg = cfg.Canonical()
-	p, observe := newProfile(t.Program().Name, cfg)
+	p, observe := newProfile(prog.Name, cfg)
 	var bi uint64
-	p.Insts = t.Replay(cfg.MaxInsts, func(r *emu.Record) bool {
+	p.Insts = emu.New(prog).Run(cfg.MaxInsts, func(r *emu.Record) bool {
 		if r.Inst.IsBranch() {
 			_, miss := ov.Branch(bi)
 			bi++

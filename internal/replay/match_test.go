@@ -8,27 +8,35 @@ import (
 
 	"dpbp/internal/cpu"
 	"dpbp/internal/oracle"
+	"dpbp/internal/program"
 	"dpbp/internal/replay"
 	"dpbp/internal/synth"
 )
 
-// TestReplayMatchesLive is the end-to-end replay-equivalence gate: for
+func benchProg(t *testing.T, name string) *program.Program {
+	t.Helper()
+	p, err := synth.ProfileByName(name)
+	if err != nil {
+		t.Fatalf("ProfileByName(%q): %v", name, err)
+	}
+	return synth.Generate(p)
+}
+
+// TestReplayMatchesLive is the end-to-end overlay-equivalence gate: for
 // every ablation in the oracle sweep — baseline, the full microthread
 // mechanism, its pruning/abort/wrong-path/throttle variants, the
 // perfect-promoted mode, and the alternate predictor backends — a run
-// fed from the recorded tape with a prediction overlay must produce a
-// Result deeply equal to a live run's. This is the property that lets
-// the experiment harness record once and replay many (internal/exp's
-// timedRunReplay); the CI job runs it under -race to also catch unsound
-// sharing of the tape and overlay.
+// reading its predictions from an overlay must produce a Result deeply
+// equal to a live run's. This is the property that lets the experiment
+// harness simulate each predictor once per benchmark (internal/exp's
+// timedRun); the CI job runs it under -race to also catch unsound
+// sharing of the overlay.
 func TestReplayMatchesLive(t *testing.T) {
 	const budget = 30_000
 	progs := []string{synth.Names()[0], synth.Names()[3]}
 	for _, name := range progs {
 		prog := benchProg(t, name)
-		tape := replay.Record(prog, budget)
 		for _, nc := range oracle.Ablations() {
-			nc := nc
 			t.Run(name+"/"+nc.Name, func(t *testing.T) {
 				cfg := nc.Config
 				cfg.MaxInsts = budget
@@ -36,43 +44,36 @@ func TestReplayMatchesLive(t *testing.T) {
 				live := cpu.Run(prog, cfg)
 
 				canon := cfg.Canonical()
-				ov, err := replay.NewOverlay(tape, canon.Predictor, canon.BPred, []uint64{budget})
+				ov, err := replay.NewOverlay(prog, canon.Predictor, canon.BPred, []uint64{budget})
 				if err != nil {
 					t.Fatalf("NewOverlay: %v", err)
 				}
-				c := tape.Cursor()
-				defer tape.Release(c)
-				if !c.WithOverlay(ov, budget) {
-					t.Fatal("WithOverlay rejected the run budget")
-				}
-				m := cpu.NewMachine()
-				replayed, err := m.RunContextFrom(context.Background(), prog, cfg, c)
+				replayed, err := cpu.NewMachine().RunContextFrom(context.Background(), prog, cfg, ov)
 				if err != nil {
 					t.Fatalf("RunContextFrom: %v", err)
 				}
 
 				if !reflect.DeepEqual(live, replayed) {
-					t.Fatalf("replayed Result differs from live:\nlive:   %+v\nreplay: %+v", live, replayed)
+					t.Fatalf("overlay Result differs from live:\nlive:    %+v\noverlay: %+v", live, replayed)
 				}
 			})
 		}
 	}
 }
 
-// TestConcurrentReplaySharesTape replays one tape and overlay from many
-// goroutines at once — the experiment harness's actual sharing pattern —
-// and requires every run to produce the same Result. Under -race this is
-// the soundness check for the tape's lazy resolve and cursor pool.
-func TestConcurrentReplaySharesTape(t *testing.T) {
+// TestConcurrentReplaySharesOverlay runs one overlay from many
+// goroutines at once — the experiment harness's actual sharing pattern
+// — and requires every run to produce the live Result. Under -race this
+// is the soundness check for sharing an overlay across runs.
+func TestConcurrentReplaySharesOverlay(t *testing.T) {
 	const budget = 10_000
 	prog := benchProg(t, synth.Names()[4])
 	cfg := cpu.Config{Mode: cpu.ModeMicrothread, UsePredictions: true, Pruning: true,
 		AbortEnabled: true, RebuildOnViolation: true, MaxInsts: budget}
 	want := cpu.Run(prog, cfg)
 
-	tape := replay.Record(prog, budget)
 	canon := cfg.Canonical()
-	ov, err := replay.NewOverlay(tape, canon.Predictor, canon.BPred, []uint64{budget})
+	ov, err := replay.NewOverlay(prog, canon.Predictor, canon.BPred, []uint64{budget})
 	if err != nil {
 		t.Fatalf("NewOverlay: %v", err)
 	}
@@ -83,19 +84,13 @@ func TestConcurrentReplaySharesTape(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := tape.Cursor()
-			defer tape.Release(c)
-			if !c.WithOverlay(ov, budget) {
-				errs <- "WithOverlay rejected the run budget"
-				return
-			}
-			got, err := cpu.NewMachine().RunContextFrom(context.Background(), prog, cfg, c)
+			got, err := cpu.NewMachine().RunContextFrom(context.Background(), prog, cfg, ov)
 			if err != nil {
 				errs <- err.Error()
 				return
 			}
 			if !reflect.DeepEqual(want, got) {
-				errs <- "concurrent replay diverged from live run"
+				errs <- "concurrent overlay run diverged from live run"
 			}
 		}()
 	}

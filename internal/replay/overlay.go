@@ -1,3 +1,21 @@
+// Package replay records the branch predictor's interaction with a
+// program's retirement stream once, so any number of timing runs can
+// read it back instead of re-simulating the predictor (Overlay).
+//
+// The recording is sound because the stream is config-invariant: the
+// timing core is execution-driven down the correct path, subordinate
+// microthreads never write emulator state (internal/analysis's
+// specpurity proves this statically, internal/oracle dynamically), so
+// every timing configuration retires the identical record sequence and
+// makes the identical Predict/Update calls. A run that reads an overlay
+// therefore produces a Result bit-identical to a live one;
+// TestReplayMatchesLive and the oracle's overlay check hold this.
+//
+// Only the predictor interaction is worth recording: Predict and Update
+// are orders of magnitude costlier per branch than an indexed read, and
+// one overlay is shared by every run of a sweep. The functional stream
+// itself is not — each run steps its own emulator, which costs about
+// as much as reading a recording would.
 package replay
 
 import (
@@ -5,9 +23,10 @@ import (
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/emu"
+	"dpbp/internal/program"
 )
 
-// Overlay is the recorded branch-predictor interaction for one tape
+// Overlay is the recorded branch-predictor interaction for one program
 // under one (front-end config, direction-backend spec) pair: the
 // prediction the hardware would make for each branch of the stream, in
 // retirement order, whether it mispredicted, and — at each requested
@@ -23,8 +42,8 @@ import (
 // and a profiling run at 1M read the same arrays, each taking its final
 // statistics from its own budget's checkpoint.
 //
-// An overlay is immutable after NewOverlay; like the tape it is shared
-// across runs and goroutines.
+// An overlay is immutable after NewOverlay; it is shared across runs and
+// goroutines.
 type Overlay struct {
 	preds []bpred.Prediction
 	miss  []uint64 // bitset parallel to preds
@@ -37,18 +56,16 @@ type Checkpoint struct {
 	// Budget is the record budget this checkpoint describes, as
 	// requested (the stream itself may be shorter).
 	Budget uint64
-	// branches is the number of stream branches within the budget.
-	branches uint64
 
 	stats   bpred.Stats
 	backend bpred.BackendStats
 }
 
-// NewOverlay replays the tape through a predictor built from (cfg,
-// spec), recording per-branch predictions and outcomes up to the
-// largest of budgets and a statistics checkpoint at each budget. It
-// errors on an unknown backend name, like bpred.NewFromSpec.
-func NewOverlay(t *Tape, cfg bpred.Config, spec bpred.Spec, budgets []uint64) (*Overlay, error) {
+// NewOverlay executes prog through a predictor built from (cfg, spec),
+// recording per-branch predictions and outcomes up to the largest of
+// budgets and a statistics checkpoint at each budget. It errors on an
+// unknown backend name, like bpred.NewFromSpec.
+func NewOverlay(prog *program.Program, cfg bpred.Config, spec bpred.Spec, budgets []uint64) (*Overlay, error) {
 	p, err := bpred.NewFromSpec(cfg, spec)
 	if err != nil {
 		return nil, err
@@ -60,7 +77,7 @@ func NewOverlay(t *Tape, cfg bpred.Config, spec bpred.Spec, budgets []uint64) (*
 	ov := &Overlay{cps: make([]Checkpoint, 0, len(bs))}
 	ci := 0
 	var n uint64
-	t.Replay(bs[len(bs)-1], func(r *emu.Record) bool {
+	emu.New(prog).Run(bs[len(bs)-1], func(r *emu.Record) bool {
 		if ci < len(bs) && n == bs[ci] {
 			ov.checkpoint(p, bs[ci])
 			ci++
@@ -90,15 +107,11 @@ func NewOverlay(t *Tape, cfg bpred.Config, spec bpred.Spec, budgets []uint64) (*
 
 func (ov *Overlay) checkpoint(p *bpred.Predictor, budget uint64) {
 	ov.cps = append(ov.cps, Checkpoint{
-		Budget:   budget,
-		branches: uint64(len(ov.preds)),
-		stats:    p.Stats,
-		backend:  p.BackendStats(),
+		Budget:  budget,
+		stats:   p.Stats,
+		backend: p.BackendStats(),
 	})
 }
-
-// Branches returns the number of branch predictions recorded.
-func (ov *Overlay) Branches() uint64 { return uint64(len(ov.preds)) }
 
 // Branch returns the i'th branch's prediction and whether the hardware
 // mispredicted it.
@@ -117,41 +130,8 @@ func (ov *Overlay) Checkpoint(budget uint64) (*Checkpoint, bool) {
 	return nil, false
 }
 
-// WithOverlay attaches a prediction overlay for a run bounded by budget
-// records, making the cursor a cpu.PredictionSource. It reports false —
-// leaving the cursor unchanged — when the overlay carries no checkpoint
-// for that budget, in which case the caller should run live.
-func (c *Cursor) WithOverlay(ov *Overlay, budget uint64) bool {
-	cp, ok := ov.Checkpoint(budget)
-	if !ok {
-		return false
-	}
-	c.ov = ov
-	c.cp = cp
-	c.br = 0
-	return true
-}
-
-// HasPredictions reports whether a prediction overlay is attached; the
-// timing core only routes predictor reads through the cursor when it
-// is (see cpu.PredictionSource).
-func (c *Cursor) HasPredictions() bool { return c.ov != nil }
-
-// NextPrediction yields the overlay's prediction and hardware-
-// mispredict flag for the next branch of the stream, advancing the
-// branch ordinal. Calls must be paired one-to-one with retired
-// branches, which the machine's handleBranch guarantees.
-func (c *Cursor) NextPrediction() (bpred.Prediction, bool) {
-	pr, miss := c.ov.Branch(c.br)
-	c.br++
-	return pr, miss
-}
-
-// FinalPredStats returns the predictor statistics at the replayed run's
-// budget checkpoint. Valid for a run that consumed its whole budget —
-// every run the experiment harness replays. (A cancelled run's partial
-// Result carries these full-budget statistics; such Results are
-// discarded with their error by every caller.)
-func (c *Cursor) FinalPredStats() (bpred.Stats, bpred.BackendStats) {
-	return c.cp.stats, c.cp.backend
+// Stats returns the predictor's cumulative statistics at the checkpoint:
+// the final statistics of a run that consumed the checkpoint's budget.
+func (cp *Checkpoint) Stats() (bpred.Stats, bpred.BackendStats) {
+	return cp.stats, cp.backend
 }

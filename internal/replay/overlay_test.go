@@ -1,9 +1,11 @@
 package replay_test
 
 import (
+	"context"
 	"testing"
 
 	"dpbp/internal/bpred"
+	"dpbp/internal/cpu"
 	"dpbp/internal/emu"
 	"dpbp/internal/replay"
 	"dpbp/internal/synth"
@@ -22,8 +24,7 @@ func TestOverlayMatchesLivePredictor(t *testing.T) {
 	for _, spec := range specs {
 		spec := spec
 		t.Run("backend="+spec.Canonical().Name, func(t *testing.T) {
-			tape := replay.Record(prog, budgets[len(budgets)-1])
-			ov, err := replay.NewOverlay(tape, bpred.Config{}, spec, budgets)
+			ov, err := replay.NewOverlay(prog, bpred.Config{}, spec, budgets)
 			if err != nil {
 				t.Fatalf("NewOverlay: %v", err)
 			}
@@ -50,19 +51,19 @@ func TestOverlayMatchesLivePredictor(t *testing.T) {
 				})
 
 				// The overlay prefix must be the live decision sequence...
-				c := tape.Cursor()
-				if !c.WithOverlay(ov, budget) {
-					t.Fatalf("WithOverlay rejected built budget %d", budget)
+				cp, ok := ov.Checkpoint(budget)
+				if !ok {
+					t.Fatalf("no checkpoint for built budget %d", budget)
 				}
 				for i, d := range want {
-					pr, miss := c.NextPrediction()
+					pr, miss := ov.Branch(uint64(i))
 					if pr != d.pred || miss != d.miss {
 						t.Fatalf("budget %d, branch %d: overlay (%+v, %v) vs live (%+v, %v)",
 							budget, i, pr, miss, d.pred, d.miss)
 					}
 				}
 				// ...and the checkpoint must carry that run's final stats.
-				stats, backend := c.FinalPredStats()
+				stats, backend := cp.Stats()
 				if stats != p.Stats {
 					t.Fatalf("budget %d: checkpoint stats %+v, live %+v", budget, stats, p.Stats)
 				}
@@ -70,35 +71,35 @@ func TestOverlayMatchesLivePredictor(t *testing.T) {
 					t.Fatalf("budget %d: checkpoint backend stats %+v, live %+v",
 						budget, backend, p.BackendStats())
 				}
-				tape.Release(c)
 			}
 		})
 	}
 }
 
-// TestWithOverlayUnknownBudget pins the fallback contract: a budget the
-// overlay was not built for must be rejected, leaving the cursor a plain
-// (prediction-free) source.
-func TestWithOverlayUnknownBudget(t *testing.T) {
-	tape := replay.Record(synth.Random(2, 2), 10_000)
-	ov, err := replay.NewOverlay(tape, bpred.Config{}, bpred.Spec{}, []uint64{10_000})
+// TestOverlayUnknownBudget pins the checkpoint contract: a run at a
+// budget the overlay was not built for retires nothing and reports an
+// error, rather than reading statistics that describe another budget.
+func TestOverlayUnknownBudget(t *testing.T) {
+	prog := synth.Random(2, 2)
+	ov, err := replay.NewOverlay(prog, bpred.Config{}, bpred.Spec{}, []uint64{10_000})
 	if err != nil {
 		t.Fatalf("NewOverlay: %v", err)
 	}
-	c := tape.Cursor()
-	defer tape.Release(c)
-	if c.WithOverlay(ov, 123) {
-		t.Fatal("WithOverlay accepted a budget without a checkpoint")
+	var retired int
+	cfg := cpu.Config{Mode: cpu.ModeBaseline, MaxInsts: 123,
+		OnRetire: func(*emu.Record) { retired++ }}
+	res, err := cpu.NewMachine().RunContextFrom(context.Background(), prog, cfg, ov)
+	if err == nil {
+		t.Fatal("run at a budget without a checkpoint succeeded")
 	}
-	if c.HasPredictions() {
-		t.Fatal("rejected WithOverlay left predictions attached")
+	if res != nil || retired != 0 {
+		t.Fatalf("run at a budget without a checkpoint retired %d instructions (Result %v)", retired, res)
 	}
 }
 
 // TestOverlayUnknownBackend mirrors bpred.NewFromSpec's error contract.
 func TestOverlayUnknownBackend(t *testing.T) {
-	tape := replay.Record(synth.Random(2, 2), 1_000)
-	if _, err := replay.NewOverlay(tape, bpred.Config{}, bpred.Spec{Name: "no-such-backend"}, []uint64{1_000}); err == nil {
+	if _, err := replay.NewOverlay(synth.Random(2, 2), bpred.Config{}, bpred.Spec{Name: "no-such-backend"}, []uint64{1_000}); err == nil {
 		t.Fatal("NewOverlay accepted an unknown backend name")
 	}
 }

@@ -136,9 +136,9 @@ func TestRunCancellation(t *testing.T) {
 // released, so this test times out waiting for them.
 func TestRunCancelDrainsBlockedAdmission(t *testing.T) {
 	const n = 3
-	started := make(chan struct{})     // run 0 is occupying the only slot
-	release := make(chan struct{})     // lets run 0 finish
-	decisions := make(chan int, n)     // admission decisions, from the hook
+	started := make(chan struct{}) // run 0 is occupying the only slot
+	release := make(chan struct{}) // lets run 0 finish
+	decisions := make(chan int, n) // admission decisions, from the hook
 	testHookAdmitted = func(i int, startedRun bool) {
 		if !startedRun {
 			decisions <- i

@@ -14,7 +14,7 @@ import (
 // so a JSON round trip reproduces it exactly (uint64 fields decode from
 // the literal digits, float64 via shortest-representation round-trip);
 // the restart test in this package pins the resulting documents
-// byte-identical. Profiles, tapes, and overlays hold unexported state
+// byte-identical. Profiles and overlays hold unexported state
 // and stay memory-only: after a restart they recompute, then every
 // timing run they feed hits this codec's entries.
 func ResultCodec() runcache.Codec {
@@ -45,8 +45,8 @@ func ResultCodec() runcache.Codec {
 // MaxBytes bound: struct scalars at their kind sizes, slices and strings
 // at length times element size, pointers followed. It undercounts maps
 // and interfaces (flat 64 bytes each) — the bound is a pressure valve,
-// not an accountant — but it scales with the dominant weights (tape
-// record slices, result structs), which is what keeps daemon RSS
+// not an accountant — but it scales with the dominant weights (overlay
+// prediction slices, result structs), which is what keeps daemon RSS
 // proportional to the configured cap.
 func approxSize(v any) int64 {
 	return sizeOfValue(reflect.ValueOf(v), 0)
