@@ -61,9 +61,8 @@
 // optional fetch policy (rr, icount) and shared-structure flags
 // (pathcache, pcache, uram, pred, all), colon-separated:
 // "gcc+ijpeg:icount:pathcache,uram". Like shootout, smt is not part of
-// "all". The same spec vocabulary drives JSON sweep configs and run
-// cache keys, so a CLI run and a dpbpd submission of one spec memoize
-// identically.
+// "all". The parsed spec is part of every smt run's cache key, so runs
+// of one mix memoize identically however the spec was spelled.
 package main
 
 import (

@@ -136,8 +136,8 @@ func sweep(ctx context.Context, w io.Writer, o options, vopts oracle.Options) er
 }
 
 // shrinkAndWrite minimises a failing spec and persists it. A failure
-// that does not reproduce deterministically (e.g. a per-run timeout from
-// a cancelled sweep) is reported but yields no repro file.
+// that does not reproduce deterministically (e.g. a trial that a
+// cancelled sweep never started) is reported but yields no repro file.
 func shrinkAndWrite(dir string, spec synth.RandSpec, verr error, vopts oracle.Options) (string, error) {
 	failing := func(s synth.RandSpec) bool {
 		return oracle.Verify(synth.RandomProgram(s), vopts) != nil

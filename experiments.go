@@ -13,7 +13,7 @@ import (
 
 // ExperimentOptions selects benchmarks and budgets for the paper's
 // experiments. The zero value runs all twenty benchmarks with the default
-// instruction budgets, no per-run timeout, and NumCPU parallelism.
+// instruction budgets and NumCPU parallelism.
 type ExperimentOptions = exp.Options
 
 // RunCache memoizes timing runs, profiling runs, and generated benchmark
@@ -60,9 +60,10 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // with event timestamps in fetch cycles.
 func WriteChromeTrace(w io.Writer, c *TraceCollector) error { return c.WriteChromeTrace(w) }
 
-// RunError records one benchmark run that failed to complete (panic,
-// cancellation, per-run timeout). Results carrying a non-empty Errors
-// list are partial: the surviving rows are complete and correct.
+// RunError records one benchmark run that failed to complete (panic or
+// cancellation, including an expired context deadline). Results
+// carrying a non-empty Errors list are partial: the surviving rows are
+// complete and correct.
 type RunError = results.RunError
 
 // Experiment results, one plain data struct per paper table/figure

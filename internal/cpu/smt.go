@@ -39,7 +39,7 @@ const (
 	// threads priority and keeping stalled threads from hoarding the
 	// shared back end. Fetch cycles are not statically partitioned; the
 	// per-thread front-end bandwidth idealization is documented in
-	// DESIGN.md §17.
+	// DESIGN.md §16.
 	FetchICount
 )
 
@@ -68,7 +68,7 @@ func ParseFetchPolicy(s string) (FetchPolicy, error) {
 // WorkloadRef names the workload one SMT primary context runs. The cpu
 // package never resolves the name — program construction stays in the
 // synth/experiment layers — but the reference lives here so runcache
-// keys, JSON configs, and the -smt CLI flag share one vocabulary.
+// keys, JSON output, and the -smt CLI flag share one vocabulary.
 type WorkloadRef struct {
 	// Bench is a benchmark name (internal/synth's fixed set).
 	Bench string

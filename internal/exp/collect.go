@@ -7,36 +7,13 @@ import (
 	"dpbp/internal/results"
 )
 
-// Experiment names accepted by Collect, in the CLI's documented order.
-// "all" runs the paper's full evaluation, sharing the Figure 7-9 timing
-// runs; "shootout" and "ablations" are the extension studies.
-var experimentNames = []string{
-	"table1", "table2", "fig6", "fig7", "fig8", "fig9",
-	"perfect", "guided", "ablations", "shootout", "smt", "all",
-}
-
-// ExperimentNames returns the experiment names Collect accepts, in
-// documented order. The slice is fresh; callers may mutate it.
-func ExperimentNames() []string {
-	return append([]string(nil), experimentNames...)
-}
-
-// ValidExperiment reports whether Collect accepts the name.
-func ValidExperiment(name string) bool {
-	for _, n := range experimentNames {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Collect runs the named experiment — or all of them, sharing the
 // Figure 7-9 timing runs — and returns the typed results as named
-// sections in output order. It is the one dispatch point every sweep
-// driver (the dpbp CLI, the dpbpd server) shares, so a submission to the
-// server and a CLI invocation of the same experiment produce the same
-// sections and therefore render to identical bytes.
+// sections in output order. "all" is the paper's full evaluation;
+// "shootout", "smt" and "ablations" are extension studies outside it.
+// Collect is the one dispatch point the dpbp CLI and the benchmark
+// harness share, so the same experiment always yields the same sections
+// and therefore renders to identical bytes.
 func Collect(ctx context.Context, name string, o Options) ([]results.Section, error) {
 	one := func(key string, v any, err error) ([]results.Section, error) {
 		if err != nil {

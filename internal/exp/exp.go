@@ -7,13 +7,12 @@
 // internal/sched fans the selected benchmarks out with bounded
 // parallelism, cancellation, and panic isolation; this package fills the
 // results model; internal/report renders it. A benchmark that fails —
-// panic, cancellation, per-run timeout — costs only its own row: the
-// sweep completes, and the failure is recorded in the result's Errors.
+// panic or cancellation — costs only its own row: the sweep completes,
+// and the failure is recorded in the result's Errors.
 package exp
 
 import (
 	"context"
-	"time"
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/cpu"
@@ -37,10 +36,6 @@ type Options struct {
 	ProfileInsts uint64
 	// Parallelism bounds concurrent benchmark runs (default GOMAXPROCS).
 	Parallelism int
-	// RunTimeout bounds each individual benchmark run; zero means no
-	// limit. A run that exceeds it is dropped from the result's rows and
-	// recorded in its Errors.
-	RunTimeout time.Duration
 	// Cache, when non-nil, memoizes timing runs, profiling runs, and
 	// generated benchmark programs by content-addressed key (program
 	// fingerprint plus canonicalized configuration). Because the
@@ -119,7 +114,7 @@ func (o Options) programsFor(names []string) ([]*program.Program, error) {
 }
 
 func (o Options) schedOptions() sched.Options {
-	return sched.Options{Parallelism: o.Parallelism, RunTimeout: o.RunTimeout}
+	return sched.Options{Parallelism: o.Parallelism}
 }
 
 // testHookBeforeRun, when non-nil, runs at the top of every per-benchmark

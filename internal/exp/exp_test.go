@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"dpbp/internal/synth"
 )
@@ -241,28 +240,6 @@ func TestSeededPanicIsolated(t *testing.T) {
 	}
 	if e := r.Errors[0]; e.Bench != "gcc" || !strings.Contains(e.Err, "seeded test panic") {
 		t.Errorf("error misattributed: %+v", e)
-	}
-}
-
-// TestRunTimeoutPartial verifies the per-run timeout turns slow runs into
-// per-benchmark errors rather than hanging or failing the sweep.
-func TestRunTimeoutPartial(t *testing.T) {
-	o := quick("comp", "li")
-	o.RunTimeout = time.Nanosecond
-	r, err := Perfect(ctx(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 0 {
-		t.Errorf("rows survived a 1ns budget: %+v", r.Rows)
-	}
-	if len(r.Errors) != 2 {
-		t.Fatalf("errors = %+v, want one per benchmark", r.Errors)
-	}
-	for _, e := range r.Errors {
-		if !strings.Contains(e.Err, "deadline") {
-			t.Errorf("error should mention the deadline: %+v", e)
-		}
 	}
 }
 

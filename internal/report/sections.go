@@ -9,8 +9,7 @@ import (
 
 // RenderSections writes a sweep's named sections to w in the given
 // format (empty means text). This is the document shape cmd/dpbp has
-// always emitted — and the dpbpd server reuses it verbatim, which is
-// what makes a streamed server result byte-identical to the CLI's:
+// always emitted:
 //
 //   - text: sections in order, each followed by a blank line;
 //   - json: a single document — the bare result when exactly one

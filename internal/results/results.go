@@ -13,9 +13,9 @@ package results
 import "dpbp/internal/cpu"
 
 // Section is one named experiment result in output order: the unit the
-// renderers (internal/report) and the sweep drivers (cmd/dpbp, the
-// dpbpd server) exchange. Key is the stable section name ("table1",
-// "figure7", "metrics", ...); Val is the typed result it labels.
+// renderers (internal/report) and the sweep driver (cmd/dpbp) exchange.
+// Key is the stable section name ("table1", "figure7", "metrics", ...);
+// Val is the typed result it labels.
 type Section struct {
 	Key string
 	Val any

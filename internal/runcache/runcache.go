@@ -15,34 +15,13 @@
 // becoming the new leader — so a transient failure in one sweep cannot
 // poison later ones.
 //
-// # Eviction
-//
-// A cache built with New is unbounded: every completed entry lives until
-// the cache is dropped, which is exactly right for a one-shot CLI sweep
-// (and what keeps the exactly-once accounting byte-identical: Computes
-// equals unique runs because nothing is ever recomputed). Long-lived
-// processes — the dpbpd sweep server — build the cache with NewBounded
-// instead, which bounds the in-memory tier by entry count and/or
-// estimated bytes and evicts in LRU order (Stats.Evictions counts the
-// drops). Only completed entries are evictable: an in-flight computation
-// or a completed entry that still has blocked waiters is never evicted,
-// so single-flight and the "read val after done" contract survive any
-// bound, including one smaller than the working set. Eviction only
-// forgets the entry: callers already holding the value keep it, and the
-// next Do for the key recomputes (or re-reads the backing tier).
-//
-// # Two tiers
-//
-// SetTier attaches an optional backing store (see DiskStore) consulted
-// when the in-memory tier misses and written through when a computation
-// completes. The tier sees only the single-flight leader, so a stampede
-// of requests for one key costs at most one tier read. A tier stores
-// whatever subset of value types it knows how to serialize and reports
-// the rest unstorable; the memory tier works the same either way.
+// A cache is unbounded: every completed entry lives until the cache is
+// dropped. That is exactly right for a one-shot sweep, and it is what
+// keeps the exactly-once accounting byte-identical: Computes equals the
+// number of unique runs because nothing is ever recomputed.
 package runcache
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -76,84 +55,26 @@ type Stats struct {
 	Waits uint64
 	// Errors counts computations that returned an error (never cached).
 	Errors uint64
-	// Evictions counts completed entries dropped by the in-memory bound
-	// (always 0 for an unbounded cache).
-	Evictions uint64
-	// TierHits counts computations served by the backing tier instead of
-	// running (always 0 without SetTier).
-	TierHits uint64
-	// TierPuts counts completed computations the backing tier accepted
-	// for write-through.
-	TierPuts uint64
 }
 
 // entry is one cache slot. done is closed when the computation finishes;
-// val/err must only be read after done is closed. key, elem, size, and
-// waiters are guarded by the cache mutex.
+// val/err must only be read after done is closed.
 type entry struct {
 	done chan struct{}
 	val  any
 	err  error
-
-	key     Key
-	elem    *list.Element // LRU position once completed; nil while in flight
-	size    int64
-	waiters int // Do calls currently blocked on done
-}
-
-// Limits bounds a cache's in-memory tier; see NewBounded. A zero field
-// means "no bound of that kind".
-type Limits struct {
-	// MaxEntries bounds the number of completed entries held in memory.
-	MaxEntries int
-	// MaxBytes bounds the sum of SizeOf over completed entries.
-	MaxBytes int64
-	// SizeOf estimates one cached value's resident bytes for the
-	// MaxBytes bound. Nil means every entry weighs zero bytes, making
-	// MaxBytes inert; set it when bounding by bytes.
-	SizeOf func(v any) int64
-}
-
-// Tier is an optional backing store behind the in-memory tier: Get is
-// consulted when a key misses in memory (before computing), and Put is
-// offered every freshly computed value. Put reports whether the tier
-// stored the value — a tier only persists the types it can serialize,
-// and refusing is not an error. Implementations must be safe for
-// concurrent use; the cache calls them without holding its lock, though
-// never concurrently for the same key (single-flight).
-type Tier interface {
-	Get(k Key) (v any, ok bool)
-	Put(k Key, v any) bool
 }
 
 // Cache is a single-flight memoization table. The zero value is not
-// usable; call New or NewBounded.
+// usable; call New.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
-	lru     *list.List // completed entries, most recent at front
-	lim     Limits
-	bytes   int64 // sum of entry sizes on the LRU list
-	tier    Tier
 	stats   Stats
 }
 
-// New returns an empty, unbounded cache (the CLI default: nothing is
-// ever evicted or recomputed).
-func New() *Cache { return NewBounded(Limits{}) }
-
-// NewBounded returns an empty cache whose in-memory tier is bounded by
-// lim, evicting completed entries in least-recently-used order once a
-// bound is exceeded. Entries with in-flight computations or blocked
-// waiters are never evicted.
-func NewBounded(lim Limits) *Cache {
-	return &Cache{entries: make(map[Key]*entry), lru: list.New(), lim: lim}
-}
-
-// SetTier attaches a backing store consulted on in-memory misses and
-// written through on computes. Call it during setup, before the cache is
-// shared across goroutines; a nil tier detaches.
-func (c *Cache) SetTier(t Tier) { c.tier = t }
+// New returns an empty cache.
+func New() *Cache { return &Cache{entries: make(map[Key]*entry)} }
 
 // Stats returns a snapshot of the traffic counters.
 func (c *Cache) Stats() Stats {
@@ -180,16 +101,12 @@ func (c *Cache) Len() int {
 // the caller's panic isolation (e.g. internal/sched) sees the original
 // panic and waiters simply retry.
 func (c *Cache) Do(ctx context.Context, k Key, compute func() (any, error)) (any, error) {
-	counted := false
+	c.mu.Lock()
+	c.stats.Lookups++
 	for {
-		c.mu.Lock()
-		if !counted {
-			c.stats.Lookups++
-			counted = true
-		}
 		e, ok := c.entries[k]
 		if !ok {
-			e = &entry{done: make(chan struct{}), key: k}
+			e = &entry{done: make(chan struct{})}
 			c.entries[k] = e
 			c.stats.Computes++
 			c.mu.Unlock()
@@ -198,39 +115,26 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func() (any, error)) (any
 		select {
 		case <-e.done:
 			c.stats.Hits++
-			if e.elem != nil {
-				c.lru.MoveToFront(e.elem)
-			}
 			c.mu.Unlock()
 		default:
-			// Count ourselves as a waiter so the eviction scan leaves
-			// the entry alone until we have read its value.
 			c.stats.Waits++
-			e.waiters++
 			c.mu.Unlock()
 			select {
 			case <-e.done:
 			case <-ctx.Done():
-				c.mu.Lock()
-				e.waiters--
-				c.mu.Unlock()
 				return nil, ctx.Err()
 			}
-			c.mu.Lock()
-			e.waiters--
-			c.mu.Unlock()
 		}
-		if e.err != nil {
-			// The leader failed; its entry is already deleted.
-			// Loop: we may become the new leader.
-			continue
+		if e.err == nil {
+			return e.val, nil
 		}
-		return e.val, nil
+		// The leader failed; its entry is already deleted. Loop: we may
+		// become the new leader.
+		c.mu.Lock()
 	}
 }
 
-// lead runs the computation for the entry this caller just installed,
-// consulting the backing tier first and writing fresh values through.
+// lead runs the computation for the entry this caller just installed.
 func (c *Cache) lead(k Key, e *entry, compute func() (any, error)) (any, error) {
 	completed := false
 	defer func() {
@@ -239,75 +143,17 @@ func (c *Cache) lead(k Key, e *entry, compute func() (any, error)) (any, error) 
 		if !completed {
 			e.err = fmt.Errorf("runcache: computation for %v panicked", k)
 		}
-		c.mu.Lock()
 		if e.err != nil {
+			c.mu.Lock()
 			delete(c.entries, k)
 			c.stats.Errors++
-		} else {
-			c.completed(e)
+			c.mu.Unlock()
 		}
-		c.mu.Unlock()
 		close(e.done)
 	}()
-	if t := c.tier; t != nil {
-		if v, ok := t.Get(k); ok {
-			e.val = v
-			completed = true
-			c.mu.Lock()
-			c.stats.TierHits++
-			c.mu.Unlock()
-			return e.val, nil
-		}
-	}
 	e.val, e.err = compute()
 	completed = true
-	if e.err == nil && c.tier != nil && c.tier.Put(k, e.val) {
-		c.mu.Lock()
-		c.stats.TierPuts++
-		c.mu.Unlock()
-	}
 	return e.val, e.err
-}
-
-// completed moves a successfully computed entry onto the LRU list and
-// enforces the bounds. Called with c.mu held.
-func (c *Cache) completed(e *entry) {
-	e.size = 0
-	if c.lim.SizeOf != nil {
-		e.size = c.lim.SizeOf(e.val)
-	}
-	e.elem = c.lru.PushFront(e)
-	c.bytes += e.size
-	c.evictLocked()
-}
-
-// overLimit reports whether the completed tier currently exceeds a
-// configured bound. Called with c.mu held.
-func (c *Cache) overLimit() bool {
-	return (c.lim.MaxEntries > 0 && c.lru.Len() > c.lim.MaxEntries) ||
-		(c.lim.MaxBytes > 0 && c.bytes > c.lim.MaxBytes)
-}
-
-// evictLocked drops least-recently-used completed entries until the
-// bounds hold, skipping entries that still have blocked waiters (they
-// are promoted to the front instead — they are demonstrably in use).
-// Called with c.mu held.
-func (c *Cache) evictLocked() {
-	// At most one pass over the list: every iteration either removes an
-	// element or moves a waited-on one to the front, so scan is bounded.
-	for scan := c.lru.Len(); scan > 0 && c.overLimit(); scan-- {
-		back := c.lru.Back()
-		e := back.Value.(*entry)
-		if e.waiters > 0 {
-			c.lru.MoveToFront(back)
-			continue
-		}
-		c.lru.Remove(back)
-		e.elem = nil
-		c.bytes -= e.size
-		delete(c.entries, e.key)
-		c.stats.Evictions++
-	}
 }
 
 // KeyOf builds a content-addressed key from a domain tag and a sequence

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/cpu"
@@ -91,28 +92,78 @@ func TestErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestPanicReleasesWaiters asserts a panicking leader doesn't poison the
-// key: the panic propagates to the leader, and a later Do recomputes.
+// TestPanicReleasesWaiters asserts a leader that fails — by returning an
+// error or by panicking — doesn't poison the key: the failure reaches the
+// leader, and the waiter blocked on it becomes the new leader and returns
+// its own value.
 func TestPanicReleasesWaiters(t *testing.T) {
-	c := New()
-	key := KeyOf("test", "panic")
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name      string
+		fail      func() (any, error)
+		wantPanic bool
+	}{
+		{name: "error", fail: func() (any, error) { return nil, boom }},
+		{name: "panic", fail: func() (any, error) { panic("kaboom") }, wantPanic: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New()
+			key := KeyOf("test", "failed-leader", tc.name)
+			leaderIn := make(chan struct{})
+			release := make(chan struct{})
 
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("leader's panic did not propagate")
+			type outcome struct {
+				val       any
+				err       error
+				recovered any
 			}
-		}()
-		c.Do(context.Background(), key, func() (any, error) { //nolint:errcheck
-			panic("kaboom")
-		})
-	}()
+			leader := make(chan outcome, 1)
+			go func() {
+				var o outcome
+				defer func() {
+					o.recovered = recover()
+					leader <- o
+				}()
+				_, o.err = c.Do(context.Background(), key, func() (any, error) {
+					close(leaderIn)
+					<-release
+					return tc.fail()
+				})
+			}()
+			<-leaderIn
 
-	v, err := c.Do(context.Background(), key, func() (any, error) {
-		return "recovered", nil
-	})
-	if err != nil || v != "recovered" {
-		t.Fatalf("Do after panic = (%v, %v), want (recovered, nil)", v, err)
+			waiter := make(chan outcome, 1)
+			go func() {
+				v, err := c.Do(context.Background(), key, func() (any, error) {
+					return "retried", nil
+				})
+				waiter <- outcome{val: v, err: err}
+			}()
+			deadline := time.Now().Add(10 * time.Second)
+			for c.Stats().Waits != 1 {
+				if time.Now().After(deadline) {
+					t.Fatal("second Do never blocked on the leader")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+
+			lo := <-leader
+			if tc.wantPanic {
+				if lo.recovered == nil {
+					t.Error("leader's panic did not propagate")
+				}
+			} else if lo.recovered != nil || !errors.Is(lo.err, boom) {
+				t.Errorf("leader = (err %v, panic %v), want err %v", lo.err, lo.recovered, boom)
+			}
+			if wo := <-waiter; wo.err != nil || wo.val != "retried" {
+				t.Fatalf("waiter Do = (%v, %v), want (retried, nil)", wo.val, wo.err)
+			}
+			want := Stats{Lookups: 2, Computes: 2, Waits: 1, Errors: 1}
+			if st := c.Stats(); st != want {
+				t.Errorf("Stats = %+v, want %+v", st, want)
+			}
+		})
 	}
 }
 
@@ -143,9 +194,9 @@ func TestContextCancelled(t *testing.T) {
 	close(release)
 }
 
-// TestUnboundedNeverEvicts pins the CLI default: a New()-built cache
-// keeps every entry, so the exactly-once accounting (Computes == unique
-// runs) holds no matter how many keys a sweep touches.
+// TestUnboundedNeverEvicts pins that a cache keeps every entry, so the
+// exactly-once accounting (Computes == unique runs) holds no matter how
+// many keys a sweep touches.
 func TestUnboundedNeverEvicts(t *testing.T) {
 	c := New()
 	for i := 0; i < 100; i++ {
@@ -157,193 +208,6 @@ func TestUnboundedNeverEvicts(t *testing.T) {
 	}
 	if c.Len() != 100 {
 		t.Errorf("Len = %d, want 100", c.Len())
-	}
-	if st := c.Stats(); st.Evictions != 0 {
-		t.Errorf("Evictions = %d, want 0", st.Evictions)
-	}
-}
-
-// TestBoundedEvictsLRU asserts the entry bound evicts in LRU order and
-// that an evicted key is recomputed on its next request.
-func TestBoundedEvictsLRU(t *testing.T) {
-	c := NewBounded(Limits{MaxEntries: 2})
-	ctx := context.Background()
-	do := func(i int) {
-		t.Helper()
-		if _, err := c.Do(ctx, KeyOf("t", i), func() (any, error) { return i, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	do(1)
-	do(2)
-	do(1) // touch 1: LRU order is now [1, 2]
-	do(3) // evicts 2
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	st := c.Stats()
-	if st.Evictions != 1 {
-		t.Fatalf("Evictions = %d, want 1", st.Evictions)
-	}
-	if st.Computes != 3 {
-		t.Fatalf("Computes = %d, want 3", st.Computes)
-	}
-	do(1) // still cached
-	if st := c.Stats(); st.Computes != 3 {
-		t.Errorf("touching a cached key recomputed: Computes = %d", st.Computes)
-	}
-	do(2) // evicted: must recompute
-	if st := c.Stats(); st.Computes != 4 {
-		t.Errorf("evicted key was not recomputed: Computes = %d, want 4", st.Computes)
-	}
-}
-
-// TestBoundedByBytes asserts the byte bound evicts using SizeOf
-// estimates.
-func TestBoundedByBytes(t *testing.T) {
-	c := NewBounded(Limits{MaxBytes: 100, SizeOf: func(v any) int64 { return int64(v.(int)) }})
-	ctx := context.Background()
-	for i, size := range []int{60, 30, 40} { // 60+30 fit; +40 exceeds → evict 60
-		if _, err := c.Do(ctx, KeyOf("b", i), func() (any, error) { return size, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := c.Stats(); st.Evictions != 1 {
-		t.Fatalf("Evictions = %d, want 1", st.Evictions)
-	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
-	}
-	c.mu.Lock()
-	bytes := c.bytes
-	c.mu.Unlock()
-	if bytes != 70 {
-		t.Errorf("resident bytes = %d, want 70", bytes)
-	}
-}
-
-// TestEvictionSkipsWaitedEntry asserts an entry with a blocked waiter is
-// never evicted, even under a bound of one entry: the eviction scan
-// promotes it and drops the unwaited entry instead.
-func TestEvictionSkipsWaitedEntry(t *testing.T) {
-	c := NewBounded(Limits{MaxEntries: 1})
-	ctx := context.Background()
-	k1 := KeyOf("w", 1)
-	if _, err := c.Do(ctx, k1, func() (any, error) { return "keep", nil }); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a Do that is still between waking from e.done and reading
-	// e.val (the window the waiter count protects).
-	c.mu.Lock()
-	c.entries[k1].waiters = 1
-	c.mu.Unlock()
-
-	if _, err := c.Do(ctx, KeyOf("w", 2), func() (any, error) { return "new", nil }); err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	_, kept := c.entries[k1]
-	c.entries[k1].waiters = 0
-	c.mu.Unlock()
-	if !kept {
-		t.Fatal("entry with a blocked waiter was evicted")
-	}
-}
-
-// fakeTier is an in-memory Tier that refuses values of type string.
-type fakeTier struct {
-	mu      sync.Mutex
-	m       map[Key]any
-	gets    int
-	puts    int
-	refused int
-}
-
-func newFakeTier() *fakeTier { return &fakeTier{m: map[Key]any{}} }
-
-func (f *fakeTier) Get(k Key) (any, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.gets++
-	v, ok := f.m[k]
-	return v, ok
-}
-
-func (f *fakeTier) Put(k Key, v any) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.puts++
-	if _, refuse := v.(string); refuse {
-		f.refused++
-		return false
-	}
-	f.m[k] = v
-	return true
-}
-
-// TestTierWriteThroughAndWarmStart asserts computed values are written
-// through to the tier and that a fresh cache sharing the tier serves
-// them without recomputing — the restart path of the two-tier design.
-func TestTierWriteThroughAndWarmStart(t *testing.T) {
-	tier := newFakeTier()
-	ctx := context.Background()
-	k := KeyOf("tier", "x")
-
-	c1 := New()
-	c1.SetTier(tier)
-	if _, err := c1.Do(ctx, k, func() (any, error) { return 42, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if st := c1.Stats(); st.TierPuts != 1 || st.TierHits != 0 {
-		t.Fatalf("after compute: %+v, want TierPuts 1, TierHits 0", st)
-	}
-
-	// Simulated restart: new memory tier, same backing store.
-	c2 := New()
-	c2.SetTier(tier)
-	v, err := c2.Do(ctx, k, func() (any, error) {
-		t.Error("tier-resident key was recomputed")
-		return nil, nil
-	})
-	if err != nil || v != 42 {
-		t.Fatalf("warm Do = (%v, %v), want (42, nil)", v, err)
-	}
-	st := c2.Stats()
-	if st.TierHits != 1 {
-		t.Errorf("TierHits = %d, want 1", st.TierHits)
-	}
-	// The tier hit now lives in memory: a second Do is a pure memory hit.
-	gets := tier.gets
-	if _, err := c2.Do(ctx, k, func() (any, error) { return nil, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if tier.gets != gets {
-		t.Error("memory-resident key consulted the tier again")
-	}
-	if st := c2.Stats(); st.Hits != 1 {
-		t.Errorf("Hits = %d, want 1", st.Hits)
-	}
-}
-
-// TestTierRefusalNotCounted asserts a value the tier refuses to store is
-// still cached in memory and not counted as written through.
-func TestTierRefusalNotCounted(t *testing.T) {
-	tier := newFakeTier()
-	c := New()
-	c.SetTier(tier)
-	if _, err := c.Do(context.Background(), KeyOf("tier", "s"), func() (any, error) {
-		return "unstorable", nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.TierPuts != 0 {
-		t.Errorf("TierPuts = %d, want 0 (tier refused)", st.TierPuts)
-	}
-	if tier.refused != 1 {
-		t.Errorf("tier refusals = %d, want 1", tier.refused)
-	}
-	if c.Len() != 1 {
-		t.Errorf("refused value not cached in memory: Len = %d", c.Len())
 	}
 }
 

@@ -1,16 +1,15 @@
 // Package sched is the experiment scheduler: it fans a set of
 // independent runs out over a bounded worker pool, preserving result
-// order, honouring context cancellation and per-run timeouts, and
-// converting per-run panics into structured errors so one bad run cannot
-// take down a whole sweep.
+// order, honouring context cancellation, and converting per-run panics
+// into structured errors so one bad run cannot take down a whole sweep.
 //
 // The package deliberately knows nothing about benchmarks, machines, or
 // experiments: callers close over their own input and output slices and
 // write each run's result into its own slot, which is what keeps output
 // order independent of completion order. sched owns only the concurrency
 // and failure policy. Everything above it (the experiment harness, the
-// ablation and profile-guided drivers, future server-mode sweeps) shares
-// this one implementation instead of hand-rolling semaphores.
+// ablation and profile-guided drivers) shares this one implementation
+// instead of hand-rolling semaphores.
 package sched
 
 import (
@@ -18,7 +17,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // Options tunes one fan-out.
@@ -26,10 +24,6 @@ type Options struct {
 	// Parallelism bounds concurrently executing runs; <= 0 means
 	// runtime.NumCPU().
 	Parallelism int
-	// RunTimeout bounds each individual run; 0 means no per-run bound.
-	// The run's context is cancelled at the deadline; runs that observe
-	// their context stop early and report context.DeadlineExceeded.
-	RunTimeout time.Duration
 }
 
 // PanicError wraps a recovered panic from one run.
@@ -88,7 +82,7 @@ func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, 
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[i] = runOne(ctx, opts, i, fn)
+			errs[i] = runOne(ctx, i, fn)
 		}(i)
 	}
 	wg.Wait()
@@ -110,16 +104,10 @@ func admitted(i int, started bool) {
 	}
 }
 
-// runOne executes a single run with panic recovery and the per-run
-// timeout applied.
-func runOne(ctx context.Context, opts Options, i int, fn func(ctx context.Context, i int) error) (err error) {
+// runOne executes a single run with panic recovery.
+func runOne(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
 	if e := ctx.Err(); e != nil {
 		return e
-	}
-	if opts.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.RunTimeout)
-		defer cancel()
 	}
 	defer func() {
 		if v := recover(); v != nil {

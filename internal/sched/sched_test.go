@@ -184,23 +184,6 @@ func TestRunCancelDrainsBlockedAdmission(t *testing.T) {
 	}
 }
 
-func TestRunPerRunTimeout(t *testing.T) {
-	errs := Run(context.Background(), 2, Options{Parallelism: 2, RunTimeout: 5 * time.Millisecond},
-		func(ctx context.Context, i int) error {
-			if i == 0 {
-				return nil // fast run, unaffected
-			}
-			<-ctx.Done()
-			return ctx.Err()
-		})
-	if errs[0] != nil {
-		t.Errorf("fast run err = %v", errs[0])
-	}
-	if !errors.Is(errs[1], context.DeadlineExceeded) {
-		t.Errorf("slow run err = %v, want deadline exceeded", errs[1])
-	}
-}
-
 func TestRunEmpty(t *testing.T) {
 	errs := Run(context.Background(), 0, Options{}, func(_ context.Context, i int) error {
 		t.Fatal("fn called for empty input")
