@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-json bench-diff profile fuzz cover ci
+.PHONY: all build vet lint test race bench profile fuzz cover ci
 
 all: build vet lint test
 
@@ -19,32 +19,17 @@ test:
 	$(GO) test ./...
 
 # race covers the packages where concurrency lives (the scheduler, the
-# single-flight run cache, the experiment fan-out, the timing core — SMT
-# suites included — and the shared predictor overlays) plus the
-# root-package determinism regression tests, which drive the fan-out
-# end to end, and the oracle's SMT differential wall.
+# single-flight run cache, the experiment fan-out and the timing core —
+# SMT suites included) plus the root-package determinism regression
+# tests, which drive the fan-out end to end, and the oracle's SMT
+# differential wall.
 race:
-	$(GO) test -race ./internal/sched/... ./internal/runcache/... ./internal/exp/... ./internal/cpu/... ./internal/replay/...
+	$(GO) test -race ./internal/sched/... ./internal/runcache/... ./internal/exp/... ./internal/cpu/...
 	$(GO) test -race -run Determinism .
 	$(GO) test -race -run SMT ./internal/oracle ./cmd/dpbp
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
-
-# bench-json emits the root-package benchmarks (the per-figure experiment
-# benches and the allocation benches) as machine-readable go-test JSON
-# events on stdout, for diffing against BENCH_seed.json.
-BENCHTIME ?= 1x
-bench-json:
-	@$(GO) test -json -bench . -benchmem -benchtime $(BENCHTIME) -run '^$$' .
-
-# bench-diff renders the committed benchmark baselines side by side:
-# ns/op and allocs/op per file, with each column's speedup against the
-# seed. Cross-file ns/op ratios are only trustworthy when the files were
-# captured in the same machine window (see EXPERIMENTS.md).
-BENCH_FILES ?= BENCH_seed.json BENCH_pr3.json BENCH_pr8.json
-bench-diff:
-	@$(GO) run ./cmd/benchfmt $(BENCH_FILES)
 
 # fuzz runs a short smoke of each native fuzz target against the
 # differential oracle (the engine accepts one target per invocation).

@@ -33,10 +33,6 @@
 // once. Results are bit-identical either way; -nocache exists for
 // timing comparisons.
 //
-// Cached sweeps also record each benchmark's branch-predictor decisions
-// once per backend and read them back in every timing configuration
-// (internal/replay) instead of re-simulating the predictor per run.
-//
 // -trace attaches a lifecycle tracer to every timing run and writes one
 // Chrome trace-event JSON document (loadable in Perfetto or
 // chrome://tracing) with timestamps in fetch cycles; traced runs bypass

@@ -45,10 +45,6 @@ var SimPackages = []string{
 	"internal/bpred/h2p",
 	"internal/mem",
 	"internal/cache",
-	// replay records the predictor's decisions that overlay runs read
-	// back; any nondeterminism here would split an overlay run from its
-	// live twin, so it lives under the same contract.
-	"internal/replay",
 }
 
 // clockFuncs are the wall-clock entry points of package time. Duration

@@ -195,19 +195,14 @@ type Config struct {
 
 	// OnRetire, if set, is invoked with every primary-thread
 	// instruction's architectural record, after the timing model has
-	// processed it. It is the observation point for differential
-	// verification (internal/oracle): the record describes exactly what
-	// the machine's internal emulator retired, so a lockstep reference
-	// emulator can diff the streams. The record is reused between calls
-	// and must not be retained; mutating it is not allowed.
-	OnRetire func(*emu.Record)
-
-	// OnRetireCtx is OnRetire with the retiring primary context's index:
-	// SMT runs invoke it for every context's records, which is what lets
-	// the differential oracle lockstep-verify each context against its
-	// own reference emulator. Single-thread runs invoke it with context
-	// 0. The same retention rules as OnRetire apply.
-	OnRetireCtx func(int, *emu.Record)
+	// processed it, and with the index of the primary context that
+	// retired it (always 0 in single-thread runs). It is the observation
+	// point for differential verification (internal/oracle): the record
+	// describes exactly what the machine's internal emulator retired, so
+	// a lockstep reference emulator per context can diff the streams.
+	// The record is reused between calls and must not be retained;
+	// mutating it is not allowed.
+	OnRetire func(ctx int, rec *emu.Record)
 
 	// Obs, if set, receives structured lifecycle events and occupancy
 	// samples from the run (see internal/obs). A nil tracer disables

@@ -166,46 +166,70 @@ func TestPathCacheAllocAvoidance(t *testing.T) {
 	}
 }
 
-func TestMemDepViolationTriggersRebuild(t *testing.T) {
-	// A hand-built program where a store between spawn and branch
-	// regularly clobbers the slice's load:
-	//
-	//	loop:
-	//	  v = mem[A]; junk work...
-	//	  mem[A] = v+1          <- store after future spawn points
-	//	  w = mem[A] & 1
-	//	  if w == 0 skip: acc++
-	//	  i--; bnez i, loop
+// memDepProgram is a loop whose difficult branch's slice loads a word
+// that a store between spawn and branch sometimes overwrites:
+//
+//	loop:
+//	  v = mem[A]; v = v*1103515245 + 12345   (an LCG step)
+//	  if bit 16 of v == 0 skip: acc++        <- the difficult branch
+//	skip:
+//	  mem[S + (i&1)*(A-S)] = v               <- hits A on odd i only
+//	  i--; bnez i, loop
+//
+// On even iterations the store goes to the scratch word S, so a PRB
+// trace built there shows no store feeding the slice's load: the
+// builder's memory-dependence rule (termination rule 3) does not fire,
+// and the spawn point lands before the next store. An odd iteration's
+// store then overwrites A after the spawn, which is a violation.
+func memDepProgram() *program.Program {
+	const a, s = 1 << 20, 1 << 21
 	b := program.NewBuilder("memdep")
 	b.Label("entry")
 	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: 4, Imm: 100_000}) // i
-	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: 5, Imm: 1 << 20}) // A
+	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: 5, Imm: a})
+	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: 10, Imm: s})
+	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: 11, Imm: a - s})
 	b.Label("loop")
 	b.Emit(isa.Inst{Op: isa.OpLoad, Dst: 6, Src1: 5})
-	b.Emit(isa.Inst{Op: isa.OpAddi, Dst: 6, Src1: 6, Imm: 1})
-	b.Emit(isa.Inst{Op: isa.OpStore, Src1: 5, Src2: 6})
-	b.Emit(isa.Inst{Op: isa.OpLoad, Dst: 7, Src1: 5})
-	b.Emit(isa.Inst{Op: isa.OpAndi, Dst: 8, Src1: 7, Imm: 1})
-	b.EmitBranch(isa.Inst{Op: isa.OpBeqz, Src1: 8}, "skip")
+	b.Emit(isa.Inst{Op: isa.OpMuli, Dst: 6, Src1: 6, Imm: 1103515245})
+	b.Emit(isa.Inst{Op: isa.OpAddi, Dst: 6, Src1: 6, Imm: 12345})
+	b.Emit(isa.Inst{Op: isa.OpShri, Dst: 7, Src1: 6, Imm: 16})
+	b.Emit(isa.Inst{Op: isa.OpAndi, Dst: 7, Src1: 7, Imm: 1})
+	b.EmitBranch(isa.Inst{Op: isa.OpBeqz, Src1: 7}, "skip")
 	b.Emit(isa.Inst{Op: isa.OpAddi, Dst: 9, Src1: 9, Imm: 1})
 	b.Label("skip")
+	b.Emit(isa.Inst{Op: isa.OpAndi, Dst: 8, Src1: 4, Imm: 1})
+	b.Emit(isa.Inst{Op: isa.OpMul, Dst: 8, Src1: 8, Src2: 11})
+	b.Emit(isa.Inst{Op: isa.OpAdd, Dst: 8, Src1: 8, Src2: 10})
+	b.Emit(isa.Inst{Op: isa.OpStore, Src1: 8, Src2: 6})
 	b.Emit(isa.Inst{Op: isa.OpAddi, Dst: 4, Src1: 4, Imm: -1})
 	b.EmitBranch(isa.Inst{Op: isa.OpBnez, Src1: 4}, "loop")
 	b.Label("halt")
 	b.EmitBranch(isa.Inst{Op: isa.OpJmp}, "halt")
-	prog := b.Finish()
+	return b.Finish()
+}
 
+// memDepConfig runs memDepProgram long enough for the violation to
+// occur, with pruning off so the branch's path is promoted unpruned.
+func memDepConfig(rebuild bool) Config {
 	cfg := DefaultConfig()
 	cfg.MaxInsts = 200_000
 	cfg.Pruning = false
-	r := Run(prog, cfg)
-	if r.Micro.Spawned == 0 {
-		t.Skip("alternating branch learned by hardware; no promotions")
-	}
-	// The store at loop top hits watched addresses of contexts spawned
-	// in earlier iterations targeting later ones.
+	cfg.RebuildOnViolation = rebuild
+	return cfg
+}
+
+// TestMemDepViolationTriggersRebuild holds paper Section 4.2.4: the
+// monitor detects a store that clobbers an active microthread's load,
+// and the path's routine is rebuilt, at most once per violation.
+func TestMemDepViolationTriggersRebuild(t *testing.T) {
+	r := Run(memDepProgram(), memDepConfig(true))
 	if r.Micro.MemDepViolations == 0 {
-		t.Error("no memory-dependence violations detected")
+		t.Fatalf("no memory-dependence violations detected (spawned %d)", r.Micro.Spawned)
+	}
+	if r.Micro.Rebuilds == 0 || r.Micro.Rebuilds > r.Micro.MemDepViolations {
+		t.Errorf("rebuilds = %d, want 1..%d (one per violation at most)",
+			r.Micro.Rebuilds, r.Micro.MemDepViolations)
 	}
 }
 

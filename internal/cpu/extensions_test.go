@@ -131,23 +131,22 @@ func TestProfileGuidedPotential(t *testing.T) {
 	}
 }
 
+// TestRebuildToggle turns RebuildOnViolation off on memDepProgram:
+// violations are still detected, nothing is rebuilt, and the stale
+// routine keeps violating where the rebuilt one stops.
 func TestRebuildToggle(t *testing.T) {
-	p, _ := synth.ProfileByName("mcf_2k")
-	prog := synth.Generate(p)
-	on := DefaultConfig()
-	on.MaxInsts = 300_000
-	ron := Run(prog, on)
-
-	off := on
-	off.RebuildOnViolation = false
-	roff := Run(prog, off)
-
+	prog := memDepProgram()
+	ron := Run(prog, memDepConfig(true))
+	roff := Run(prog, memDepConfig(false))
+	if roff.Micro.MemDepViolations == 0 {
+		t.Fatal("violation detection disappeared with rebuild off")
+	}
 	if roff.Micro.Rebuilds != 0 {
 		t.Errorf("rebuilds happened with RebuildOnViolation off: %d", roff.Micro.Rebuilds)
 	}
-	// Violations are still *detected* either way.
-	if ron.Micro.MemDepViolations > 0 && roff.Micro.MemDepViolations == 0 {
-		t.Error("violation detection disappeared with rebuild off")
+	if roff.Micro.MemDepViolations <= ron.Micro.MemDepViolations {
+		t.Errorf("violations: %d with rebuild off, %d with it on; the rebuild should stop them",
+			roff.Micro.MemDepViolations, ron.Micro.MemDepViolations)
 	}
 }
 

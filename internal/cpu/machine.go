@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"context"
-	"fmt"
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/bpred/h2p"
@@ -15,7 +14,6 @@ import (
 	"dpbp/internal/pathcache"
 	"dpbp/internal/pcache"
 	"dpbp/internal/program"
-	"dpbp/internal/replay"
 	"dpbp/internal/uthread"
 	"dpbp/internal/vpred"
 )
@@ -30,14 +28,6 @@ type Machine struct {
 	cfg  Config
 	prog *program.Program
 	em   *emu.Machine
-
-	// ov, when non-nil, is the recorded predictor interaction the run
-	// reads in place of the machine's own predictor tables (see
-	// RunContextFrom): ovBr indexes the next branch's decision and ovCP
-	// holds the final statistics at the run's budget.
-	ov   *replay.Overlay
-	ovCP *replay.Checkpoint
-	ovBr uint64
 
 	pred    *bpred.Predictor
 	vp, ap  *vpred.Predictor
@@ -170,9 +160,6 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 	} else {
 		m.em.Reset(prog)
 	}
-	m.ov = nil
-	m.ovCP = nil
-	m.ovBr = 0
 	if fresh || prev.Predictor != cfg.Predictor || prev.BPred != cfg.BPred {
 		p, err := bpred.NewFromSpec(cfg.Predictor, cfg.BPred)
 		if err != nil {
@@ -343,26 +330,8 @@ const ctxCheckInterval = 4096
 // reused immediately. On cancellation or deadline the partial statistics
 // accumulated so far are returned alongside the context's error.
 func (m *Machine) RunContext(ctx context.Context, prog *program.Program, cfg Config) (*Result, error) {
-	return m.RunContextFrom(ctx, prog, cfg, nil)
-}
-
-// RunContextFrom is RunContext with the branch predictor's decisions
-// read from ov instead of simulated (nil ov means the live predictor).
-// ov must have been built from prog with cfg's canonical Predictor and
-// BPred and must carry a checkpoint at cfg's budget; a run at a budget
-// the overlay lacks executes nothing and returns an error. Because the
-// retirement stream is config-invariant, the Result is bit-identical to
-// a live run's.
-func (m *Machine) RunContextFrom(ctx context.Context, prog *program.Program, cfg Config, ov *replay.Overlay) (*Result, error) {
 	m.Reset(prog, cfg)
 	cfg = m.cfg // defaults applied
-	if ov != nil {
-		cp, ok := ov.Checkpoint(cfg.MaxInsts)
-		if !ok {
-			return nil, fmt.Errorf("cpu: overlay has no checkpoint at budget %d", cfg.MaxInsts)
-		}
-		m.ov, m.ovCP = ov, cp
-	}
 	var rs runState
 	m.beginRun(&rs)
 	for m.res.Insts < cfg.MaxInsts && !rs.halted {
@@ -379,7 +348,7 @@ func (m *Machine) RunContextFrom(ctx context.Context, prog *program.Program, cfg
 }
 
 // runState is the per-thread progress of one timing run: the locally
-// tracked stream position. RunContextFrom drives one to completion;
+// tracked stream position. RunContext drives one to completion;
 // RunSMT interleaves one per primary context under the fetch arbiter.
 type runState struct {
 	rec    emu.Record
@@ -405,7 +374,7 @@ func (m *Machine) beginRun(rs *runState) {
 // instruction. It returns false when the emulator is exhausted; the halt
 // idiom (an unconditional self-jump) turns rs.halted true instead,
 // exactly when the emulator's Halted would. The operation order is the
-// single-thread run loop's, unchanged — RunContextFrom is a straight
+// single-thread run loop's, unchanged — RunContext is a straight
 // loop over stepOne, which is what keeps solo runs and 1-context SMT
 // runs bit-identical to the pre-SMT machine.
 func (m *Machine) stepOne(rs *runState) bool {
@@ -434,10 +403,7 @@ func (m *Machine) stepOne(rs *runState) bool {
 	m.res.Insts++
 	m.execute(&rs.rec, fc)
 	if m.cfg.OnRetire != nil {
-		m.cfg.OnRetire(&rs.rec)
-	}
-	if m.cfg.OnRetireCtx != nil {
-		m.cfg.OnRetireCtx(int(m.ctxID), &rs.rec)
+		m.cfg.OnRetire(int(m.ctxID), &rs.rec)
 	}
 	if rs.expire && rs.rec.Seq%64 == 0 {
 		m.predCache.Expire(m.ctxID, rs.rec.Seq)
@@ -450,12 +416,8 @@ func (m *Machine) stepOne(rs *runState) bool {
 // finishRun assembles the run's statistics into m.res.
 func (m *Machine) finishRun() {
 	m.res.Cycles = m.lastRet
-	if m.ov != nil {
-		m.res.PredStats, m.res.Backend = m.ovCP.Stats()
-	} else {
-		m.res.PredStats = m.pred.Stats
-		m.res.Backend = m.pred.BackendStats()
-	}
+	m.res.PredStats = m.pred.Stats
+	m.res.Backend = m.pred.BackendStats()
 	m.res.PathCache = m.pathCache.Stats
 	m.res.PCache = m.predCache.Stats
 	m.res.Build = m.builder.Stats
@@ -698,18 +660,8 @@ func (m *Machine) execute(rec *emu.Record, fc uint64) {
 func (m *Machine) handleBranch(rec *emu.Record, fc, resolve uint64, termID path.ID) bool {
 	cfg := &m.cfg
 	in := rec.Inst
-	var pr bpred.Prediction
-	var hwMiss bool
-	if m.ov != nil {
-		// The recorded overlay yields exactly what Predict and Update
-		// would have computed for this branch, in the same
-		// one-decision-per-retired-branch order.
-		pr, hwMiss = m.ov.Branch(m.ovBr)
-		m.ovBr++
-	} else {
-		pr = m.pred.Predict(rec.PC, in)
-		hwMiss = m.pred.Update(rec.PC, in, pr, rec.Taken, rec.NextPC)
-	}
+	pr := m.pred.Predict(rec.PC, in)
+	hwMiss := m.pred.Update(rec.PC, in, pr, rec.Taken, rec.NextPC)
 
 	hwNext := pr.Target
 	if in.IsCondBranch() && !pr.Taken {

@@ -51,7 +51,7 @@ func TestRetireRingMatchesUnboundedReference(t *testing.T) {
 		m := NewMachine()
 		var ref []uint64 // retire cycle of every retired instruction
 		cfg := Config{Mode: ModeBaseline, WindowSize: window, MaxInsts: 4_000}
-		cfg.OnRetire = func(rec *emu.Record) {
+		cfg.OnRetire = func(_ int, rec *emu.Record) {
 			// execute() has just written this instruction's retire cycle
 			// into its ring slot.
 			rc := m.retRing[rec.Seq&m.retMask]

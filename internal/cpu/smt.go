@@ -177,10 +177,8 @@ func RunSMT(ctx context.Context, progs []*program.Program, cfg Config) (*SMTResu
 
 // RunContext executes one SMT run: progs[i] is the program of
 // cfg.SMT.Contexts[i] (the caller resolves WorkloadRef names; lengths
-// must match). Execution is live-only — recorded predictor overlays are
-// a single-thread facility. On cancellation the partial
-// statistics accumulated so far are returned alongside the context's
-// error.
+// must match). On cancellation the partial statistics accumulated so
+// far are returned alongside the context's error.
 func (s *SMTMachine) RunContext(ctx context.Context, progs []*program.Program, cfg Config) (*SMTResult, error) {
 	cfg = cfg.withDefaults()
 	k := len(cfg.SMT.Contexts)

@@ -19,7 +19,6 @@ import (
 	"dpbp/internal/obs"
 	"dpbp/internal/pathprof"
 	"dpbp/internal/program"
-	"dpbp/internal/replay"
 	"dpbp/internal/results"
 	"dpbp/internal/runcache"
 	"dpbp/internal/sched"
@@ -126,70 +125,20 @@ var testHookBeforeRun func(bench string)
 // cpu.Pool. BenchmarkAblationSweepAllocs measures what this saves.
 var machines cpu.Pool
 
-// overlayBudgets returns the record budgets every overlay checkpoints,
-// sorted: the timing budget and the profiling budget. One overlay pass
-// at the larger serves both kinds of run (predictor decisions for a
-// shorter budget are a prefix of those for a longer one), so when the
-// profiler and the timing runs share a predictor front-end — they do by
-// default — the whole harness simulates each predictor exactly once per
-// benchmark.
-func overlayBudgets(o Options) []uint64 {
-	if o.TimingInsts < o.ProfileInsts {
-		return []uint64{o.TimingInsts, o.ProfileInsts}
-	}
-	if o.TimingInsts > o.ProfileInsts {
-		return []uint64{o.ProfileInsts, o.TimingInsts}
-	}
-	return []uint64{o.TimingInsts}
-}
-
-// overlayFor returns the recorded predictor interaction for one
-// (predictor front-end, direction backend) pair over prog's stream,
-// checkpointed at the harness budgets and memoized in o.Cache. Every
-// timing config sharing the pair — all of an ablation's variants, every
-// figure sweep point — shares one overlay; the profiler reuses the
-// mechanism with the zero backend spec. pcfg and spec must already be
-// canonical (they are cache key inputs).
-func overlayFor(ctx context.Context, o Options, prog *program.Program,
-	pcfg bpred.Config, spec bpred.Spec) (*replay.Overlay, error) {
-	budgets := overlayBudgets(o)
-	v, err := o.Cache.Do(ctx, runcache.KeyOf("overlay", prog.Fingerprint(), pcfg, spec, budgets),
-		func() (any, error) {
-			return replay.NewOverlay(prog, pcfg, spec, budgets)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*replay.Overlay), nil
-}
-
 // timedRun executes one cancellable timing run, memoized through o.Cache
-// when one is set. A cache-eligible run reads the branch predictor's
-// decisions from the benchmark's shared overlay instead of simulating
-// the predictor — bit-identical by construction (see internal/replay),
-// held by TestReplayMatchesLive and the oracle — and runs the live
-// predictor only when the overlay has no checkpoint for its budget. A
-// config carrying an OnBuild hook or a tracer is observable (the hook
-// sees every built routine, the tracer every lifecycle event), so it
-// always runs fresh and uncached.
+// when one is set. A config carrying an OnBuild hook or a tracer is
+// observable (the hook sees every built routine, the tracer every
+// lifecycle event), so it always runs fresh and uncached.
 func timedRun(ctx context.Context, o Options, prog *program.Program, cfg cpu.Config) (*cpu.Result, error) {
 	if o.Trace != nil {
 		cfg.Obs = o.Trace.StartRun(runName(prog, cfg))
 	}
 	if o.Cache == nil || cfg.OnBuild != nil || cfg.Obs != nil {
-		return timedRunFrom(ctx, prog, cfg, nil)
+		return pooledRun(ctx, prog, cfg)
 	}
-	canon := cfg.Canonical()
-	key := runcache.KeyOf("cpu", prog.Fingerprint(), canon)
+	key := runcache.KeyOf("cpu", prog.Fingerprint(), cfg.Canonical())
 	v, err := o.Cache.Do(ctx, key, func() (any, error) {
-		ov, err := overlayFor(ctx, o, prog, canon.Predictor, canon.BPred)
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := ov.Checkpoint(canon.MaxInsts); !ok {
-			ov = nil
-		}
-		return timedRunFrom(ctx, prog, cfg, ov)
+		return pooledRun(ctx, prog, cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -218,11 +167,10 @@ func runName(prog *program.Program, cfg cpu.Config) string {
 	return name
 }
 
-// timedRunFrom executes one timing run on a pooled machine, reading
-// predictions from ov (nil means the live predictor).
-func timedRunFrom(ctx context.Context, prog *program.Program, cfg cpu.Config, ov *replay.Overlay) (*cpu.Result, error) {
+// pooledRun executes one timing run on a pooled machine.
+func pooledRun(ctx context.Context, prog *program.Program, cfg cpu.Config) (*cpu.Result, error) {
 	m := machines.Get()
-	r, err := m.RunContextFrom(ctx, prog, cfg, ov)
+	r, err := m.RunContext(ctx, prog, cfg)
 	machines.Put(m)
 	if err != nil {
 		return nil, err
@@ -231,25 +179,14 @@ func timedRunFrom(ctx context.Context, prog *program.Program, cfg cpu.Config, ov
 }
 
 // profileRun executes one functional profiling run, memoized through
-// o.Cache when one is set. Like timedRun it reads the benchmark's shared
-// overlay — the profiler's predictor interaction is an overlay with the
-// zero backend spec — and simulates the predictor only when the overlay
-// has no checkpoint for its budget.
+// o.Cache when one is set.
 func profileRun(ctx context.Context, o Options, prog *program.Program, cfg pathprof.Config) (*pathprof.Profile, error) {
 	if o.Cache == nil {
 		return pathprof.Run(prog, cfg), nil
 	}
-	canon := cfg.Canonical()
-	key := runcache.KeyOf("pathprof", prog.Fingerprint(), canon)
+	key := runcache.KeyOf("pathprof", prog.Fingerprint(), cfg.Canonical())
 	v, err := o.Cache.Do(ctx, key, func() (any, error) {
-		ov, err := overlayFor(ctx, o, prog, canon.Predictor.Canonical(), bpred.Spec{}.Canonical())
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := ov.Checkpoint(canon.MaxInsts); !ok {
-			return pathprof.Run(prog, cfg), nil
-		}
-		return pathprof.RunOverlay(prog, ov, canon), nil
+		return pathprof.Run(prog, cfg), nil
 	})
 	if err != nil {
 		return nil, err

@@ -2,9 +2,11 @@ package exp
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"dpbp/internal/runcache"
 	"dpbp/internal/synth"
 )
 
@@ -167,6 +169,26 @@ func TestParallelismDeterminism(t *testing.T) {
 		if a.Rows[i].Bench != b.Rows[i].Bench || a.Rows[i].BaselineIPC != b.Rows[i].BaselineIPC {
 			t.Errorf("parallel results diverge at %d: %+v vs %+v", i, a.Rows[i], b.Rows[i])
 		}
+	}
+}
+
+// TestCachedMatchesCacheless runs one figure sweep through the run cache
+// and without one and requires identical results.
+func TestCachedMatchesCacheless(t *testing.T) {
+	cached := quick("comp")
+	cached.Cache = runcache.New()
+	cacheless := quick("comp")
+
+	r1, err := Figure6(ctx(), cached)
+	if err != nil {
+		t.Fatalf("cached sweep: %v", err)
+	}
+	r2, err := Figure6(ctx(), cacheless)
+	if err != nil {
+		t.Fatalf("cacheless sweep: %v", err)
+	}
+	if !reflect.DeepEqual(r1, r2) {
+		t.Error("cached and cacheless results differ")
 	}
 }
 

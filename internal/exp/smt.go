@@ -184,9 +184,8 @@ func SMT(ctx context.Context, o Options) (*results.SMTResult, error) {
 }
 
 // smtRun executes one cancellable SMT run, memoized through o.Cache
-// when one is set. SMT runs are live-only (the overlay fast path is a
-// single-thread facility), so the cache key is the canonical
-// configuration plus every context's program fingerprint.
+// when one is set. The cache key is the canonical configuration plus
+// every context's program fingerprint.
 func smtRun(ctx context.Context, o Options, progs []*program.Program, cfg cpu.Config) (*cpu.SMTResult, error) {
 	if o.Cache == nil {
 		return cpu.RunSMT(ctx, progs, cfg)

@@ -12,14 +12,13 @@ import (
 
 // FuzzDifferentialRun is the open-ended form of the smoke suite: any
 // (seed, units) pair must generate a program whose architectural
-// behaviour is identical under the emulator and every timing ablation,
-// and whose overlay re-runs match the live runs. The smt dimension,
-// when nonzero, co-schedules a second random program as an SMT primary
-// context (fetch policy and sharing flags decoded from the bits),
-// hunting for co-runner configurations that leak architectural state
-// across contexts. The per-execution budget is small so the engine
-// explores many programs per second; the 64-seed deterministic suite
-// covers longer runs.
+// behaviour is identical under the emulator and every timing ablation.
+// The smt dimension, when nonzero, co-schedules a second random program
+// as an SMT primary context (fetch policy and sharing flags decoded from
+// the bits), hunting for co-runner configurations that leak
+// architectural state across contexts. The per-execution budget is small
+// so the engine explores many programs per second; the 64-seed
+// deterministic suite covers longer runs.
 func FuzzDifferentialRun(f *testing.F) {
 	f.Add(int64(1), uint64(4), uint64(0))
 	f.Add(int64(42), uint64(1), uint64(0))

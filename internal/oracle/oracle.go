@@ -24,10 +24,6 @@
 //     the conservation laws the model implies (see CheckStats), and an
 //     attached obs.Tracer's per-kind counts must reconcile with the
 //     legacy statistics (see CheckTrace).
-//  4. Overlay equivalence. Every configuration is re-run on a fresh
-//     machine reading the branch predictor's decisions from a recorded
-//     overlay (internal/replay) — the experiment harness's fast path —
-//     and its Result must deeply equal the live run's.
 //
 // A failing random program is shrunk (Shrink) to a minimal failing unit
 // subset and written to testdata/repros as JSON + disassembly.
@@ -36,14 +32,12 @@ package oracle
 import (
 	"context"
 	"fmt"
-	"reflect"
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/cpu"
 	"dpbp/internal/emu"
 	"dpbp/internal/obs"
 	"dpbp/internal/program"
-	"dpbp/internal/replay"
 )
 
 // NamedConfig is one ablation: a timing configuration with a stable name
@@ -118,7 +112,7 @@ type Options struct {
 type Divergence struct {
 	Program string
 	Config  string
-	Kind    string // "stream", "regs", "mem", "stats", "trace", "overlay", "cross"
+	Kind    string // "stream", "regs", "mem", "stats", "trace", "cross"
 	Seq     uint64
 	Detail  string
 }
@@ -166,8 +160,7 @@ func Verify(prog *program.Program, opts Options) error {
 }
 
 // verifyOne runs prog under one configuration with a lockstep reference
-// emulator and checks the stream, the final state, the statistics, and
-// the overlay re-run.
+// emulator and checks the stream, the final state and the statistics.
 func verifyOne(prog *program.Program, nc NamedConfig, opts Options) (*runSummary, error) {
 	cfg := nc.Config
 	cfg.MaxInsts = opts.MaxInsts
@@ -175,7 +168,7 @@ func verifyOne(prog *program.Program, nc NamedConfig, opts Options) (*runSummary
 	ref := emu.New(prog)
 	var refRec emu.Record
 	var div *Divergence
-	cfg.OnRetire = func(rec *emu.Record) {
+	cfg.OnRetire = func(_ int, rec *emu.Record) {
 		if div != nil {
 			return
 		}
@@ -247,39 +240,7 @@ func verifyOne(prog *program.Program, nc NamedConfig, opts Options) (*runSummary
 			}
 		}
 	}
-	if err := checkOverlay(prog, nc, opts.MaxInsts, res); err != nil {
-		return nil, err
-	}
 	return &runSummary{insts: res.Insts, branches: res.Branches}, nil
-}
-
-// newOverlay builds the overlay checkOverlay re-runs from; the mutation
-// test swaps it to hand the check a wrong overlay.
-var newOverlay = replay.NewOverlay
-
-// checkOverlay re-runs nc on a fresh machine with the branch predictor's
-// decisions read from an overlay — the experiment harness's fast path —
-// and requires a Result deeply equal to the live run's.
-func checkOverlay(prog *program.Program, nc NamedConfig, maxInsts uint64, live *cpu.Result) error {
-	cfg := nc.Config
-	cfg.MaxInsts = maxInsts
-	canon := cfg.Canonical()
-	ov, err := newOverlay(prog, canon.Predictor, canon.BPred, []uint64{canon.MaxInsts})
-	if err != nil {
-		return err
-	}
-	res, err := cpu.NewMachine().RunContextFrom(context.Background(), prog, cfg, ov)
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(res, live) {
-		return &Divergence{
-			Program: prog.Name, Config: nc.Name, Kind: "overlay", Seq: res.Insts,
-			Detail: fmt.Sprintf("overlay run: %d cycles, %d hardware mispredicts; live run: %d cycles, %d",
-				res.Cycles, res.HWMispredicts, live.Cycles, live.HWMispredicts),
-		}
-	}
-	return nil
 }
 
 // diffRecords names the fields on which two retirement records differ.

@@ -5,10 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"dpbp/internal/bpred"
 	"dpbp/internal/cpu"
-	"dpbp/internal/program"
-	"dpbp/internal/replay"
 	"dpbp/internal/synth"
 )
 
@@ -29,42 +26,6 @@ func TestOracleSmoke(t *testing.T) {
 		if err := Verify(prog, smokeOpts()); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
-	}
-}
-
-// TestOverlayCheckCatchesWrongOverlay hands Verify's overlay check
-// overlays that do not record the configuration's predictor — a TAGE
-// recording for the hybrid baseline, and a hybrid recording with
-// undersized tables — and requires an overlay divergence for each. It
-// fails if the check is dropped from Verify.
-func TestOverlayCheckCatchesWrongOverlay(t *testing.T) {
-	mutations := []struct {
-		name string
-		mut  func(bpred.Config, bpred.Spec) (bpred.Config, bpred.Spec)
-	}{
-		{"tage-for-hybrid", func(c bpred.Config, _ bpred.Spec) (bpred.Config, bpred.Spec) {
-			return c, bpred.Spec{Name: bpred.BackendTAGE}
-		}},
-		{"undersized-tables", func(c bpred.Config, s bpred.Spec) (bpred.Config, bpred.Spec) {
-			c.PHTEntries = 256
-			return c, s
-		}},
-	}
-	prog := synth.Random(5, 6)
-	opts := smokeOpts()
-	opts.Configs = Ablations()[:1] // baseline: the hybrid predictor
-	for _, m := range mutations {
-		t.Run(m.name, func(t *testing.T) {
-			newOverlay = func(p *program.Program, c bpred.Config, s bpred.Spec, budgets []uint64) (*replay.Overlay, error) {
-				c, s = m.mut(c, s)
-				return replay.NewOverlay(p, c, s, budgets)
-			}
-			defer func() { newOverlay = replay.NewOverlay }()
-			err := Verify(prog, opts)
-			if div, ok := err.(*Divergence); !ok || div.Kind != "overlay" {
-				t.Fatalf("expected an overlay divergence, got %v", err)
-			}
-		})
 	}
 }
 

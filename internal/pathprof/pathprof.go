@@ -18,7 +18,6 @@ import (
 	"dpbp/internal/isa"
 	"dpbp/internal/path"
 	"dpbp/internal/program"
-	"dpbp/internal/replay"
 )
 
 // pathStats aggregates one unique path.
@@ -94,47 +93,8 @@ func (c Config) Canonical() Config {
 // against a fresh functional run.
 func Run(prog *program.Program, cfg Config) *Profile {
 	cfg = cfg.Canonical()
-	p, observe := newProfile(prog.Name, cfg)
-	pred := bpred.New(cfg.Predictor)
-	m := emu.New(prog)
-	p.Insts = m.Run(cfg.MaxInsts, func(r *emu.Record) bool {
-		if r.Inst.IsBranch() {
-			guess := pred.Predict(r.PC, r.Inst)
-			observe(r, pred.Update(r.PC, r.Inst, guess, r.Taken, r.NextPC))
-		}
-		return true
-	})
-	return p
-}
-
-// RunOverlay profiles prog reading the baseline predictor's per-branch
-// outcomes from ov instead of simulating the predictor. The overlay must
-// have been built from prog with cfg's canonical Predictor, the zero
-// backend spec, and a checkpoint at cfg's canonical MaxInsts — then the
-// miss sequence is identical to what Run would compute, and so is the
-// Profile.
-func RunOverlay(prog *program.Program, ov *replay.Overlay, cfg Config) *Profile {
-	cfg = cfg.Canonical()
-	p, observe := newProfile(prog.Name, cfg)
-	var bi uint64
-	p.Insts = emu.New(prog).Run(cfg.MaxInsts, func(r *emu.Record) bool {
-		if r.Inst.IsBranch() {
-			_, miss := ov.Branch(bi)
-			bi++
-			observe(r, miss)
-		}
-		return true
-	})
-	return p
-}
-
-// newProfile builds an empty profile for cfg (already canonical) and the
-// per-branch-record observer that fills it. The observer must be called
-// once per retired branch record, in retirement order, with the baseline
-// predictor's mispredict outcome for that branch.
-func newProfile(bench string, cfg Config) (*Profile, func(r *emu.Record, miss bool)) {
 	p := &Profile{
-		Benchmark: bench,
+		Benchmark: prog.Name,
 		branches:  make(map[isa.Addr]*branchStats),
 	}
 	trackers := make([]*path.Tracker, len(cfg.Ns))
@@ -142,7 +102,12 @@ func newProfile(bench string, cfg Config) (*Profile, func(r *emu.Record, miss bo
 		p.ByN = append(p.ByN, &NProfile{N: n, paths: make(map[path.ID]*pathStats)})
 		trackers[i] = path.NewTracker(n)
 	}
-	observe := func(r *emu.Record, miss bool) {
+	pred := bpred.New(cfg.Predictor)
+	p.Insts = emu.New(prog).Run(cfg.MaxInsts, func(r *emu.Record) bool {
+		if !r.Inst.IsBranch() {
+			return true
+		}
+		miss := pred.Update(r.PC, r.Inst, pred.Predict(r.PC, r.Inst), r.Taken, r.NextPC)
 		if r.Inst.IsTerminatingBranch() {
 			p.Branches++
 			if miss {
@@ -178,8 +143,9 @@ func newProfile(bench string, cfg Config) (*Profile, func(r *emu.Record, miss bo
 				tr.Observe(path.TakenBranch{PC: r.PC, Target: r.NextPC, Seq: r.Seq})
 			}
 		}
-	}
-	return p, observe
+		return true
+	})
+	return p
 }
 
 // Table1Row is one benchmark's slice of Table 1 for a single n.
