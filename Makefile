@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench profile fuzz cover ci
+.PHONY: all build vet lint test race bench profile fuzz cover captures ci
 
 all: build vet lint test
 
@@ -19,12 +19,13 @@ test:
 	$(GO) test ./...
 
 # race covers the packages where concurrency lives (the scheduler, the
-# single-flight run cache, the experiment fan-out and the timing core —
-# SMT suites included) plus the root-package determinism regression
-# tests, which drive the fan-out end to end, and the oracle's SMT
-# differential wall.
+# single-flight run cache, the experiment fan-out, the timing core — SMT
+# suites included — and the trace collector every sweep worker writes
+# to) plus the root-package determinism regression tests, which drive
+# the fan-out end to end, and the oracle's SMT differential wall. CI's
+# race job runs exactly this target.
 race:
-	$(GO) test -race ./internal/sched/... ./internal/runcache/... ./internal/exp/... ./internal/cpu/...
+	$(GO) test -race ./internal/sched/... ./internal/runcache/... ./internal/exp/... ./internal/cpu/... ./internal/obs/...
 	$(GO) test -race -run Determinism .
 	$(GO) test -race -run SMT ./internal/oracle ./cmd/dpbp
 
@@ -47,6 +48,22 @@ cover:
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t=$$total -v f=$(COVER_FLOOR) 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "ERROR: coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
+
+# captures checks the published captures: each results_*.txt starts with
+# the dpbp command that regenerates it, and the rest of the file must
+# equal that command's stdout byte for byte. Full budgets make it slow
+# (~20 s on a 2-CPU host), so it is not part of tier-1.
+CAPDIR ?= .captures
+captures:
+	mkdir -p $(CAPDIR)
+	$(GO) build -o $(CAPDIR)/dpbp ./cmd/dpbp
+	@for f in results_*.txt; do \
+		line=$$(head -n 1 $$f); args=$${line#"\$$ go run ./cmd/dpbp"}; \
+		if [ "$$args" = "$$line" ]; then echo "$$f: first line is not a dpbp command"; exit 1; fi; \
+		echo "$$f:$$args"; \
+		$(CAPDIR)/dpbp $$args > $(CAPDIR)/stdout.txt || exit 1; \
+		tail -n +2 $$f | cmp - $(CAPDIR)/stdout.txt || exit 1; \
+	done
 
 # profile runs the full cached `-exp all` workload under the CPU and heap
 # profilers. Inspect with `go tool pprof $(PROFDIR)/cpu.out` (or mem.out);

@@ -41,9 +41,9 @@
 // named counter/histogram registry — rendered in whatever -format says.
 //
 // -bpred swaps the direction predictor every timing run uses (the
-// registry in internal/bpred; default "hybrid", the paper's gshare/PAs
+// backends of internal/bpred; default "hybrid", the paper's gshare/PAs
 // machine). -exp shootout instead varies the backend itself, pitting
-// every registered backend and the H2P-gated microthread variant against
+// every backend and the H2P-gated microthread variant against
 // the hybrid baseline; it ignores -bpred's name but is not part of
 // "all" (its runs would double the budget without reproducing a paper
 // figure).

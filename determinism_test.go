@@ -115,7 +115,7 @@ func TestRunCacheByteDeterminism(t *testing.T) {
 }
 
 // TestBackendByteDeterminism extends the bit-determinism contract to
-// every registered predictor backend and the shootout arena: identical
+// every predictor backend and the shootout arena: identical
 // runs under each backend must yield structurally identical Results,
 // and the shootout must render the same bytes twice.
 func TestBackendByteDeterminism(t *testing.T) {

@@ -173,7 +173,7 @@ func RunSMT(ctx context.Context, ws []*Workload, cfg MachineConfig) (*SMTResult,
 // gshare/PAs hybrid; see PredictorBackends for the available names.
 type PredictorSpec = bpred.Spec
 
-// Registered predictor-backend names for PredictorSpec.Name.
+// Predictor-backend names for PredictorSpec.Name.
 const (
 	// BackendHybrid is the paper's gshare/PAs hybrid (the default).
 	BackendHybrid = bpred.BackendHybrid
@@ -183,7 +183,7 @@ const (
 	BackendH2P = bpred.BackendH2P
 )
 
-// PredictorBackends returns the registered backend names, sorted.
+// PredictorBackends returns the backend names, sorted.
 func PredictorBackends() []string { return bpred.Backends() }
 
 // DefaultConfig returns the paper's Figure 7 "pruning" machine: the full

@@ -52,8 +52,8 @@ func isPlumbingFunc(name string) bool {
 }
 
 // configStructNames are the package-level struct type names whose fields
-// the unread-field pass tracks. Spec joined Config with the predictor-
-// backend registry, and SMTConfig with multi-context machines: a field
+// the unread-field pass tracks. Spec joined Config with the pluggable
+// predictor backends, and SMTConfig with multi-context machines: a field
 // of either that nothing reads is as dead as an unread Config knob.
 var configStructNames = []string{"Config", "Spec", "SMTConfig"}
 

@@ -2,7 +2,6 @@ package bpred
 
 import (
 	"fmt"
-	"sort"
 
 	"dpbp/internal/bpred/h2p"
 	"dpbp/internal/bpred/tage"
@@ -23,7 +22,7 @@ type Backend interface {
 	Snapshot(*BackendStats)
 }
 
-// Registered backend names. The zero Spec canonicalizes to
+// Backend names. The zero Spec canonicalizes to
 // BackendHybrid, the paper's Table 3 gshare/PAs hybrid.
 const (
 	BackendHybrid = "hybrid"
@@ -39,7 +38,7 @@ const (
 // ignore them, because the H2P section also drives the microthread
 // spawn gate under any backend.
 type Spec struct {
-	// Name is a registered backend name; empty means BackendHybrid.
+	// Name is a backend name; empty means BackendHybrid.
 	Name string `json:"name,omitempty"`
 	// TAGE sizes the tage backend (used when Name == "tage").
 	TAGE tage.Config `json:"tage,omitempty"`
@@ -73,7 +72,7 @@ type BackendStats struct {
 // HybridStats counts the hybrid backend's component selection. The
 // hybrid predates the Backend interface; its counters live in the
 // adapter so the underlying Hybrid's state evolution stays bit-
-// identical to the pre-registry predictor.
+// identical to the predictor before backends were pluggable.
 type HybridStats struct {
 	Lookups uint64 `json:"lookups"`
 	Updates uint64 `json:"updates"`
@@ -88,69 +87,28 @@ type HybridStats struct {
 	Correct uint64 `json:"correct"`
 }
 
-// BuildFunc constructs a backend from a canonical Spec and the
-// front-end Config (which sizes the hybrid's tables).
-type BuildFunc func(spec Spec, cfg Config) Backend
-
-type registration struct {
-	name  string
-	build BuildFunc
-}
-
-// registry is a slice, not a map, so iteration order is deterministic
-// without sorting at every lookup.
-var registry []registration
-
-// Register adds a backend under name. It panics on duplicates: backend
-// names feed run-cache keys, so silent replacement would alias
-// incompatible results.
-func Register(name string, build BuildFunc) {
-	for _, r := range registry {
-		if r.name == name {
-			panic("bpred: duplicate backend " + name)
-		}
-	}
-	registry = append(registry, registration{name, build})
-}
-
-// Backends returns the registered backend names, sorted.
-func Backends() []string {
-	names := make([]string, len(registry))
-	for i, r := range registry {
-		names[i] = r.name
-	}
-	sort.Strings(names)
-	return names
-}
+// Backends returns the backend names, sorted.
+func Backends() []string { return []string{BackendH2P, BackendHybrid, BackendTAGE} }
 
 // NewBackend builds the backend spec selects. The spec and config are
 // canonicalized first, so zero values yield the default hybrid.
 func NewBackend(spec Spec, cfg Config) (Backend, error) {
 	spec = spec.Canonical()
 	cfg = cfg.Canonical()
-	for _, r := range registry {
-		if r.name == spec.Name {
-			return r.build(spec, cfg), nil
-		}
+	switch spec.Name {
+	case BackendHybrid:
+		return &hybridBackend{h: NewHybrid(cfg.PHTEntries, cfg.SelectorEntries)}, nil
+	case BackendTAGE:
+		return &tageBackend{t: tage.New(spec.TAGE)}, nil
+	case BackendH2P:
+		return &h2pBackend{p: h2p.New(spec.H2P, NewHybrid(cfg.PHTEntries, cfg.SelectorEntries))}, nil
 	}
 	return nil, fmt.Errorf("bpred: unknown backend %q (have %v)", spec.Name, Backends())
 }
 
-func init() {
-	Register(BackendHybrid, func(_ Spec, cfg Config) Backend {
-		return &hybridBackend{h: NewHybrid(cfg.PHTEntries, cfg.SelectorEntries)}
-	})
-	Register(BackendTAGE, func(spec Spec, _ Config) Backend {
-		return &tageBackend{t: tage.New(spec.TAGE)}
-	})
-	Register(BackendH2P, func(spec Spec, cfg Config) Backend {
-		return &h2pBackend{p: h2p.New(spec.H2P, NewHybrid(cfg.PHTEntries, cfg.SelectorEntries))}
-	})
-}
-
 // hybridBackend adapts the gshare/PAs Hybrid to the Backend interface.
 // All counters live here: the wrapped Hybrid's state evolution is the
-// pure pre-registry sequence (Predict reads, Update trains), keeping
+// pure pre-backend sequence (Predict reads, Update trains), keeping
 // default-backend runs byte-identical.
 type hybridBackend struct {
 	h     *Hybrid

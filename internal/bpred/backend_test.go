@@ -19,21 +19,8 @@ func TestBackendsRegistered(t *testing.T) {
 		delete(want, n)
 	}
 	if len(want) != 0 {
-		t.Fatalf("missing registered backends %v in %v", want, names)
+		t.Fatalf("missing backends %v in %v", want, names)
 	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-		// Undo the successful first registration to leave the global
-		// registry as the other tests expect.
-		registry = registry[:len(registry)-1]
-	}()
-	Register("backend-test-dup", func(Spec, Config) Backend { return nil })
-	Register("backend-test-dup", func(Spec, Config) Backend { return nil })
 }
 
 func TestSpecCanonical(t *testing.T) {
@@ -92,7 +79,7 @@ func stream(predict func(isa.Addr) bool, update func(isa.Addr, bool), n int, see
 }
 
 // TestHybridBackendMatchesBareHybrid pins the tentpole's byte-identity
-// requirement at the unit level: the registry-built hybrid backend must
+// requirement at the unit level: the NewBackend-built hybrid backend must
 // produce the same prediction stream and the same internal Hybrid state
 // as a bare Hybrid driven directly.
 func TestHybridBackendMatchesBareHybrid(t *testing.T) {

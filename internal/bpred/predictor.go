@@ -99,8 +99,8 @@ type Predictor struct {
 func New(cfg Config) *Predictor {
 	p, err := NewFromSpec(cfg, Spec{})
 	if err != nil {
-		// The zero Spec canonicalizes to the registered hybrid; this is
-		// unreachable unless the registry itself is broken.
+		// The zero Spec canonicalizes to the hybrid, which NewBackend
+		// always builds; this is unreachable.
 		panic(err)
 	}
 	return p

@@ -22,54 +22,6 @@ func tracedRun(t *testing.T, bench string, maxInsts uint64) (*Result, *obs.Trace
 	return Run(prog, cfg), tr
 }
 
-// TestTracerReconcilesWithStats pins the observability layer's core
-// contract: every per-kind event counter equals the aggregate statistic
-// its emit site sits next to, exactly. A drifting pair means an emit
-// site and its counter were separated by a refactor.
-func TestTracerReconcilesWithStats(t *testing.T) {
-	r, tr := tracedRun(t, "gcc", 200_000)
-	if r.Micro.Spawned == 0 || r.Micro.AttemptedSpawns == 0 {
-		t.Fatal("benchmark produced no microthread activity; reconciliation vacuous")
-	}
-
-	pairs := []struct {
-		kind obs.Kind
-		want uint64
-	}{
-		{obs.KindSpawnAttempt, r.Micro.AttemptedSpawns},
-		{obs.KindSpawnDropPrefix, r.Micro.PrefixMismatchDrops},
-		{obs.KindSpawnDropNoContext, r.Micro.NoContextDrops},
-		{obs.KindSpawn, r.Micro.Spawned},
-		{obs.KindAbortActive, r.Micro.AbortedActive},
-		{obs.KindComplete, r.Micro.Completed},
-		{obs.KindMemDepViolation, r.Micro.MemDepViolations},
-		{obs.KindDeliveryEarly, r.Micro.Early},
-		{obs.KindDeliveryLate, r.Micro.Late},
-		{obs.KindDeliveryUseless, r.Micro.Useless},
-		{obs.KindPCacheWrite, r.PCache.Writes},
-		{obs.KindPathReplace, r.PathCache.Replacements},
-		{obs.KindPathPromoteRejected, r.PathCache.PromotionsRejected},
-	}
-	for _, p := range pairs {
-		if got := tr.Count(p.kind); got != p.want {
-			t.Errorf("trace.%s = %d, stats say %d", p.kind, got, p.want)
-		}
-	}
-	if got := tr.Count(obs.KindPathAlloc) + tr.Count(obs.KindPathReplace); got != r.PathCache.Allocations {
-		t.Errorf("pathcache alloc+replace events = %d, Stats.Allocations = %d",
-			got, r.PathCache.Allocations)
-	}
-	// Promote events fire for both training promotions and builder
-	// acceptances; demotes for training demotions and refusals on
-	// promoted entries. Both totals are the Stats fields themselves.
-	if got := tr.Count(obs.KindPathPromote); got != r.PathCache.Promotions {
-		t.Errorf("promote events = %d, Stats.Promotions = %d", got, r.PathCache.Promotions)
-	}
-	if got := tr.Count(obs.KindPathDemote); got != r.PathCache.Demotions {
-		t.Errorf("demote events = %d, Stats.Demotions = %d", got, r.PathCache.Demotions)
-	}
-}
-
 // TestTracingDoesNotPerturbResults holds the zero-interference contract:
 // a traced run returns bit-identical statistics to an untraced one.
 func TestTracingDoesNotPerturbResults(t *testing.T) {

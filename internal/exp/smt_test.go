@@ -9,7 +9,7 @@ import (
 	"dpbp/internal/runcache"
 )
 
-func tinySMTOptions() Options {
+func tinySMTOpts() Options {
 	return Options{
 		TimingInsts:  30_000,
 		ProfileInsts: 30_000,
@@ -21,7 +21,7 @@ func tinySMTOptions() Options {
 // the result shape: every mix carries both sharing variants, every
 // variant both contexts, and the solo references are populated.
 func TestSMTExperimentSmoke(t *testing.T) {
-	res, err := SMT(context.Background(), tinySMTOptions())
+	res, err := SMT(context.Background(), tinySMTOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSMTExperimentOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := tinySMTOptions()
+	o := tinySMTOpts()
 	o.SMT = smt
 	res, err := SMT(context.Background(), o)
 	if err != nil {
@@ -90,7 +90,7 @@ func TestSMTExperimentOverride(t *testing.T) {
 // TestSMTExperimentDeterministic pins cache transparency: with and
 // without a run cache the study produces identical results.
 func TestSMTExperimentDeterministic(t *testing.T) {
-	o := tinySMTOptions()
+	o := tinySMTOpts()
 	o.SMT, _ = ParseSMTSpec("comp+li")
 	cached, err := SMT(context.Background(), o)
 	if err != nil {

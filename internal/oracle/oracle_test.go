@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dpbp/internal/cpu"
+	"dpbp/internal/obs"
 	"dpbp/internal/synth"
 )
 
@@ -46,6 +47,29 @@ func TestOracleCoversMicroActivity(t *testing.T) {
 	if spawns == 0 || hits == 0 || promos == 0 {
 		t.Fatalf("smoke workload exercises no microthread activity: spawns=%d deliveries=%d promotions=%d",
 			spawns, hits, promos)
+	}
+}
+
+// TestTracerReconcilesWithStats pins the observability layer's core
+// contract on a paper workload: every per-kind event counter of a traced
+// gcc run equals the statistic its emit site sits next to (CheckTrace).
+// A drifting pair means an emit site and its counter were separated by a
+// refactor.
+func TestTracerReconcilesWithStats(t *testing.T) {
+	p, err := synth.ProfileByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cpu.DefaultConfig()
+	cfg.MaxInsts = 200_000
+	tr := obs.NewTracer()
+	cfg.Obs = tr
+	res := cpu.Run(synth.Generate(p), cfg)
+	if res.Micro.Spawned == 0 || res.Micro.AttemptedSpawns == 0 {
+		t.Fatal("benchmark produced no microthread activity; reconciliation vacuous")
+	}
+	if err := CheckTrace(tr, res); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -6,9 +6,36 @@ import (
 	"testing"
 
 	"dpbp/internal/cpu"
+	"dpbp/internal/obs"
 	"dpbp/internal/program"
 	"dpbp/internal/synth"
 )
+
+// smtConfigFromBits decodes one fuzzable SMT configuration: two
+// contexts whose fetch policy is bit 0 and sharing flags bits 1..4.
+// The fuzzer treats a zero bit field as "no SMT", so the existing
+// single-thread corpus keeps its meaning.
+func smtConfigFromBits(bits uint64) cpu.SMTConfig {
+	policy := cpu.FetchRoundRobin
+	if bits&1 != 0 {
+		policy = cpu.FetchICount
+	}
+	return cpu.SMTConfig{
+		Contexts:        []cpu.WorkloadRef{{Bench: "fuzz-a"}, {Bench: "fuzz-b"}},
+		FetchPolicy:     policy,
+		SharedPathCache: bits&2 != 0,
+		SharedPCache:    bits&4 != 0,
+		SharedMicroRAM:  bits&8 != 0,
+		SharedPredictor: bits&16 != 0,
+	}
+}
+
+// verifySMTSpecs is the fuzz/shrink entry point: generate both contexts'
+// programs from their specs and verify the pair under cfg.
+func verifySMTSpecs(a, b synth.RandSpec, cfg cpu.Config, opts Options) error {
+	progs := []*program.Program{synth.RandomProgram(a), synth.RandomProgram(b)}
+	return VerifySMT(progs, cfg, opts)
+}
 
 // smtSmokeCfg sweeps the sharing/policy matrix deterministically: the
 // seed picks fetch policy and sharing bits so the 32-seed suite covers
@@ -28,7 +55,7 @@ func TestOracleSMTSmoke(t *testing.T) {
 	for seed := int64(1); seed <= 32; seed++ {
 		a := synth.RandSpec{Seed: seed, Units: 5}
 		b := synth.RandSpec{Seed: seed + 1000, Units: 5}
-		if err := verifySMTSpecs(a, b, smtSmokeCfg(seed), SMTOptions{MaxInsts: 8_000, Trace: true}); err != nil {
+		if err := verifySMTSpecs(a, b, smtSmokeCfg(seed), Options{MaxInsts: 8_000, Trace: true}); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
@@ -49,9 +76,45 @@ func TestOracleSMTOneContextBridge(t *testing.T) {
 			t.Fatal(err)
 		}
 		progs := []*program.Program{synth.Generate(p)}
-		if err := VerifySMT(progs, cfg, SMTOptions{MaxInsts: 12_000}); err != nil {
+		if err := VerifySMT(progs, cfg, Options{MaxInsts: 12_000}); err != nil {
 			t.Errorf("%v: %v", policy, err)
 		}
+	}
+}
+
+// TestSMTTraceCountsSpawnDrops keeps the reconciler's two spawn-drop
+// pairs live. The seed suites and the gcc trace test never run out of
+// microcontexts, so they would miss a lost spawn_drop_no_context or
+// spawn_drop_co_runner emit. Two gcc contexts sharing a two-microcontext
+// budget both drop and deny spawns, and the merged trace must count each
+// exactly.
+func TestSMTTraceCountsSpawnDrops(t *testing.T) {
+	p, err := synth.ProfileByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := synth.Generate(p)
+	cfg := Ablations()[1].Config
+	cfg.Microcontexts = 2
+	cfg.SMT = cpu.SMTConfig{Contexts: []cpu.WorkloadRef{{Bench: "gcc"}, {Bench: "gcc"}}}
+	cfg.MaxInsts = 50_000
+	tr := obs.NewTracer()
+	tr.SetLimit(1) // counters only
+	cfg.Obs = tr
+	res, err := cpu.RunSMT(context.Background(), []*program.Program{prog, prog}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drops, denials uint64
+	for _, c := range res.Contexts {
+		drops += c.Micro.NoContextDrops
+		denials += c.Micro.CoRunnerDenied
+	}
+	if drops == 0 || denials == 0 {
+		t.Fatalf("no-context drops %d, co-runner denials %d: the drop pairs are not exercised", drops, denials)
+	}
+	if err := CheckSMTTrace(tr, res); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -63,7 +126,7 @@ func TestOracleSMTOneContextBridge(t *testing.T) {
 func TestVerifySMTDetectsInjectedFault(t *testing.T) {
 	cfg := Ablations()[1].Config
 	cfg.SMT = smtConfigFromBits(30) // rr, everything shared: the worst case
-	opts := SMTOptions{MaxInsts: 8_000, Fault: &SMTFault{Ctx: 1, Seq: 3_000}}
+	opts := Options{MaxInsts: 8_000, Fault: &Fault{Ctx: 1, Seq: 3_000}}
 	a := synth.RandSpec{Seed: 7, Units: 6}
 	b := synth.RandSpec{Seed: 8, Units: 6}
 
@@ -135,6 +198,9 @@ func TestCheckSMTStatsCatchesCorruption(t *testing.T) {
 		{"machine span is max context span", func(r *cpu.SMTResult) { r.Cycles++ }},
 		{"sharing flags copied", func(r *cpu.SMTResult) { r.SharedPathCache = false }},
 		{"per-context stream totals", func(r *cpu.SMTResult) { r.Contexts[0].Branches = r.Contexts[0].Insts + 1 }},
+		{"per-context mispredict bound", func(r *cpu.SMTResult) { r.Contexts[1].Mispredicts = r.Contexts[1].Branches + 1 }},
+		{"per-context rebuild bound", func(r *cpu.SMTResult) { r.Contexts[1].Micro.Rebuilds = r.Contexts[1].Build.Builds + 1 }},
+		{"per-context routine sizes", func(r *cpu.SMTResult) { r.Contexts[1].Build.Builds = r.Contexts[1].Build.SizeSum + 1 }},
 	}
 	for _, m := range mutations {
 		bad := *res

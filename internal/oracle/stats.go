@@ -1,8 +1,10 @@
-// Stats-algebra invariants: the conservation laws a Result's counters
-// must satisfy after any run. Each law is derived from the model's code
-// paths (the relation is cited at each check), so a violation means a
-// counter was double-counted, skipped, or the model took an impossible
-// path — the cheap, always-on complement to the stream diff.
+// Stats-algebra invariants: the conservation laws a run's counters must
+// satisfy, per primary context and machine-wide, and the reconciliation
+// of traced event counts with those counters. Each law is derived from
+// the model's code paths (the relation is cited at each check), so a
+// violation means a counter was double-counted, skipped, or the model
+// took an impossible path — the cheap, always-on complement to the
+// stream diff.
 package oracle
 
 import (
@@ -18,18 +20,45 @@ import (
 	"dpbp/internal/pcache"
 )
 
-// CheckStats verifies the counter algebra of one run. cfg must be the
-// canonical (defaults-applied) configuration the run used.
-func CheckStats(res *cpu.Result, cfg cpu.Config) error {
-	var bad []string
-	chk := func(ok bool, format string, args ...any) {
+// laws accumulates the conservation laws a check found broken.
+type laws []string
+
+// check returns a law checker: each law that does not hold is recorded
+// with its message, prefixed by pfx (the context a per-context law was
+// applied to).
+func (l *laws) check(pfx string) func(ok bool, format string, args ...any) {
+	return func(ok bool, format string, args ...any) {
 		if !ok {
-			bad = append(bad, fmt.Sprintf(format, args...))
+			*l = append(*l, pfx+fmt.Sprintf(format, args...))
 		}
 	}
+}
+
+// err joins the broken laws into one error, or returns nil if none broke.
+func (l laws) err(what string) error {
+	if len(l) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s: %s", what, strings.Join(l, "; "))
+}
+
+// CheckStats verifies the counter algebra of one run's Result: a solo
+// run, or one primary context of an SMT run, whose shared structures it
+// leaves to CheckSMTStats. cfg must be the canonical (defaults-applied)
+// configuration the run used.
+func CheckStats(res *cpu.Result, cfg cpu.Config) error {
+	var l laws
+	checkContext(l.check(""), res, cfg)
+	return l.err("stats invariants violated")
+}
+
+// checkContext applies the laws that hold for one primary context's
+// Result, solo or SMT. A structure the context shares with co-runners
+// (cfg.SMT's SharedPCache and SharedPathCache) carries machine-wide
+// counters, so its delivery and counter laws are left to CheckSMTStats,
+// which checks them once against the summed branches.
+func checkContext(chk func(bool, string, ...any), res *cpu.Result, cfg cpu.Config) {
 	ms := &res.Micro
-	pc := &res.PCache
-	ph := &res.PathCache
 
 	// Retirement stream totals.
 	chk(res.Branches <= res.Insts, "branches %d > insts %d", res.Branches, res.Insts)
@@ -42,9 +71,10 @@ func CheckStats(res *cpu.Result, cfg cpu.Config) error {
 	chk(ms.AttemptedSpawns == ms.PrefixMismatchDrops+ms.NoContextDrops+ms.CoRunnerDenied+ms.Spawned,
 		"attempts %d != prefix drops %d + no-context drops %d + co-runner denials %d + spawns %d",
 		ms.AttemptedSpawns, ms.PrefixMismatchDrops, ms.NoContextDrops, ms.CoRunnerDenied, ms.Spawned)
-	// Co-runner denials require co-runners: a solo machine never sets the
-	// shared-budget pointer, so the counter must stay zero outside SMT.
-	if !cfg.SMT.Enabled() || len(cfg.SMT.Contexts) == 1 {
+	// Co-runner denials require co-runners: a solo machine has no shared
+	// budget, and with one SMT context the budget equals the private
+	// context array, so a free own slot implies a free budget slot.
+	if len(cfg.SMT.Contexts) <= 1 {
 		chk(ms.CoRunnerDenied == 0, "co-runner denials %d on a solo machine", ms.CoRunnerDenied)
 	}
 
@@ -62,9 +92,12 @@ func CheckStats(res *cpu.Result, cfg cpu.Config) error {
 	// Delivery: every consumed prediction is classified exactly once
 	// (handleBranch), early deliveries are exactly the used predictions,
 	// and recoveries only arise from late deliveries.
-	chk(ms.Early+ms.Late+ms.Useless == pc.Hits,
-		"early %d + late %d + useless %d != prediction-cache hits %d",
-		ms.Early, ms.Late, ms.Useless, pc.Hits)
+	if !cfg.SMT.SharedPCache {
+		chk(ms.Early+ms.Late+ms.Useless == res.PCache.Hits,
+			"early %d + late %d + useless %d != prediction-cache hits %d",
+			ms.Early, ms.Late, ms.Useless, res.PCache.Hits)
+		checkPCacheAlgebra(chk, &res.PCache, res.Branches, cfg)
+	}
 	chk(ms.Early == ms.UsedPredictions, "early %d != used predictions %d", ms.Early, ms.UsedPredictions)
 	chk(ms.UsedPredictions == ms.CorrectUsed+ms.WrongUsed,
 		"used %d != correct %d + wrong %d", ms.UsedPredictions, ms.CorrectUsed, ms.WrongUsed)
@@ -73,44 +106,19 @@ func CheckStats(res *cpu.Result, cfg cpu.Config) error {
 	chk(ms.EarlyRecoveries+ms.BogusRecoveries <= ms.Late,
 		"recoveries %d+%d > late deliveries %d", ms.EarlyRecoveries, ms.BogusRecoveries, ms.Late)
 
-	// Prediction Cache: the front end probes it once per retired
-	// terminating branch when predictions are in use; every entry that
-	// hit, expired, or was evicted was first installed by a
-	// non-overwriting write.
-	if cfg.Mode == cpu.ModeMicrothread && cfg.UsePredictions {
-		chk(pc.Hits+pc.Misses == res.Branches,
-			"pcache hits %d + misses %d != branches %d", pc.Hits, pc.Misses, res.Branches)
+	if !cfg.SMT.SharedPathCache {
+		checkPathCacheAlgebra(chk, &res.PathCache, res.Branches)
 	}
-	chk(pc.Overwrites <= pc.Writes, "pcache overwrites %d > writes %d", pc.Overwrites, pc.Writes)
-	if pc.Overwrites <= pc.Writes {
-		chk(pc.Hits+pc.Expired+pc.Evictions <= pc.Writes-pc.Overwrites,
-			"pcache hits %d + expired %d + evicted %d > installs %d",
-			pc.Hits, pc.Expired, pc.Evictions, pc.Writes-pc.Overwrites)
-	}
-
-	// Path Cache: observes split into hits and misses; misses split into
-	// allocations and avoided allocations; a replacement is an
-	// allocation; every counted demotion clears a bit a counted
-	// promotion set (replacement wipes the bit without counting, so
-	// promotions can only exceed demotions, never trail them).
-	chk(ph.Hits+ph.Misses <= res.Branches,
-		"path cache observes %d > branches %d", ph.Hits+ph.Misses, res.Branches)
-	chk(ph.Allocations+ph.AllocsAvoided == ph.Misses,
-		"path cache allocations %d + avoided %d != misses %d", ph.Allocations, ph.AllocsAvoided, ph.Misses)
-	chk(ph.Replacements <= ph.Allocations,
-		"path cache replacements %d > allocations %d", ph.Replacements, ph.Allocations)
-	chk(ph.Demotions <= ph.Promotions,
-		"path cache demotions %d > promotions %d", ph.Demotions, ph.Promotions)
-	chk(ph.DifficultCleared <= ph.DifficultSet,
-		"difficult cleared %d > set %d", ph.DifficultCleared, ph.DifficultSet)
 
 	// Direction backend: handleBranch pairs exactly one Dir.Predict with
 	// one Dir.Update per retired conditional branch, so the live
 	// backend's counters reconcile with the front end's class totals,
-	// and the inactive sections of the stats union stay zero.
+	// and the inactive sections of the stats union stay zero. A shared
+	// predictor gives each context the same machine-wide copy of both
+	// sides, so the laws hold per context in every sharing mode.
 	checkBackendStats(chk, res, cfg)
 
-	// Builder.
+	// Builder (always private to its context).
 	chk(ms.Rebuilds <= res.Build.Builds, "rebuilds %d > builds %d", ms.Rebuilds, res.Build.Builds)
 	chk(res.Build.Builds <= res.Build.SizeSum || res.Build.Builds == 0,
 		"builds %d > size sum %d (empty routines?)", res.Build.Builds, res.Build.SizeSum)
@@ -123,11 +131,111 @@ func CheckStats(res *cpu.Result, cfg cpu.Config) error {
 	if cfg.Mode == cpu.ModeBaseline || cfg.Mode == cpu.ModePerfectAll {
 		chk(res.PathCache == (pathcache.Stats{}), "path-cache stats nonzero in mode %v", cfg.Mode)
 	}
+}
 
-	if len(bad) > 0 {
-		return fmt.Errorf("stats invariants violated: %s", strings.Join(bad, "; "))
+// CheckSMTStats verifies the conservation laws of one SMT run: the
+// per-context laws of CheckStats on every context, the laws of the
+// structures the contexts share, and the machine-wide laws with no solo
+// analogue. A shared structure's counters are machine-wide and every
+// context carries an identical copy, so its laws are checked once,
+// against the summed stream. cfg must be the canonical configuration the
+// run used.
+func CheckSMTStats(res *cpu.SMTResult, cfg cpu.Config) error {
+	var l laws
+	chk := l.check("")
+	smt := cfg.SMT
+	k := len(res.Contexts)
+	chk(k == len(smt.Contexts), "%d context results for %d configured contexts", k, len(smt.Contexts))
+	chk(res.SharedPathCache == smt.SharedPathCache && res.SharedPCache == smt.SharedPCache &&
+		res.SharedMicroRAM == smt.SharedMicroRAM && res.SharedPredictor == smt.SharedPredictor,
+		"sharing flags in result do not match the configuration")
+
+	var sumBranches, sumInflight, sumDeliveries, maxCycles uint64
+	for i, c := range res.Contexts {
+		checkContext(l.check(fmt.Sprintf("ctx %d: ", i)), c, cfg)
+		ms := &c.Micro
+		sumBranches += c.Branches
+		maxCycles = max(maxCycles, c.Cycles)
+		if ms.Completed+ms.AbortedActive <= ms.Spawned {
+			sumInflight += ms.Spawned - ms.Completed - ms.AbortedActive
+		}
+		sumDeliveries += ms.Early + ms.Late + ms.Useless
 	}
-	return nil
+
+	// Machine-wide budget: microcontexts are one contended pool, so the
+	// total in flight at run end can never exceed it (activate/deactivate
+	// track the shared counter).
+	chk(sumInflight <= uint64(cfg.Microcontexts),
+		"%d microthreads in flight across contexts > machine budget %d", sumInflight, cfg.Microcontexts)
+
+	// Machine span is the max context span.
+	chk(res.Cycles == maxCycles, "machine cycles %d != max context span %d", res.Cycles, maxCycles)
+
+	// Shared structures: every context carries an identical machine-wide
+	// copy, and that copy obeys the solo laws against the summed stream.
+	if smt.SharedPCache && k > 0 {
+		pc := res.Contexts[0].PCache
+		for i, c := range res.Contexts[1:] {
+			chk(c.PCache == pc, "ctx %d: shared pcache stats differ from ctx 0", i+1)
+		}
+		chk(sumDeliveries == pc.Hits,
+			"summed deliveries %d != shared pcache hits %d", sumDeliveries, pc.Hits)
+		checkPCacheAlgebra(l.check("shared: "), &pc, sumBranches, cfg)
+	}
+	if smt.SharedPathCache && k > 0 {
+		ph := res.Contexts[0].PathCache
+		for i, c := range res.Contexts[1:] {
+			chk(c.PathCache == ph, "ctx %d: shared path-cache stats differ from ctx 0", i+1)
+		}
+		checkPathCacheAlgebra(l.check("shared: "), &ph, sumBranches)
+	}
+
+	// Occupancy: valid Path Cache entries can never exceed capacity —
+	// shared or private, no allocation path creates an entry without a
+	// set/way slot.
+	chk(res.PathCacheCapacity > 0, "path cache capacity not recorded")
+	chk(res.PathCacheOccupancy <= res.PathCacheCapacity,
+		"path cache occupancy %d > capacity %d", res.PathCacheOccupancy, res.PathCacheCapacity)
+
+	return l.err("SMT stats invariants violated")
+}
+
+// checkPCacheAlgebra is the Prediction Cache's counter algebra, scoped by
+// the caller: a private cache against one context's branches, a shared
+// cache against the summed branches. The front end probes the cache once
+// per retired terminating branch when predictions are in use; every entry
+// that hit, expired, or was evicted was first installed by a
+// non-overwriting write.
+func checkPCacheAlgebra(chk func(bool, string, ...any), pc *pcache.Stats, branches uint64, cfg cpu.Config) {
+	if cfg.Mode == cpu.ModeMicrothread && cfg.UsePredictions {
+		chk(pc.Hits+pc.Misses == branches,
+			"pcache hits %d + misses %d != branches %d", pc.Hits, pc.Misses, branches)
+	}
+	chk(pc.Overwrites <= pc.Writes, "pcache overwrites %d > writes %d", pc.Overwrites, pc.Writes)
+	if pc.Overwrites <= pc.Writes {
+		chk(pc.Hits+pc.Expired+pc.Evictions <= pc.Writes-pc.Overwrites,
+			"pcache hits %d + expired %d + evicted %d > installs %d",
+			pc.Hits, pc.Expired, pc.Evictions, pc.Writes-pc.Overwrites)
+	}
+}
+
+// checkPathCacheAlgebra is the Path Cache's counter algebra, scoped like
+// checkPCacheAlgebra. Observes split into hits and misses; misses split
+// into allocations and avoided allocations; a replacement is an
+// allocation; every counted demotion clears a bit a counted promotion set
+// (replacement wipes the bit without counting, so promotions can only
+// exceed demotions, never trail them).
+func checkPathCacheAlgebra(chk func(bool, string, ...any), ph *pathcache.Stats, branches uint64) {
+	chk(ph.Hits+ph.Misses <= branches,
+		"path cache observes %d > branches %d", ph.Hits+ph.Misses, branches)
+	chk(ph.Allocations+ph.AllocsAvoided == ph.Misses,
+		"path cache allocations %d + avoided %d != misses %d", ph.Allocations, ph.AllocsAvoided, ph.Misses)
+	chk(ph.Replacements <= ph.Allocations,
+		"path cache replacements %d > allocations %d", ph.Replacements, ph.Allocations)
+	chk(ph.Demotions <= ph.Promotions,
+		"path cache demotions %d > promotions %d", ph.Demotions, ph.Promotions)
+	chk(ph.DifficultCleared <= ph.DifficultSet,
+		"difficult cleared %d > set %d", ph.DifficultCleared, ph.DifficultSet)
 }
 
 // checkBackendStats verifies the direction-backend counter algebra for
@@ -198,42 +306,62 @@ func checkBackendStats(chk func(bool, string, ...any), res *cpu.Result, cfg cpu.
 }
 
 // CheckTrace reconciles an attached tracer's per-kind event counts with
-// the legacy statistics of the run it observed. Every emit site pairs
-// with exactly one counter increment, so all pairs must match exactly.
+// the legacy statistics of the run it observed.
 func CheckTrace(tr *obs.Tracer, res *cpu.Result) error {
-	ms := &res.Micro
-	pairs := []struct {
-		kind obs.Kind
-		want uint64
-	}{
-		{obs.KindSpawnAttempt, ms.AttemptedSpawns},
-		{obs.KindSpawnDropPrefix, ms.PrefixMismatchDrops},
-		{obs.KindSpawnDropNoContext, ms.NoContextDrops},
-		{obs.KindSpawnDropCoRunner, ms.CoRunnerDenied},
-		{obs.KindSpawn, ms.Spawned},
-		{obs.KindAbortActive, ms.AbortedActive},
-		{obs.KindComplete, ms.Completed},
-		{obs.KindMemDepViolation, ms.MemDepViolations},
-		{obs.KindDeliveryEarly, ms.Early},
-		{obs.KindDeliveryLate, ms.Late},
-		{obs.KindDeliveryUseless, ms.Useless},
-		{obs.KindPCacheWrite, res.PCache.Writes},
-		{obs.KindPathReplace, res.PathCache.Replacements},
-		{obs.KindPathPromote, res.PathCache.Promotions},
-		{obs.KindPathDemote, res.PathCache.Demotions},
-		{obs.KindPathPromoteRejected, res.PathCache.PromotionsRejected},
-	}
-	var bad []string
-	for _, p := range pairs {
-		if got := tr.Count(p.kind); got != p.want {
-			bad = append(bad, fmt.Sprintf("trace.%v = %d, stats say %d", p.kind, got, p.want))
+	return reconcileTrace(tr, []*cpu.Result{res}, false, false)
+}
+
+// CheckSMTTrace reconciles one machine-wide tracer against the
+// per-context statistics of an SMT run.
+func CheckSMTTrace(tr *obs.Tracer, res *cpu.SMTResult) error {
+	return reconcileTrace(tr, res.Contexts, res.SharedPCache, res.SharedPathCache)
+}
+
+// reconcileTrace reconciles one tracer that saw every context's events
+// with the contexts' statistics. Every emit site pairs with exactly one
+// counter increment, so each kind's count must equal its counter's
+// machine-wide total exactly: the sum over contexts for the Micro block
+// (always per-context) and for private structures, and context 0's copy
+// for a shared structure (summing the identical copies would count each
+// event once per context).
+func reconcileTrace(tr *obs.Tracer, ctxs []*cpu.Result, sharedPCache, sharedPathCache bool) error {
+	var want [obs.NumKinds]uint64
+	for i, c := range ctxs {
+		ms, pc, ph := &c.Micro, &c.PCache, &c.PathCache
+		if i > 0 && sharedPCache {
+			pc = &pcache.Stats{}
+		}
+		if i > 0 && sharedPathCache {
+			ph = &pathcache.Stats{}
+		}
+		for k, n := range [obs.NumKinds]uint64{
+			obs.KindSpawnAttempt:       ms.AttemptedSpawns,
+			obs.KindSpawnDropPrefix:    ms.PrefixMismatchDrops,
+			obs.KindSpawnDropNoContext: ms.NoContextDrops,
+			obs.KindSpawnDropCoRunner:  ms.CoRunnerDenied,
+			obs.KindSpawn:              ms.Spawned,
+			obs.KindAbortActive:        ms.AbortedActive,
+			obs.KindComplete:           ms.Completed,
+			obs.KindMemDepViolation:    ms.MemDepViolations,
+			obs.KindDeliveryEarly:      ms.Early,
+			obs.KindDeliveryLate:       ms.Late,
+			obs.KindDeliveryUseless:    ms.Useless,
+			obs.KindPCacheWrite:        pc.Writes,
+			// An allocation fills an invalid way or replaces a victim.
+			obs.KindPathAlloc:           ph.Allocations - ph.Replacements,
+			obs.KindPathReplace:         ph.Replacements,
+			obs.KindPathPromote:         ph.Promotions,
+			obs.KindPathDemote:          ph.Demotions,
+			obs.KindPathPromoteRejected: ph.PromotionsRejected,
+		} {
+			want[k] += n
 		}
 	}
-	if got := tr.Count(obs.KindPathAlloc) + tr.Count(obs.KindPathReplace); got != res.PathCache.Allocations {
-		bad = append(bad, fmt.Sprintf("trace allocs+replaces = %d, stats say %d", got, res.PathCache.Allocations))
+	var l laws
+	chk := l.check("")
+	for k, n := range want {
+		got := tr.Count(obs.Kind(k))
+		chk(got == n, "trace.%v = %d, stats say %d", obs.Kind(k), got, n)
 	}
-	if len(bad) > 0 {
-		return fmt.Errorf("trace counters do not reconcile: %s", strings.Join(bad, "; "))
-	}
-	return nil
+	return l.err("trace counters do not reconcile")
 }

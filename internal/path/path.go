@@ -141,26 +141,6 @@ func (t *Tracker) Scope(term isa.Addr) int {
 	return total
 }
 
-// History is the Path_History concatenated hash used by the abort
-// mechanism (Section 4.3.2): a rolling hash over every taken branch the
-// front end sees. A microthread records the History value expected at its
-// target branch; if the front end's History diverges from the expected
-// prefix the spawn is useless. The simulator uses Match to compare the
-// expected suffix of taken branches instead of raw hash values, which is
-// equivalent and easier to instrument.
-type History struct {
-	h uint64
-}
-
-// Update folds a taken branch into the history and returns the new value.
-func (h *History) Update(pc isa.Addr) uint64 {
-	h.h = hashStep(h.h, pc)
-	return h.h
-}
-
-// Value returns the current concatenated hash.
-func (h *History) Value() uint64 { return h.h }
-
 // Reset empties the tracker's history so it can be reused for another
 // run, keeping the ring allocation.
 func (t *Tracker) Reset() {

@@ -152,20 +152,3 @@ func TestNewTrackerPanics(t *testing.T) {
 	}()
 	NewTracker(0)
 }
-
-func TestHistoryRolling(t *testing.T) {
-	var h1, h2 History
-	h1.Update(1)
-	h1.Update(2)
-	h2.Update(2)
-	h2.Update(1)
-	if h1.Value() == h2.Value() {
-		t.Error("history must be order-sensitive")
-	}
-	var h3 History
-	h3.Update(1)
-	v := h3.Update(2)
-	if v != h1.Value() {
-		t.Error("Update should return the new value")
-	}
-}
