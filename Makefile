@@ -68,6 +68,11 @@ captures:
 # profile runs the full cached `-exp all` workload under the CPU and heap
 # profilers. Inspect with `go tool pprof $(PROFDIR)/cpu.out` (or mem.out);
 # this is the workload every hot-loop optimisation is judged against.
+# cmd/dpbp/default.pgo, the profile `go build` uses to optimise the dpbp
+# binary, is a copy of this target's cpu.out. After a change renames or
+# rewrites hot functions, refresh it: run `make profile`, copy
+# $(PROFDIR)/cpu.out to cmd/dpbp/default.pgo, and check that
+# `make captures` still passes.
 PROFDIR ?= profiles
 profile:
 	mkdir -p $(PROFDIR)

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"context"
+	"math"
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/bpred/h2p"
@@ -72,6 +73,10 @@ type Machine struct {
 	// per-retirement monitor visits only live contexts and context
 	// allocation finds the lowest free slot without a scan.
 	activeBits []uint64
+	// minTarget is the smallest targetSeq over active contexts
+	// (math.MaxUint64 when none is active). No context can complete
+	// before it, so monitorContexts skips most instructions outright.
+	minTarget uint64
 
 	fus, ports *calendar
 	regReady   [isa.NumRegs]uint64
@@ -95,12 +100,6 @@ type Machine struct {
 	redirectAt   uint64
 	lastLine     uint64
 	haveLine     bool
-
-	// takenRing holds the PCs of the most recent taken branches the
-	// front end has seen (the Path_History register); the spawn screen
-	// compares routine prefixes against its suffix.
-	takenRing [takenRingSize]isa.Addr
-	takenCnt  uint64
 
 	// SMT identity. ctxID tags obs events and Prediction Cache entries
 	// with the owning primary context; smt, when non-nil, is the SMT
@@ -259,6 +258,7 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		}
 	}
 	m.activeCtxs = 0
+	m.minTarget = math.MaxUint64
 	if words := (cfg.Microcontexts + 63) / 64; len(m.activeBits) != words {
 		m.activeBits = make([]uint64, words)
 	} else {
@@ -313,8 +313,6 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 	m.redirectAt = 0
 	m.lastLine = 0
 	m.haveLine = false
-	m.takenRing = [takenRingSize]isa.Addr{}
-	m.takenCnt = 0
 
 	m.res = Result{Benchmark: prog.Name, Mode: cfg.Mode, Pruning: cfg.Pruning}
 }
@@ -649,8 +647,6 @@ func (m *Machine) execute(rec *emu.Record, fc uint64) {
 	// perfect-all runs never read either, so they skip the bookkeeping.
 	if usesMicro && rec.Taken {
 		m.tracker.Observe(path.TakenBranch{PC: rec.PC, Target: rec.NextPC, Seq: rec.Seq})
-		m.takenRing[m.takenCnt%takenRingSize] = rec.PC
-		m.takenCnt++
 	}
 }
 
@@ -801,16 +797,20 @@ func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMis
 	// Train the value/address predictors, then snapshot confidence into
 	// the PRB entry (Section 4.2.5). Both exist only to feed the
 	// Microthread Builder, which ModePerfectPromoted never invokes, so
-	// that mode skips the whole retirement side channel.
+	// that mode skips the whole retirement side channel. Only pruning
+	// reads the trained tables (the builder's confidence tests and the
+	// Vp_Inst/Ap_Inst queries), so runs without it skip the training.
 	if cfg.Mode == ModeMicrothread {
 		var vconf, aconf bool
-		if _, ok := in.Writes(); ok {
-			vconf = m.vp.TrainConfident(rec.PC, rec.DstVal, rec.Seq)
+		if cfg.Pruning {
+			if _, ok := in.Writes(); ok {
+				vconf = m.vp.TrainConfident(rec.PC, rec.DstVal, rec.Seq)
+			}
+			if in.IsLoad() {
+				aconf = m.ap.TrainConfident(rec.PC, rec.SrcVal[0], rec.Seq)
+			}
 		}
-		if in.IsLoad() {
-			aconf = m.ap.TrainConfident(rec.PC, rec.SrcVal[0], rec.Seq)
-		}
-		m.prb.PushRec(rec, vconf, aconf)
+		m.prb.Push(rec, vconf, aconf)
 	}
 
 	if !in.IsTerminatingBranch() || !m.tracker.Full() {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -11,14 +12,12 @@ import (
 	"dpbp/internal/uthread"
 )
 
-// takenRingSize bounds the front end's Path_History register; path
-// prefixes are at most N taken branches, far below this.
-const takenRingSize = 64
-
 // issueRec remembers a microthread instruction's booked resources so an
-// abort can refund the ones that have not executed yet.
+// abort can refund the ones that have not executed yet, and its
+// completion cycle, which later instructions of the spawn wait for.
 type issueRec struct {
 	cycle  uint64
+	done   uint64
 	isLoad bool
 }
 
@@ -29,10 +28,9 @@ type mctx struct {
 	spawnSeq  uint64
 	targetSeq uint64
 	expIdx    int
-	// watch holds the routine's loaded addresses, sorted for binary
-	// search; its backing array is reused across spawns. Routines load a
-	// handful of words, so a flat sorted slice beats the per-spawn map it
-	// replaced on both lookup cost and allocation.
+	// watch holds the routine's loaded addresses; its backing array is
+	// reused across spawns. Routines load a handful of words, so a linear
+	// search of a flat slice is the cheapest lookup.
 	watch    []isa.Addr
 	issues   []issueRec
 	delivery uint64
@@ -69,7 +67,7 @@ func (m *Machine) trySpawns(pc isa.Addr, seq uint64, fc uint64) {
 		// is only on the routine's path if the most recent taken
 		// branches match the path prefix before the spawn point.
 		// Mismatches are aborted before a microcontext is allocated.
-		if m.cfg.AbortEnabled && !m.prefixMatches(r.PrefixTakens) {
+		if m.cfg.AbortEnabled && !m.tracker.EndsWith(r.PrefixTakens) {
 			m.res.Micro.PrefixMismatchDrops++
 			if m.obs != nil {
 				m.obs.Emit(obs.KindSpawnDropPrefix, uint64(r.PathID), seq, 0)
@@ -101,26 +99,6 @@ func (m *Machine) trySpawns(pc isa.Addr, seq uint64, fc uint64) {
 	}
 }
 
-// prefixMatches reports whether the front end's recent taken-branch
-// history ends with the given prefix.
-//
-//dpbp:speculative
-func (m *Machine) prefixMatches(prefix []isa.Addr) bool {
-	n := uint64(len(prefix))
-	if n == 0 {
-		return true
-	}
-	if m.takenCnt < n {
-		return false
-	}
-	for i := uint64(0); i < n; i++ {
-		if m.takenRing[(m.takenCnt-n+i)%takenRingSize] != prefix[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // freeContext returns the index of the lowest-numbered free microcontext,
 // or -1 when all are active.
 //
@@ -139,14 +117,16 @@ func (m *Machine) freeContext() int {
 	return -1
 }
 
-// activate and deactivate keep the active count and bitmask in sync with
-// ctxs[i].active; every transition goes through them.
+// activate and deactivate keep the active count, the bitmask and
+// minTarget in sync with ctxs[i].active; every transition goes through
+// them.
 //
 //dpbp:speculative
 func (m *Machine) activate(i int) {
 	m.ctxs[i].active = true
 	m.activeCtxs++
 	m.activeBits[i>>6] |= 1 << (i & 63)
+	m.minTarget = min(m.minTarget, m.ctxs[i].targetSeq)
 	if m.smt != nil {
 		m.smt.active++
 	}
@@ -157,9 +137,28 @@ func (m *Machine) deactivate(i int) {
 	m.ctxs[i].active = false
 	m.activeCtxs--
 	m.activeBits[i>>6] &^= 1 << (i & 63)
+	if m.ctxs[i].targetSeq == m.minTarget {
+		m.minTarget = m.activeMinTarget()
+	}
 	if m.smt != nil {
 		m.smt.active--
 	}
+}
+
+// activeMinTarget returns the smallest targetSeq over active contexts,
+// or math.MaxUint64 when none is active.
+//
+//dpbp:speculative
+func (m *Machine) activeMinTarget() uint64 {
+	least := uint64(math.MaxUint64)
+	for w, bw := range m.activeBits {
+		for bw != 0 {
+			i := w*64 + bits.TrailingZeros64(bw)
+			bw &= bw - 1
+			least = min(least, m.ctxs[i].targetSeq)
+		}
+	}
+	return least
 }
 
 // spawn allocates a microcontext, functionally executes the routine
@@ -185,62 +184,43 @@ func (m *Machine) spawn(ci int, r *uthread.Routine, seq, fc uint64) {
 	m.res.Micro.MicroInsts += uint64(fr.Executed)
 
 	// Timing: schedule the routine's instructions through the shared
-	// calendars. Live-ins (registers below isa.NumRegs never written
-	// in-routine) become ready when their primary-thread producers
-	// complete; microcontext temporaries chain internally.
+	// calendars from the template Build decoded. Live-ins become ready
+	// when their primary-thread producers complete; in-routine operands
+	// when their producer slot completes.
 	start := fc + uint64(m.cfg.SpawnOverhead)
-	var localReady [uthread.MicroRegs]uint64
-	written := [uthread.MicroRegs]bool{}
 	issues := ctx.issues[:0]
+	// Microcontext queues feed InjectPerCycle instructions into the
+	// machine per cycle.
+	inject, injected := start, 0
 	loadIdx := 0
-	var complete uint64
-	var buf [2]isa.Reg
-	for idx := range r.Insts {
-		in := &r.Insts[idx].Inst
-		// Microcontext queues feed a bounded number of instructions
-		// into the machine per cycle.
-		ready := start + uint64(idx/m.cfg.InjectPerCycle)
-		n := in.ReadsInto(&buf)
-		for i := 0; i < n; i++ {
-			rg := buf[i]
-			if rg == isa.RZero {
-				continue
-			}
-			var t uint64
-			if written[rg] {
-				t = localReady[rg]
-			} else if rg < isa.NumRegs {
-				t = m.regReady[rg] // live-in from the primary thread
-			}
-			if t > ready {
-				ready = t
+	for i := range r.Slots {
+		s := &r.Slots[i]
+		ready := inject
+		if injected++; injected == m.cfg.InjectPerCycle {
+			inject++
+			injected = 0
+		}
+		for k, p := range s.Prod {
+			if p >= 0 {
+				ready = max(ready, issues[p].done)
+			} else if reg := s.LiveIn[k]; reg != isa.RZero {
+				ready = max(ready, m.regReady[reg]) // live-in from the primary thread
 			}
 		}
-		var issue uint64
-		switch {
-		case in.IsLoad():
-			issue = earliest2(m.fus, m.ports, ready)
-			ea := fr.LoadedEAs[loadIdx]
+		ir := issueRec{isLoad: s.Load}
+		if s.Load {
+			ir.cycle = earliest2(m.fus, m.ports, ready)
+			ir.done = ir.cycle + uint64(m.msys.LoadLatency(fr.LoadedEAs[loadIdx], ir.cycle))
 			loadIdx++
-			complete = issue + uint64(m.msys.LoadLatency(ea, issue))
-			issues = append(issues, issueRec{cycle: issue, isLoad: true})
-		case in.Op == isa.OpVpInst || in.Op == isa.OpApInst:
-			issue = m.fus.earliest(ready)
-			complete = issue + 2 // predictor query
-			issues = append(issues, issueRec{cycle: issue})
-		default:
-			issue = m.fus.earliest(ready)
-			complete = issue + uint64(isa.Latency(in.Op))
-			issues = append(issues, issueRec{cycle: issue})
+		} else {
+			ir.cycle = m.fus.earliest(ready)
+			ir.done = ir.cycle + uint64(s.Latency)
 		}
-		if dst, ok := in.Writes(); ok {
-			localReady[dst] = complete
-			written[dst] = true
-		}
+		issues = append(issues, ir)
 	}
+	complete := issues[len(issues)-1].done
 
 	watch := append(ctx.watch[:0], fr.LoadedEAs...)
-	slices.Sort(watch)
 
 	targetSeq := seq + r.SeqDelta
 	*ctx = mctx{
@@ -315,6 +295,13 @@ func (m *Machine) monitorContexts(rec *emu.Record, fc uint64) {
 	// not per active context.
 	isStore := rec.Inst.IsStore()
 	abortable := m.cfg.AbortEnabled && rec.Taken && rec.Inst.IsBranch()
+	// Only a store (violation check), an abortable taken branch (the
+	// Path_History check) or reaching a context's target branch
+	// (completion) can change a context. Any other instruction before
+	// the earliest target leaves every context as it is.
+	if !isStore && !abortable && rec.Seq < m.minTarget {
+		return
+	}
 	for w, bw := range m.activeBits {
 		for bw != 0 {
 			i := w*64 + bits.TrailingZeros64(bw)
@@ -323,7 +310,7 @@ func (m *Machine) monitorContexts(rec *emu.Record, fc uint64) {
 			if rec.Seq <= ctx.spawnSeq {
 				continue
 			}
-			if isStore && watchContains(ctx.watch, rec.EA) {
+			if isStore && slices.Contains(ctx.watch, rec.EA) {
 				// The primary thread stored to an address the
 				// microthread read at spawn: the speculated memory
 				// state was stale. Rebuild the routine (Section 4.2.4);
@@ -380,12 +367,4 @@ func (m *Machine) abortContext(ci int, fc uint64) {
 		m.predCache.Remove(m.ctxID, ctx.r.PathID, ctx.targetSeq)
 	}
 	m.deactivate(ci)
-}
-
-// watchContains reports whether the sorted watch list holds ea.
-//
-//dpbp:speculative
-func watchContains(watch []isa.Addr, ea isa.Addr) bool {
-	_, ok := slices.BinarySearch(watch, ea)
-	return ok
 }

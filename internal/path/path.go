@@ -113,6 +113,25 @@ func (t *Tracker) Branches() []TakenBranch {
 	return out
 }
 
+// EndsWith reports whether the history ends with taken branches at the
+// given PCs, oldest first. A prefix longer than the history never
+// matches.
+func (t *Tracker) EndsWith(prefix []isa.Addr) bool {
+	if len(prefix) > t.cnt {
+		return false
+	}
+	i := (t.head + t.cnt - len(prefix)) % t.n
+	for _, pc := range prefix {
+		if t.ring[i].PC != pc {
+			return false
+		}
+		if i++; i == t.n {
+			i = 0
+		}
+	}
+	return true
+}
+
 // ID returns the Path_Id for a terminating branch at term given the
 // current history.
 func (t *Tracker) ID(term isa.Addr) ID {

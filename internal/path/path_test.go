@@ -152,3 +152,41 @@ func TestNewTrackerPanics(t *testing.T) {
 	}()
 	NewTracker(0)
 }
+
+// TestEndsWithLongPaths checks the spawn-time Path_History screen for a
+// path longer than 64 taken branches: after 100 taken branches with
+// N = 100, the last 70 must match and any other 70-entry window must not.
+func TestEndsWithLongPaths(t *testing.T) {
+	tr := NewTracker(100)
+	var pcs []isa.Addr
+	for i := 0; i < 100; i++ {
+		pc := isa.Addr(1000 + i)
+		pcs = append(pcs, pc)
+		tr.Observe(tb(pc, pc+1))
+	}
+	if !tr.EndsWith(pcs[30:]) {
+		t.Error("the last 70 taken branches do not match")
+	}
+	if tr.EndsWith(pcs[29:99]) {
+		t.Error("a 70-entry window one branch too old matches")
+	}
+	if !tr.EndsWith(nil) || !tr.EndsWith(pcs) {
+		t.Error("the empty prefix or the whole history does not match")
+	}
+	// Wrap the ring: the history is now 1100..1199.
+	for i := 100; i < 200; i++ {
+		tr.Observe(tb(isa.Addr(1000+i), 0))
+		pcs = append(pcs, isa.Addr(1000+i))
+	}
+	if !tr.EndsWith(pcs[130:]) || tr.EndsWith(pcs[30:100]) {
+		t.Error("EndsWith wrong after the ring wrapped")
+	}
+	if tr.EndsWith(pcs[99:]) {
+		t.Error("a prefix longer than the history matches")
+	}
+	short := NewTracker(100)
+	short.Observe(tb(5, 6))
+	if short.EndsWith([]isa.Addr{4, 5}) || !short.EndsWith([]isa.Addr{5}) {
+		t.Error("EndsWith wrong on a partly filled history")
+	}
+}

@@ -59,15 +59,13 @@ type Cache struct {
 	entries []Entry //dpbp:reset-skip stale entries are gated by used, which Reset clears
 	used    []bool
 	free    []int
-	index   map[key]int
+	// index finds an entry's slot by its (Ctx, PathID, Seq) key: an
+	// open-addressed table at least twice the capacity, probed linearly
+	// from the key's home cell. A cell holds slot+1; 0 marks it empty.
+	index []int32
+	shift uint //dpbp:reset-skip hash width, fixed at construction
 
 	Stats Stats
-}
-
-type key struct {
-	ctx uint8
-	id  path.ID
-	seq uint64
 }
 
 // New returns a Prediction Cache with the given capacity (the paper
@@ -76,11 +74,16 @@ func New(capacity int) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
+	cells, shift := 2, uint(63)
+	for cells < 2*capacity {
+		cells, shift = cells*2, shift-1
+	}
 	c := &Cache{
 		cap:     capacity,
 		entries: make([]Entry, capacity),
 		used:    make([]bool, capacity),
-		index:   make(map[key]int, capacity),
+		index:   make([]int32, cells),
+		shift:   shift,
 	}
 	for i := capacity - 1; i >= 0; i-- {
 		c.free = append(c.free, i)
@@ -89,7 +92,7 @@ func New(capacity int) *Cache {
 }
 
 // Len returns the number of live entries.
-func (c *Cache) Len() int { return len(c.index) }
+func (c *Cache) Len() int { return c.cap - len(c.free) }
 
 // Write installs a prediction. If the cache is full it first reclaims the
 // entry with the smallest Seq (the one that will expire soonest); entries
@@ -97,10 +100,9 @@ func (c *Cache) Len() int { return len(c.index) }
 // de-allocation keeps 128 entries sufficient.
 func (c *Cache) Write(e Entry) {
 	c.Stats.Writes++
-	k := key{e.Ctx, e.PathID, e.Seq}
-	if i, ok := c.index[k]; ok {
+	if cell := c.lookup(e.Ctx, e.PathID, e.Seq); cell >= 0 {
 		c.Stats.Overwrites++
-		c.entries[i] = e
+		c.entries[c.index[cell]-1] = e
 		return
 	}
 	var slot int
@@ -120,27 +122,30 @@ func (c *Cache) Write(e Entry) {
 		}
 		c.Stats.Evictions++
 		v := &c.entries[victim]
-		delete(c.index, key{v.Ctx, v.PathID, v.Seq})
+		c.unlink(c.lookup(v.Ctx, v.PathID, v.Seq))
 		slot = victim
 	}
 	c.entries[slot] = e
 	c.used[slot] = true
-	c.index[k] = slot
+	cell := c.home(e.Ctx, e.PathID, e.Seq)
+	for c.index[cell] != 0 {
+		cell = (cell + 1) & (len(c.index) - 1)
+	}
+	c.index[cell] = int32(slot + 1)
 }
 
 // Consume probes the cache at fetch time for the branch instance
 // (ctx, id, seq). A hit removes and returns the entry: each prediction
 // targets exactly one dynamic instance.
 func (c *Cache) Consume(ctx uint8, id path.ID, seq uint64) (Entry, bool) {
-	k := key{ctx, id, seq}
-	i, ok := c.index[k]
-	if !ok {
+	cell := c.lookup(ctx, id, seq)
+	if cell < 0 {
 		c.Stats.Misses++
 		return Entry{}, false
 	}
 	c.Stats.Hits++
-	e := c.entries[i]
-	c.release(i, k)
+	e := c.entries[c.index[cell]-1]
+	c.release(cell)
 	return e, true
 }
 
@@ -148,12 +153,11 @@ func (c *Cache) Consume(ctx uint8, id path.ID, seq uint64) (Entry, bool) {
 // whether it existed. The SSMT core uses it when an aborted microthread's
 // pending write must be cancelled.
 func (c *Cache) Remove(ctx uint8, id path.ID, seq uint64) bool {
-	k := key{ctx, id, seq}
-	i, ok := c.index[k]
-	if !ok {
+	cell := c.lookup(ctx, id, seq)
+	if cell < 0 {
 		return false
 	}
-	c.release(i, k)
+	c.release(cell)
 	return true
 }
 
@@ -163,20 +167,59 @@ func (c *Cache) Remove(ctx uint8, id path.ID, seq uint64) bool {
 // cache each primary thread numbers its stream independently, so a fast
 // thread's sweep must not judge a slow co-runner's entries stale.
 func (c *Cache) Expire(ctx uint8, fetchSeq uint64) {
-	if len(c.index) == 0 {
+	if len(c.free) == c.cap {
 		return
 	}
 	for i := range c.entries {
 		e := &c.entries[i]
 		if c.used[i] && e.Ctx == ctx && e.Seq <= fetchSeq {
 			c.Stats.Expired++
-			c.release(i, key{e.Ctx, e.PathID, e.Seq})
+			c.release(c.lookup(e.Ctx, e.PathID, e.Seq))
 		}
 	}
 }
 
-func (c *Cache) release(i int, k key) {
-	delete(c.index, k)
-	c.used[i] = false
-	c.free = append(c.free, i)
+// home returns the index cell where the probe for a key starts.
+func (c *Cache) home(ctx uint8, id path.ID, seq uint64) int {
+	h := (uint64(id) ^ seq*0x9E3779B97F4A7C15 ^ uint64(ctx)) * 0xBF58476D1CE4E5B9
+	return int(h >> c.shift)
+}
+
+// lookup returns the index cell that holds the entry keyed
+// (ctx, id, seq), or -1. The table is never full, so every probe ends at
+// an empty cell.
+func (c *Cache) lookup(ctx uint8, id path.ID, seq uint64) int {
+	for cell := c.home(ctx, id, seq); ; cell = (cell + 1) & (len(c.index) - 1) {
+		s := c.index[cell]
+		if s == 0 {
+			return -1
+		}
+		if e := &c.entries[s-1]; e.Seq == seq && e.PathID == id && e.Ctx == ctx {
+			return cell
+		}
+	}
+}
+
+// release frees the slot that index cell points at.
+func (c *Cache) release(cell int) {
+	slot := int(c.index[cell] - 1)
+	c.unlink(cell)
+	c.used[slot] = false
+	c.free = append(c.free, slot)
+}
+
+// unlink empties index cell i by backward shift: each later cell of the
+// probe run moves into the hole when the hole lies on its own probe path,
+// so every remaining key stays reachable from its home cell without
+// tombstones.
+func (c *Cache) unlink(i int) {
+	mask := len(c.index) - 1
+	for j := (i + 1) & mask; c.index[j] != 0; j = (j + 1) & mask {
+		e := &c.entries[c.index[j]-1]
+		if h := c.home(e.Ctx, e.PathID, e.Seq); (j-h)&mask >= (j-i)&mask {
+			c.index[i] = c.index[j]
+			i = j
+		}
+	}
+	c.index[i] = 0
 }

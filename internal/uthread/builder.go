@@ -93,7 +93,7 @@ type pruneRec struct {
 // not a terminating branch).
 func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist []path.TakenBranch) *Routine {
 	br := prb.BySeq(branchSeq)
-	if br == nil || !br.Rec.Inst.IsTerminatingBranch() {
+	if br == nil || !br.Inst.IsTerminatingBranch() {
 		return nil
 	}
 
@@ -112,7 +112,7 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 	// Backward data-flow extraction.
 	needed := map[isa.Reg]bool{}
 	var buf [2]isa.Reg
-	n := br.Rec.Inst.ReadsInto(&buf)
+	n := br.Inst.ReadsInto(&buf)
 	for i := 0; i < n; i++ {
 		if buf[i] != isa.RZero {
 			needed[buf[i]] = true
@@ -149,9 +149,9 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 				termSeq = seq + 1
 				break
 			}
-			in := e.Rec.Inst
+			in := e.Inst
 
-			if in.IsStore() && loadedEAs[e.Rec.EA] {
+			if in.IsStore() && loadedEAs[e.EA] {
 				// Rule 3: memory dependence. The store is not
 				// included; spawning after it makes the stored
 				// value architecturally visible to the slice's
@@ -173,7 +173,7 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 				// Trivial producers are not worth a predictor
 				// query.
 				if b.cfg.Pruning && e.VConfident && in.Op != isa.OpLdi && in.Op != isa.OpMov {
-					prunes = append(prunes, pruneRec{seq: seq, dst: dst, origPC: e.Rec.PC})
+					prunes = append(prunes, pruneRec{seq: seq, dst: dst, origPC: e.PC})
 					delete(needed, dst)
 					count++
 					if seq == ws {
@@ -188,14 +188,14 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 
 				chaseBase := true
 				if in.IsLoad() {
-					loadedEAs[e.Rec.EA] = true
+					loadedEAs[e.EA] = true
 					// Address pruning: a confident base is
 					// supplied by Ap_Inst into a fresh temp
 					// instead of chasing its computation.
 					if b.cfg.Pruning && e.AConfident && in.Src1 != isa.RZero {
 						tmp := nextTemp()
 						addrPruned[seq] = tmp
-						prunes = append(prunes, pruneRec{seq: seq, dst: tmp, origPC: e.Rec.PC, isAddr: true})
+						prunes = append(prunes, pruneRec{seq: seq, dst: tmp, origPC: e.PC, isAddr: true})
 						count++
 						chaseBase = false
 					}
@@ -239,7 +239,7 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 	countPCIn := func(pc isa.Addr, from, to uint64) int {
 		c := 0
 		for s := from; s <= to; s++ {
-			if e := prb.BySeq(s); e != nil && e.Rec.PC == pc {
+			if e := prb.BySeq(s); e != nil && e.PC == pc {
 				c++
 			}
 		}
@@ -289,7 +289,7 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 		}
 		if included[seq] {
 			e := prb.BySeq(seq)
-			in := e.Rec.Inst
+			in := e.Inst
 			if tmp, ok := addrPruned[seq]; ok {
 				// Base register comes from the Ap temp; the
 				// offset is unchanged.
@@ -302,14 +302,14 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 				cur[dst] = t
 				in.Dst = t
 			}
-			insts = append(insts, MicroInst{Inst: in, OrigPC: e.Rec.PC})
+			insts = append(insts, MicroInst{Inst: in, OrigPC: e.PC})
 		}
 	}
 	// The terminating branch becomes Store_PCache.
-	brIn := br.Rec.Inst
+	brIn := br.Inst
 	spc := isa.Inst{Op: isa.OpStorePCache, Src1: brIn.Src1, Src2: brIn.Src2}
 	renameSources(&spc)
-	insts = append(insts, MicroInst{Inst: spc, OrigPC: br.Rec.PC, BranchOp: brIn.Op})
+	insts = append(insts, MicroInst{Inst: spc, OrigPC: br.PC, BranchOp: brIn.Op})
 
 	// MCB optimisations.
 	if b.cfg.MoveElim {
@@ -319,8 +319,7 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 		insts = constProp(insts)
 	}
 	insts = deadCodeElim(insts)
-
-	liveIns := liveInsOf(insts)
+	slots, chain := decode(insts)
 
 	// Taken branches after the spawn point feed the in-flight abort
 	// monitor; the path's taken branches before the spawn point feed
@@ -331,8 +330,8 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 		if e == nil {
 			continue
 		}
-		if e.Rec.Inst.IsBranch() && e.Rec.Taken {
-			expected = append(expected, e.Rec.PC)
+		if e.Inst.IsBranch() && e.Taken {
+			expected = append(expected, e.PC)
 		}
 	}
 	for _, tb := range hist {
@@ -349,16 +348,17 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 
 	r := &Routine{
 		PathID:            id,
-		BranchPC:          br.Rec.PC,
+		BranchPC:          br.PC,
 		BranchTarget:      brIn.Target,
-		SpawnPC:           spawnEnt.Rec.PC,
+		SpawnPC:           spawnEnt.PC,
 		SeqDelta:          branchSeq - minSpawn,
 		Insts:             insts,
-		LiveIns:           liveIns,
+		Slots:             slots,
+		LiveIns:           liveInsOf(slots),
 		ExpectedTakens:    expected,
 		PrefixTakens:      prefix,
 		MemDepSpeculative: hasLoads,
-		DepChain:          computeDepChain(insts),
+		DepChain:          chain,
 		Pruned:            b.cfg.Pruning,
 		PrunedSubtrees:    len(prunes),
 	}
@@ -376,29 +376,6 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 		b.Stats.TerminatedScope++
 	}
 	return r
-}
-
-// liveInsOf returns the registers read before being written in insts,
-// excluding RZero, in first-read order.
-func liveInsOf(insts []MicroInst) []isa.Reg {
-	written := map[isa.Reg]bool{}
-	seen := map[isa.Reg]bool{}
-	var live []isa.Reg
-	var buf [2]isa.Reg
-	for _, mi := range insts {
-		n := mi.Inst.ReadsInto(&buf)
-		for i := 0; i < n; i++ {
-			r := buf[i]
-			if r != isa.RZero && !written[r] && !seen[r] {
-				seen[r] = true
-				live = append(live, r)
-			}
-		}
-		if dst, ok := mi.Inst.Writes(); ok {
-			written[dst] = true
-		}
-	}
-	return live
 }
 
 // moveElim removes register copies by forwarding their sources into later

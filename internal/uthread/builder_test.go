@@ -23,17 +23,13 @@ type rec struct {
 func fillPRB(recs []rec) (*PRB, uint64) {
 	p := NewPRB(512)
 	for i, r := range recs {
-		p.Push(PRBEntry{
-			Rec: emu.Record{
-				Seq:   uint64(i),
-				PC:    r.pc,
-				Inst:  r.inst,
-				EA:    r.ea,
-				Taken: r.taken,
-			},
-			VConfident: r.vconf,
-			AConfident: r.aconf,
-		})
+		p.Push(&emu.Record{
+			Seq:   uint64(i),
+			PC:    r.pc,
+			Inst:  r.inst,
+			EA:    r.ea,
+			Taken: r.taken,
+		}, r.vconf, r.aconf)
 	}
 	return p, uint64(len(recs) - 1)
 }
@@ -495,7 +491,7 @@ func TestDepChain(t *testing.T) {
 		{Inst: isa.Inst{Op: isa.OpAddi, Dst: 66, Src1: 65, Imm: 1}},
 		{Inst: isa.Inst{Op: isa.OpLdi, Dst: 67, Imm: 9}},
 	}
-	if got := computeDepChain(insts); got != 3 {
+	if _, got := decode(insts); got != 3 {
 		t.Errorf("depChain = %d, want 3", got)
 	}
 }

@@ -28,6 +28,10 @@ type Env struct {
 	// valid until the next Execute with that Env; callers that keep the
 	// addresses copy them out first.
 	eaScratch []isa.Addr
+	// vals holds the value each routine instruction produced, indexed by
+	// slot. Every slot is written before a later one reads it, so the
+	// buffer is reused without clearing.
+	vals []isa.Word
 }
 
 // Result is the functional outcome of executing a routine.
@@ -48,46 +52,46 @@ type Result struct {
 // when the result becomes available; Execute determines what the result
 // is. It panics on malformed routines (builder bugs), never on data.
 func Execute(r *Routine, env *Env) Result {
-	var regs [MicroRegs]isa.Word
-	for _, li := range r.LiveIns {
-		regs[li] = env.ReadReg(li)
+	if cap(env.vals) < len(r.Insts) {
+		env.vals = make([]isa.Word, len(r.Insts))
 	}
-
+	vals := env.vals[:len(r.Insts)]
 	res := Result{LoadedEAs: env.eaScratch[:0]}
-	read := func(reg isa.Reg) isa.Word {
-		if reg == isa.RZero {
-			return 0
-		}
-		return regs[reg]
-	}
 
 	for i := range r.Insts {
 		mi := &r.Insts[i]
+		s := &r.Slots[i]
+		var src [2]isa.Word
+		for k, p := range s.Prod {
+			if p >= 0 {
+				src[k] = vals[p]
+			} else if reg := s.LiveIn[k]; reg != isa.RZero {
+				src[k] = env.ReadReg(reg)
+			}
+		}
 		res.Executed++
 		in := &mi.Inst
 		switch {
 		case isa.IsALU(in.Op):
-			regs[in.Dst] = isa.EvalALU(in.Op, read(in.Src1), read(in.Src2), in.Imm)
+			vals[i] = isa.EvalALU(in.Op, src[0], src[1], in.Imm)
 
 		case in.Op == isa.OpLoad:
-			ea := isa.Addr(read(in.Src1) + in.Imm)
-			regs[in.Dst] = env.LoadMem(ea)
+			ea := isa.Addr(src[0] + in.Imm)
+			vals[i] = env.LoadMem(ea)
 			res.LoadedEAs = append(res.LoadedEAs, ea)
 
 		case in.Op == isa.OpVpInst:
-			v, _ := env.PredictValue(mi.OrigPC, mi.Ahead)
-			regs[in.Dst] = v
+			vals[i], _ = env.PredictValue(mi.OrigPC, mi.Ahead)
 
 		case in.Op == isa.OpApInst:
-			v, _ := env.PredictAddr(mi.OrigPC, mi.Ahead)
-			regs[in.Dst] = v
+			vals[i], _ = env.PredictAddr(mi.OrigPC, mi.Ahead)
 
 		case in.Op == isa.OpStorePCache:
 			if mi.BranchOp == isa.OpJmpInd {
 				res.Taken = true
-				res.Target = isa.Addr(read(in.Src1))
+				res.Target = isa.Addr(src[0])
 			} else {
-				res.Taken = isa.BranchTaken(mi.BranchOp, read(in.Src1), read(in.Src2))
+				res.Taken = isa.BranchTaken(mi.BranchOp, src[0], src[1])
 				if res.Taken {
 					res.Target = r.BranchTarget
 				} else {

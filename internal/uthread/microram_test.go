@@ -144,6 +144,7 @@ func TestExecutePanicsOnMalformedRoutine(t *testing.T) {
 			}
 		}()
 		r := &Routine{Insts: []MicroInst{{Inst: isa.Inst{Op: isa.OpAddi, Dst: 64}}}}
+		r.Slots, _ = decode(r.Insts)
 		Execute(r, env)
 	})
 	t.Run("illegal op", func(t *testing.T) {
@@ -153,6 +154,7 @@ func TestExecutePanicsOnMalformedRoutine(t *testing.T) {
 			}
 		}()
 		r := &Routine{Insts: []MicroInst{{Inst: isa.Inst{Op: isa.OpStore}}}}
+		r.Slots, _ = decode(r.Insts)
 		Execute(r, env)
 	})
 }
@@ -167,6 +169,7 @@ func TestExecuteIndirectWithoutTakenBit(t *testing.T) {
 			{Inst: isa.Inst{Op: isa.OpStorePCache, Src1: 64}, BranchOp: isa.OpJmpInd},
 		},
 	}
+	r.Slots, _ = decode(r.Insts)
 	env := &Env{
 		ReadReg:      func(isa.Reg) isa.Word { return 0 },
 		LoadMem:      func(isa.Addr) isa.Word { return 0 },

@@ -7,13 +7,20 @@ package uthread
 
 import (
 	"dpbp/internal/emu"
+	"dpbp/internal/isa"
 )
 
-// PRBEntry is one retired instruction held in the PRB: the retirement
-// record plus the value/address-predictor confidence snapshotted as the
-// instruction entered the buffer (Section 4.2.5).
+// PRBEntry is one retired instruction held in the PRB: the parts of its
+// retirement record the Microthread Builder reads, plus the value/address
+// predictor confidence snapshotted as the instruction entered the buffer
+// (Section 4.2.5).
 type PRBEntry struct {
-	Rec emu.Record
+	Seq  uint64
+	PC   isa.Addr
+	Inst isa.Inst
+	// EA is the effective address of a load or store.
+	EA    isa.Addr
+	Taken bool
 	// VConfident records whether the value predictor was confident in
 	// this instruction's destination value at retirement.
 	VConfident bool
@@ -52,32 +59,10 @@ func (p *PRB) Cap() int { return len(p.buf) }
 // Len returns the number of live entries.
 func (p *PRB) Len() int { return p.size }
 
-// Push appends a retired instruction. Sequence numbers must be contiguous;
-// Push panics otherwise (the retirement stream is in-order by definition).
-func (p *PRB) Push(e PRBEntry) {
-	if p.started {
-		if e.Rec.Seq != p.next {
-			panic("uthread: PRB push out of order")
-		}
-	} else {
-		p.started = true
-		p.at = int(e.Rec.Seq % uint64(len(p.buf)))
-	}
-	p.buf[p.at] = e
-	if p.at++; p.at == len(p.buf) {
-		p.at = 0
-	}
-	p.next = e.Rec.Seq + 1
-	if p.size < len(p.buf) {
-		p.size++
-	}
-}
-
-// PushRec appends a retired instruction, copying the record straight into
-// the ring slot. Equivalent to Push with a PRBEntry literal, minus the
-// intermediate copy of the record — the retirement loop calls this once
-// per instruction, so the extra ~90-byte copy was measurable.
-func (p *PRB) PushRec(rec *emu.Record, vconf, aconf bool) {
+// Push appends a retired instruction with its confidence snapshot.
+// Sequence numbers must be contiguous; Push panics otherwise (the
+// retirement stream is in-order by definition).
+func (p *PRB) Push(rec *emu.Record, vconf, aconf bool) {
 	if p.started {
 		if rec.Seq != p.next {
 			panic("uthread: PRB push out of order")
@@ -90,9 +75,8 @@ func (p *PRB) PushRec(rec *emu.Record, vconf, aconf bool) {
 	if p.at++; p.at == len(p.buf) {
 		p.at = 0
 	}
-	e.Rec = *rec
-	e.VConfident = vconf
-	e.AConfident = aconf
+	e.Seq, e.PC, e.Inst, e.EA, e.Taken = rec.Seq, rec.PC, rec.Inst, rec.EA, rec.Taken
+	e.VConfident, e.AConfident = vconf, aconf
 	p.next = rec.Seq + 1
 	if p.size < len(p.buf) {
 		p.size++

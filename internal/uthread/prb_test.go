@@ -7,8 +7,8 @@ import (
 	"dpbp/internal/isa"
 )
 
-func entryAt(seq uint64, op isa.Op) PRBEntry {
-	return PRBEntry{Rec: emu.Record{Seq: seq, Inst: isa.Inst{Op: op}}}
+func entryAt(seq uint64, op isa.Op) *emu.Record {
+	return &emu.Record{Seq: seq, Inst: isa.Inst{Op: op}}
 }
 
 func TestPRBPushAndLookup(t *testing.T) {
@@ -17,12 +17,12 @@ func TestPRBPushAndLookup(t *testing.T) {
 		t.Fatalf("fresh PRB wrong: len=%d cap=%d", p.Len(), p.Cap())
 	}
 	for seq := uint64(0); seq < 3; seq++ {
-		p.Push(entryAt(seq, isa.OpAdd))
+		p.Push(entryAt(seq, isa.OpAdd), false, false)
 	}
 	if p.Len() != 3 || p.YoungestSeq() != 2 || p.OldestSeq() != 0 {
 		t.Fatalf("state wrong: len=%d young=%d old=%d", p.Len(), p.YoungestSeq(), p.OldestSeq())
 	}
-	if e := p.BySeq(1); e == nil || e.Rec.Seq != 1 {
+	if e := p.BySeq(1); e == nil || e.Seq != 1 {
 		t.Error("BySeq(1) wrong")
 	}
 	if p.BySeq(3) != nil {
@@ -33,7 +33,7 @@ func TestPRBPushAndLookup(t *testing.T) {
 func TestPRBWrapsAndForgets(t *testing.T) {
 	p := NewPRB(4)
 	for seq := uint64(0); seq < 10; seq++ {
-		p.Push(entryAt(seq, isa.OpAdd))
+		p.Push(entryAt(seq, isa.OpAdd), false, false)
 	}
 	if p.Len() != 4 || p.OldestSeq() != 6 || p.YoungestSeq() != 9 {
 		t.Fatalf("wrap state wrong: len=%d old=%d young=%d", p.Len(), p.OldestSeq(), p.YoungestSeq())
@@ -42,7 +42,7 @@ func TestPRBWrapsAndForgets(t *testing.T) {
 		t.Error("pushed-out entry still visible")
 	}
 	for seq := uint64(6); seq <= 9; seq++ {
-		if e := p.BySeq(seq); e == nil || e.Rec.Seq != seq {
+		if e := p.BySeq(seq); e == nil || e.Seq != seq {
 			t.Errorf("BySeq(%d) wrong", seq)
 		}
 	}
@@ -55,14 +55,14 @@ func TestPRBOutOfOrderPanics(t *testing.T) {
 		}
 	}()
 	p := NewPRB(4)
-	p.Push(entryAt(0, isa.OpAdd))
-	p.Push(entryAt(2, isa.OpAdd))
+	p.Push(entryAt(0, isa.OpAdd), false, false)
+	p.Push(entryAt(2, isa.OpAdd), false, false)
 }
 
 func TestPRBStartsAtNonZeroSeq(t *testing.T) {
 	p := NewPRB(4)
-	p.Push(entryAt(100, isa.OpAdd))
-	p.Push(entryAt(101, isa.OpAdd))
+	p.Push(entryAt(100, isa.OpAdd), false, false)
+	p.Push(entryAt(101, isa.OpAdd), false, false)
 	if p.OldestSeq() != 100 || p.YoungestSeq() != 101 {
 		t.Errorf("old=%d young=%d", p.OldestSeq(), p.YoungestSeq())
 	}

@@ -83,7 +83,7 @@ func runToBranch(t *testing.T, p *program.Program, cfg BuildConfig) (routine *Ro
 	m := emu.New(p)
 	var branchRec *emu.Record
 	m.Run(10_000, func(r *emu.Record) bool {
-		prb.Push(PRBEntry{Rec: *r})
+		prb.Push(r, false, false)
 		if r.Inst.IsTerminatingBranch() {
 			rc := *r
 			branchRec = &rc
@@ -231,4 +231,110 @@ func TestPropertyLiveInsAreReal(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSlotsMatchDirectDecode checks the schedule template Build attaches
+// to every routine the property generator yields, with and without
+// stores, optimisations and pruning (confidence bits drawn at random so
+// Vp_Inst and Ap_Inst appear), against a direct decode of Insts: each
+// operand's producer is the last earlier instruction that writes it,
+// else the operand is a live-in register below isa.NumRegs, else RZero;
+// loads are marked; every other instruction carries isa.Latency, or 2
+// for a predictor query. Builder output writes each temporary once, so a
+// hand-built routine adds a temporary written twice and one never
+// written.
+func TestSlotsMatchDirectDecode(t *testing.T) {
+	handBuilt := &Routine{Insts: []MicroInst{
+		{Inst: isa.Inst{Op: isa.OpLdi, Dst: 64, Imm: 1}},
+		{Inst: isa.Inst{Op: isa.OpAddi, Dst: 64, Src1: 64, Imm: 1}},
+		{Inst: isa.Inst{Op: isa.OpAdd, Dst: 65, Src1: 64, Src2: 70}},
+		{Inst: isa.Inst{Op: isa.OpStorePCache, Src1: 65, Src2: 5}, BranchOp: isa.OpBeq},
+	}}
+	handBuilt.Slots, _ = decode(handBuilt.Insts)
+	routines := []*Routine{handBuilt}
+	for seed := int64(0); seed < 450; seed++ {
+		for _, withStores := range []bool{false, true} {
+			p := randProgram(seed, withStores)
+			for _, cfg := range []BuildConfig{{MCBCapacity: 64}, DefaultBuildConfig(false), DefaultBuildConfig(true)} {
+				routines = append(routines, buildWithRandomConfidence(t, p, cfg, seed))
+			}
+		}
+	}
+	var loads, predicts, producers, liveIns int
+	for _, r := range routines {
+		if len(r.Slots) != len(r.Insts) {
+			t.Fatalf("%d slots for %d instructions\n%s", len(r.Slots), len(r.Insts), r)
+		}
+		for i, mi := range r.Insts {
+			s := r.Slots[i]
+			var buf [2]isa.Reg
+			n := mi.Inst.ReadsInto(&buf)
+			for k := 0; k < 2; k++ {
+				wantProd, wantLive := int32(-1), isa.RZero
+				if k < n {
+					for j := i - 1; j >= 0; j-- {
+						if dst, ok := r.Insts[j].Inst.Writes(); ok && dst == buf[k] {
+							wantProd = int32(j)
+							break
+						}
+					}
+					if wantProd < 0 && buf[k] < isa.NumRegs {
+						wantLive = buf[k]
+					}
+				}
+				if s.Prod[k] != wantProd || s.LiveIn[k] != wantLive {
+					t.Fatalf("inst %d (%v) operand %d: slot Prod %d LiveIn r%d, want %d r%d\n%s",
+						i, mi.Inst, k, s.Prod[k], s.LiveIn[k], wantProd, wantLive, r)
+				}
+				if wantProd >= 0 {
+					producers++
+				} else if wantLive != isa.RZero {
+					liveIns++
+				}
+			}
+			wantLat := uint8(isa.Latency(mi.Inst.Op))
+			switch {
+			case mi.Inst.IsLoad():
+				loads++
+			case mi.Inst.Op == isa.OpVpInst || mi.Inst.Op == isa.OpApInst:
+				predicts++
+				wantLat = 2
+			}
+			if s.Load != mi.Inst.IsLoad() || (!s.Load && s.Latency != wantLat) {
+				t.Fatalf("inst %d (%v): slot Load %v Latency %d, want %v %d\n%s",
+					i, mi.Inst, s.Load, s.Latency, mi.Inst.IsLoad(), wantLat, r)
+			}
+		}
+	}
+	if loads == 0 || predicts == 0 || producers == 0 || liveIns == 0 {
+		t.Errorf("vacuous: %d loads, %d predictor queries, %d in-routine operands, %d live-in operands",
+			loads, predicts, producers, liveIns)
+	}
+}
+
+// buildWithRandomConfidence runs p to its terminating branch, filling the
+// PRB with confidence bits drawn from seed, and builds the branch's
+// routine.
+func buildWithRandomConfidence(t *testing.T, p *program.Program, cfg BuildConfig, seed int64) *Routine {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	prb := NewPRB(512)
+	var branchSeq uint64
+	found := false
+	emu.New(p).Run(10_000, func(r *emu.Record) bool {
+		prb.Push(r, rng.Intn(2) == 0, rng.Intn(2) == 0)
+		if r.Inst.IsTerminatingBranch() {
+			branchSeq, found = r.Seq, true
+			return false
+		}
+		return true
+	})
+	if !found {
+		t.Fatal("no terminating branch executed")
+	}
+	r := NewBuilder(cfg).Build(prb, branchSeq, path.ID(1), int(branchSeq)+1, nil)
+	if r == nil {
+		t.Fatal("build failed")
+	}
+	return r
 }

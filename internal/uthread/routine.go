@@ -2,6 +2,7 @@ package uthread
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dpbp/internal/isa"
@@ -45,6 +46,10 @@ type Routine struct {
 	SeqDelta uint64
 	// Insts is the routine body; the last instruction is Store_PCache.
 	Insts []MicroInst
+	// Slots is Insts decoded once, at build time, for the two loops
+	// every spawn runs: Execute's functional pass and the timing core's
+	// schedule. Slots[i] describes Insts[i].
+	Slots []Slot
 	// LiveIns are the registers the routine reads from the primary
 	// thread's architectural state at spawn.
 	LiveIns []isa.Reg
@@ -87,27 +92,79 @@ func (r *Routine) String() string {
 	return b.String()
 }
 
-// computeDepChain returns the longest register-dependence chain through
-// insts, in instructions. Live-in values have depth 0.
-func computeDepChain(insts []MicroInst) int {
-	depth := make(map[isa.Reg]int)
-	longest := 0
-	for _, mi := range insts {
-		d := 0
+// Slot is one routine instruction decoded for the per-spawn loops, so a
+// spawn reads a table instead of decoding Insts again.
+type Slot struct {
+	// Prod holds, per source operand in ReadsInto order, the index of
+	// the last earlier routine instruction that writes the operand, or
+	// -1 when none does.
+	Prod [2]int32
+	// LiveIn holds, per operand whose Prod is -1, the primary-thread
+	// register the operand reads at spawn. It stays RZero for a missing
+	// operand, for RZero itself and for a temporary the routine never
+	// writes: all three read 0 and are ready at cycle 0.
+	LiveIn [2]isa.Reg
+	// Load marks a load, which needs a functional unit and an L1 port in
+	// the same cycle; the memory system sets its latency.
+	Load bool
+	// Latency is the execution latency of any other instruction: 2
+	// cycles for a Vp_Inst/Ap_Inst predictor query, isa.Latency
+	// otherwise.
+	Latency uint8
+}
+
+// decode builds the Slots of insts and returns them with the longest
+// register-dependence chain through insts, in instructions (Figure 8's
+// metric; live-in values have depth 0).
+func decode(insts []MicroInst) (slots []Slot, chain int) {
+	slots = make([]Slot, len(insts))
+	// writer holds 1 + the index of each register's latest writer (0 for
+	// none yet), and depth that writer's chain length.
+	var writer, depth [MicroRegs]int32
+	for i := range insts {
+		in := &insts[i].Inst
+		s := &slots[i]
+		s.Prod = [2]int32{-1, -1}
 		var buf [2]isa.Reg
-		n := mi.Inst.ReadsInto(&buf)
-		for i := 0; i < n; i++ {
-			if dd := depth[buf[i]]; dd > d {
-				d = dd
+		n := in.ReadsInto(&buf)
+		d := int32(0)
+		for k, r := range buf[:n] {
+			switch {
+			case writer[r] > 0:
+				s.Prod[k] = writer[r] - 1
+				d = max(d, depth[r])
+			case r < isa.NumRegs:
+				s.LiveIn[k] = r
 			}
 		}
 		d++
-		if dst, ok := mi.Inst.Writes(); ok {
+		chain = max(chain, int(d))
+		switch in.Op {
+		case isa.OpLoad:
+			s.Load = true
+		case isa.OpVpInst, isa.OpApInst:
+			s.Latency = 2
+		default:
+			s.Latency = uint8(isa.Latency(in.Op))
+		}
+		if dst, ok := in.Writes(); ok {
+			writer[dst] = int32(i) + 1
 			depth[dst] = d
 		}
-		if d > longest {
-			longest = d
+	}
+	return slots, chain
+}
+
+// liveInsOf returns the primary-thread registers a routine reads at
+// spawn, excluding RZero, in first-read order.
+func liveInsOf(slots []Slot) []isa.Reg {
+	var live []isa.Reg
+	for _, s := range slots {
+		for _, r := range s.LiveIn {
+			if r != isa.RZero && !slices.Contains(live, r) {
+				live = append(live, r)
+			}
 		}
 	}
-	return longest
+	return live
 }
