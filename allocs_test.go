@@ -27,11 +27,11 @@ func TestWarmTimingRunAllocs(t *testing.T) {
 	}
 	run() // size every component before measuring
 
-	// Measured 46 allocs/run on a warm machine after the replay hot-loop
-	// pass (result copy, routine builds, a few map growths); the bound
-	// leaves ~40% headroom for benign variation in map growth while
-	// still catching any per-instruction or per-branch allocation, which
-	// would show up in the thousands. The previous gate was 128.
+	// Measured 47 allocs/run on a warm machine (result copy, routine
+	// builds, a few map growths); the bound leaves ~35% headroom for
+	// benign variation in map growth while still catching any
+	// per-instruction or per-branch allocation, which would show up in
+	// the thousands. The previous gate was 128.
 	const maxAllocs = 64
 	if got := testing.AllocsPerRun(5, run); got > maxAllocs {
 		t.Errorf("warm timing run allocates %.0f objects, want <= %d", got, maxAllocs)

@@ -14,7 +14,6 @@
 //	-profinsts N          profiling-run instruction budget (0 = library default)
 //	-j N                  parallel benchmark runs (0 = GOMAXPROCS)
 //	-timeout D            whole-invocation time budget (e.g. 90s; 0 = none)
-//	-nocache              recompute every run instead of memoizing
 //	-trace FILE           write a Chrome trace-event JSON of every timing run
 //	-metrics              append a metrics section (unified counters/histograms)
 //	-cpuprofile FILE      write a CPU profile of the whole invocation
@@ -30,8 +29,7 @@
 // Runs are memoized through a content-addressed cache, so experiments
 // sharing configurations (the figures re-request the same baselines;
 // Tables 1 and 2 share one profile) compute each unique run exactly
-// once. Results are bit-identical either way; -nocache exists for
-// timing comparisons.
+// once. Results are bit-identical to recomputing every run.
 //
 // -trace attaches a lifecycle tracer to every timing run and writes one
 // Chrome trace-event JSON document (loadable in Perfetto or
@@ -88,7 +86,6 @@ func main() {
 	profInsts := flag.Uint64("profinsts", 0, "profiling-run instruction budget (0 = library default)")
 	jobs := flag.Int("j", 0, "parallel benchmark runs (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "whole-invocation time budget; expired sweeps emit partial results (0 = none)")
-	noCache := flag.Bool("nocache", false, "recompute every run instead of memoizing shared ones")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of every timing run to this file")
 	metrics := flag.Bool("metrics", false, "append a metrics section (unified counters and histograms)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
@@ -96,7 +93,7 @@ func main() {
 	flag.Parse()
 
 	os.Exit(mainExit(*expName, *bench, *bpredName, *smtSpec, *format, *insts, *profInsts, *jobs,
-		*timeout, *noCache, obsOpts{traceFile: *traceFile, metrics: *metrics},
+		*timeout, obsOpts{traceFile: *traceFile, metrics: *metrics},
 		*cpuProfile, *memProfile))
 }
 
@@ -115,7 +112,7 @@ func (o obsOpts) enabled() bool { return o.traceFile != "" || o.metrics }
 // mainExit is main minus os.Exit, so profile writers run via defer before
 // the process terminates.
 func mainExit(expName, bench, bpredName, smtSpec, format string, insts, profInsts uint64, jobs int,
-	timeout time.Duration, noCache bool, oo obsOpts, cpuProfile, memProfile string) int {
+	timeout time.Duration, oo obsOpts, cpuProfile, memProfile string) int {
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)
 		if err != nil {
@@ -172,11 +169,9 @@ func mainExit(expName, bench, bpredName, smtSpec, format string, insts, profInst
 		ProfileInsts: profInsts,
 		Parallelism:  jobs,
 		SMT:          smt,
+		Cache:        dpbp.NewRunCache(),
 	}
 	opts.BPred.Name = bpredName
-	if !noCache {
-		opts.Cache = dpbp.NewRunCache()
-	}
 
 	if err := runObs(ctx, os.Stdout, expName, format, opts, oo); err != nil {
 		fmt.Fprintln(os.Stderr, "dpbp:", err)

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dpbp"
+	"dpbp/internal/exp"
 )
 
 func tiny() dpbp.ExperimentOptions {
@@ -245,15 +246,16 @@ func goldenOpts() dpbp.ExperimentOptions {
 	}
 }
 
-// checkGolden runs experiment name in format and compares its output
-// byte for byte with testdata/file, or rewrites the file under -update.
-func checkGolden(t *testing.T, name, format, file string) {
+// checkGolden runs experiment name in format under opts and compares its
+// output byte for byte with testdata/file, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name, format, file string, opts dpbp.ExperimentOptions) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("runs a full experiment")
 	}
 	var b bytes.Buffer
-	if err := run(context.Background(), &b, name, format, goldenOpts()); err != nil {
+	if err := run(context.Background(), &b, name, format, opts); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", file)
@@ -290,7 +292,7 @@ func checkGolden(t *testing.T, name, format, file string) {
 // TestRunAllGolden pins the text output of -exp all for all twenty
 // programs byte for byte.
 func TestRunAllGolden(t *testing.T) {
-	checkGolden(t, "all", "", "golden_all.txt")
+	checkGolden(t, "all", "", "golden_all.txt", goldenOpts())
 }
 
 // TestExperimentGoldens pins the JSON output of every experiment outside
@@ -298,9 +300,20 @@ func TestRunAllGolden(t *testing.T) {
 func TestExperimentGoldens(t *testing.T) {
 	for _, name := range []string{"guided", "ablations", "shootout", "smt"} {
 		t.Run(name, func(t *testing.T) {
-			checkGolden(t, name, "json", "golden_"+name+".json")
+			checkGolden(t, name, "json", "golden_"+name+".json", goldenOpts())
 		})
 	}
+	// No canned smt mix shares the MicroRAM, the Prediction Cache or the
+	// predictor; this is -smt gcc+gcc:rr:uram,pcache,pred.
+	t.Run("smt_shared", func(t *testing.T) {
+		opts := goldenOpts()
+		smt, err := exp.ParseSMTSpec("gcc+gcc:rr:uram,pcache,pred")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.SMT = smt
+		checkGolden(t, "smt", "json", "golden_smt_shared.json", opts)
+	})
 }
 
 func TestCheckBackend(t *testing.T) {

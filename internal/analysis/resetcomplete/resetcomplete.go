@@ -94,7 +94,7 @@ func checkReset(pass *analysis.Pass, fd *ast.FuncDecl) {
 			mark(n.X)
 		case *ast.CallExpr:
 			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-				mark(sel.X) // method call on the field (m.prb.Reset(), m.uram.IndexCode(...))
+				mark(sel.X) // method call on the field (m.prb.Reset(), m.builder.Reset(cfg))
 			}
 			for _, arg := range n.Args {
 				if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok {

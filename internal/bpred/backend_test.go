@@ -78,59 +78,83 @@ func stream(predict func(isa.Addr) bool, update func(isa.Addr, bool), n int, see
 	return out
 }
 
-// TestHybridBackendMatchesBareHybrid pins the tentpole's byte-identity
-// requirement at the unit level: the NewBackend-built hybrid backend must
-// produce the same prediction stream and the same internal Hybrid state
-// as a bare Hybrid driven directly.
+// TestHybridBackendMatchesBareHybrid keeps the retired hybrid adapter's
+// classification as a reference for the Hybrid's own counts. Before each
+// Update it recomputes the selector's choice, the components'
+// disagreement and the correctness from G.Predict, P.Predict and the
+// selector, as the adapter did, and the totals must equal Hybrid.Stats.
+// The default backend must be that same Hybrid: driven through the
+// Backend interface it ends in the same state, counts included.
 func TestHybridBackendMatchesBareHybrid(t *testing.T) {
 	cfg := Config{PHTEntries: 1 << 10, SelectorEntries: 1 << 9}.Canonical()
-	bare := NewHybrid(cfg.PHTEntries, cfg.SelectorEntries)
+	h := NewHybrid(cfg.PHTEntries, cfg.SelectorEntries)
+	var want HybridStats
+	predict := func(pc isa.Addr) bool {
+		want.Lookups++
+		return h.Predict(pc)
+	}
+	update := func(pc isa.Addr, taken bool) {
+		want.Updates++
+		gp, pp := h.G.Predict(pc), h.P.Predict(pc)
+		pred := pp
+		if h.selector[uint64(pc)&h.selMask].taken() {
+			want.GshareSelected++
+			pred = gp
+		} else {
+			want.PAsSelected++
+		}
+		if gp != pp {
+			want.Disagreements++
+		}
+		if pred == taken {
+			want.Correct++
+		}
+		h.Update(pc, taken)
+	}
+	stream(predict, update, 20_000, 11)
+	if h.Stats != want {
+		t.Fatalf("hybrid stats %+v, reference %+v", h.Stats, want)
+	}
+	if want.GshareSelected == 0 || want.PAsSelected == 0 || want.Disagreements == 0 {
+		t.Fatalf("vacuous stream: %+v", want)
+	}
+
 	b, err := NewBackend(Spec{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := stream(bare.Predict, bare.Update, 20_000, 11)
-	p2 := stream(b.Predict, b.Update, 20_000, 11)
-	if !reflect.DeepEqual(p1, p2) {
-		t.Fatal("hybrid backend prediction stream diverged from bare Hybrid")
+	if _, ok := b.(*Hybrid); !ok {
+		t.Fatalf("default backend is %T, want *Hybrid", b)
 	}
-	hb, ok := b.(*hybridBackend)
-	if !ok {
-		t.Fatalf("default backend is %T, want *hybridBackend", b)
-	}
-	if !reflect.DeepEqual(bare, hb.h) {
-		t.Fatal("hybrid backend internal state diverged from bare Hybrid")
-	}
-	var s BackendStats
-	b.Snapshot(&s)
-	if s.Hybrid.Lookups != 20_000 || s.Hybrid.Updates != 20_000 {
-		t.Fatalf("hybrid stats not counted: %+v", s.Hybrid)
-	}
-	if s.Hybrid.GshareSelected+s.Hybrid.PAsSelected != s.Hybrid.Updates {
-		t.Fatalf("selector split %d+%d != updates %d",
-			s.Hybrid.GshareSelected, s.Hybrid.PAsSelected, s.Hybrid.Updates)
-	}
-	if s.TAGE != (BackendStats{}).TAGE || s.H2P != (BackendStats{}).H2P {
-		t.Fatalf("hybrid snapshot touched other sections: %+v", s)
+	stream(b.Predict, b.Update, 20_000, 11)
+	if !reflect.DeepEqual(b, h) {
+		t.Fatal("default backend diverged from a bare Hybrid on the same stream")
 	}
 }
 
 // TestBackendsPredictAndReset exercises every registered backend
-// through the interface: it must predict, train, snapshot stats into
-// its own section, and Reset to a state bit-identical to fresh.
+// through the interface: it must predict, train, report stats in its
+// own section of the union only, and Reset to a state bit-identical to
+// fresh.
 func TestBackendsPredictAndReset(t *testing.T) {
 	cfg := Config{PHTEntries: 1 << 10, SelectorEntries: 1 << 9}
 	for _, name := range Backends() {
 		spec := Spec{Name: name}
-		b, err := NewBackend(spec, cfg)
+		p, err := NewFromSpec(cfg, spec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		b := p.Dir
 		stream(b.Predict, b.Update, 10_000, 5)
-		var s BackendStats
-		b.Snapshot(&s)
-		if s == (BackendStats{}) {
-			t.Fatalf("%s: snapshot after 10k updates is all-zero", name)
+		s, zero := p.BackendStats(), BackendStats{}
+		live := 0
+		for _, on := range []bool{s.Hybrid != zero.Hybrid, s.TAGE != zero.TAGE, s.H2P != zero.H2P} {
+			if on {
+				live++
+			}
+		}
+		if live != 1 {
+			t.Fatalf("%s: %d nonzero stats sections after 10k updates, want 1: %+v", name, live, s)
 		}
 		b.Reset()
 		fresh, err := NewBackend(spec, cfg)
@@ -152,9 +176,9 @@ func TestBackendsPredictAndReset(t *testing.T) {
 func TestNewFromSpecBackendSelection(t *testing.T) {
 	cfg := Config{PHTEntries: 1 << 10, SelectorEntries: 1 << 9}
 	for name, want := range map[string]string{
-		BackendHybrid: "*bpred.hybridBackend",
-		BackendTAGE:   "*bpred.tageBackend",
-		BackendH2P:    "*bpred.h2pBackend",
+		BackendHybrid: "*bpred.Hybrid",
+		BackendTAGE:   "*tage.Predictor",
+		BackendH2P:    "*h2p.Predictor",
 	} {
 		p, err := NewFromSpec(cfg, Spec{Name: name})
 		if err != nil {

@@ -124,6 +124,24 @@ type Hybrid struct {
 	P        *PAs
 	selector []counter2
 	selMask  uint64 //dpbp:reset-skip sizing, fixed at construction
+
+	Stats HybridStats
+}
+
+// HybridStats counts the hybrid's lookups and, per update, the
+// selector's choice of component.
+type HybridStats struct {
+	Lookups uint64 `json:"lookups"`
+	Updates uint64 `json:"updates"`
+	// GshareSelected/PAsSelected count which component the selector
+	// chose at update; they sum to Updates.
+	GshareSelected uint64 `json:"gshare_selected"`
+	PAsSelected    uint64 `json:"pas_selected"`
+	// Disagreements counts updates where the components differed (the
+	// only case that trains the selector).
+	Disagreements uint64 `json:"disagreements"`
+	// Correct counts updates whose final prediction matched the outcome.
+	Correct uint64 `json:"correct"`
 }
 
 // NewHybrid builds the Table 3 configuration scaled by the given sizes.
@@ -141,21 +159,36 @@ func NewHybrid(phtEntries, selEntries int) *Hybrid {
 	return h
 }
 
-// Predict returns the hybrid's direction prediction for pc.
+// Predict returns the hybrid's direction prediction for pc. It changes
+// no prediction state, only the lookup count.
 func (h *Hybrid) Predict(pc isa.Addr) bool {
+	h.Stats.Lookups++
 	if h.selector[uint64(pc)&h.selMask].taken() {
 		return h.G.Predict(pc)
 	}
 	return h.P.Predict(pc)
 }
 
-// Update trains both components, and the selector toward whichever
-// component was right when they disagreed.
+// Update counts the selector's choice, the components' disagreement and
+// whether the prediction was right, then trains both components, and the
+// selector toward whichever component was right when they disagreed.
 func (h *Hybrid) Update(pc isa.Addr, taken bool) {
 	gp := h.G.Predict(pc)
 	pp := h.P.Predict(pc)
+	i := uint64(pc) & h.selMask
+	pred := pp
+	h.Stats.Updates++
+	if h.selector[i].taken() {
+		h.Stats.GshareSelected++
+		pred = gp
+	} else {
+		h.Stats.PAsSelected++
+	}
+	if pred == taken {
+		h.Stats.Correct++
+	}
 	if gp != pp {
-		i := uint64(pc) & h.selMask
+		h.Stats.Disagreements++
 		h.selector[i] = h.selector[i].update(gp == taken)
 	}
 	h.G.Update(pc, taken)

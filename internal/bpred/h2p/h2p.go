@@ -126,9 +126,10 @@ type Stats struct {
 }
 
 // Base is the direction predictor the side predictor wraps. Predict
-// must be pure (no state change, no stats), because the update path
-// re-derives the prediction; Update owns all state evolution. The
-// bpred.Hybrid direction predictor satisfies this contract.
+// must not change prediction state (it may count the lookup), because
+// the update path re-derives the prediction; Update owns all state
+// evolution. The bpred.Hybrid direction predictor satisfies this
+// contract; its own statistics are never reported under this backend.
 type Base interface {
 	Predict(pc isa.Addr) bool
 	Update(pc isa.Addr, taken bool)
@@ -266,8 +267,9 @@ type decision struct {
 	override bool // side table supplied pred
 }
 
-// decide computes the prediction without mutating any state: the base's
-// Predict is pure by contract, and the filter/side reads are pure.
+// decide computes the prediction without mutating any prediction state:
+// the base's Predict leaves it alone by contract, and the filter/side
+// reads are pure.
 func (p *Predictor) decide(pc isa.Addr) decision {
 	d := decision{basePred: p.base.Predict(pc)}
 	d.pred = d.basePred

@@ -1,6 +1,10 @@
 package bpred
 
-import "dpbp/internal/isa"
+import (
+	"dpbp/internal/bpred/h2p"
+	"dpbp/internal/bpred/tage"
+	"dpbp/internal/isa"
+)
 
 // Config sizes the predictor per Table 3 of the paper.
 type Config struct {
@@ -123,10 +127,18 @@ func NewFromSpec(cfg Config, spec Spec) (*Predictor, error) {
 	}, nil
 }
 
-// BackendStats snapshots the direction backend's counters.
+// BackendStats copies the direction backend's counters into their
+// section of the union.
 func (p *Predictor) BackendStats() BackendStats {
 	var s BackendStats
-	p.Dir.Snapshot(&s)
+	switch d := p.Dir.(type) {
+	case *Hybrid:
+		s.Hybrid = d.Stats
+	case *tage.Predictor:
+		s.TAGE = d.Stats
+	case *h2p.Predictor:
+		s.H2P = d.Stats
+	}
 	return s
 }
 

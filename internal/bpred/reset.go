@@ -12,13 +12,14 @@ func (p *Predictor) Reset() {
 }
 
 // Reset reinitialises the hybrid: both components and the selector return
-// to weakly-taken.
+// to weakly-taken, and the statistics to zero.
 func (h *Hybrid) Reset() {
 	h.G.Reset()
 	h.P.Reset()
 	for i := range h.selector {
 		h.selector[i] = weaklyTaken
 	}
+	h.Stats = HybridStats{}
 }
 
 // Reset reinitialises the PHT to weakly-taken and clears the history.

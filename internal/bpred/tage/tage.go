@@ -255,8 +255,8 @@ func (t *table) tag(pc isa.Addr) uint16 {
 	return uint16(uint64(pc)^t.tagFold.comp^(t.tagFold2.comp<<1)) & t.tagMask
 }
 
-// Predictor is the TAGE predictor. It satisfies the bpred Backend
-// contract through an adapter in internal/bpred.
+// Predictor is the TAGE predictor. It implements internal/bpred's
+// Backend interface directly.
 type Predictor struct {
 	cfg Config //dpbp:reset-skip configuration, fixed at construction
 

@@ -3,11 +3,11 @@ package cpu
 import "dpbp/internal/path"
 
 // pathMap is an open-addressed hash map from path.ID to uint64, built for
-// the spawn/promote hot path: the promoted set and the routine-ready table
-// are probed for every terminating branch and every spawn candidate, and a
-// built-in map's hashing and bucket chasing showed up prominently in CPU
-// profiles of the figure sweeps. Linear probing over two flat arrays keeps
-// each lookup to one multiply and (almost always) one cache line.
+// the promotion hot path: the promoted sets are probed for every
+// terminating branch, and a built-in map's hashing and bucket chasing
+// showed up prominently in CPU profiles of the figure sweeps. Linear
+// probing over two flat arrays keeps each lookup to one multiply and
+// (almost always) one cache line.
 //
 // The zero value is an empty map. clear keeps the backing arrays, so a
 // reused Machine stops re-allocating its tables on every Reset. Deletion
@@ -54,12 +54,6 @@ func (m *pathMap) lookup(k path.ID) (uint64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// get returns the value stored for k, or zero if absent.
-func (m *pathMap) get(k path.ID) uint64 {
-	v, _ := m.lookup(k)
-	return v
 }
 
 // has reports whether k is present.

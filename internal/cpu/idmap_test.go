@@ -67,13 +67,13 @@ func TestPathMapMatchesBuiltin(t *testing.T) {
 // TestPathMapZeroValue verifies the zero value works for every operation.
 func TestPathMapZeroValue(t *testing.T) {
 	var pm pathMap
-	if pm.has(0) || pm.get(0) != 0 || pm.len() != 0 {
+	if v, ok := pm.lookup(0); ok || v != 0 || pm.has(0) || pm.len() != 0 {
 		t.Fatal("zero-value pathMap not empty")
 	}
 	pm.delete(7) // no-op
 	pm.clear()   // no-op
 	pm.set(0, 42)
-	if !pm.has(0) || pm.get(0) != 42 || pm.len() != 1 {
+	if v, ok := pm.lookup(0); !ok || v != 42 || !pm.has(0) || pm.len() != 1 {
 		t.Fatal("zero key not stored")
 	}
 }
@@ -90,8 +90,8 @@ func TestPathMapGrowth(t *testing.T) {
 		t.Fatalf("len = %d, want %d", pm.len(), n)
 	}
 	for i := 0; i < n; i++ {
-		if got := pm.get(path.ID(i * 2654435761)); got != uint64(i) {
-			t.Fatalf("key %d: got %d, want %d", i, got, i)
+		if got, ok := pm.lookup(path.ID(i * 2654435761)); !ok || got != uint64(i) {
+			t.Fatalf("key %d: got (%d,%v), want (%d,true)", i, got, ok, i)
 		}
 	}
 }

@@ -53,7 +53,6 @@ type Machine struct {
 	// each.
 	uenv uthread.Env
 
-	routineReady  pathMap
 	builderFreeAt uint64
 	promoted      pathMap // ModePerfectPromoted's promoted set
 	prePromoted   pathMap // profile-guided unconditional promotions
@@ -69,9 +68,9 @@ type Machine struct {
 	// otherwise scans every context for every retired instruction — can
 	// skip the scan entirely while nothing is in flight.
 	activeCtxs int
-	// activeBits is a bitmask over ctxs (bit i = ctxs[i].active), so the
-	// per-retirement monitor visits only live contexts and context
-	// allocation finds the lowest free slot without a scan.
+	// activeBits records which microcontexts are active (bit i for
+	// ctxs[i]), so the per-retirement monitor visits only live contexts
+	// and context allocation finds the lowest free slot without a scan.
 	activeBits []uint64
 	// minTarget is the smallest targetSeq over active contexts
 	// (math.MaxUint64 when none is active). No context can complete
@@ -225,14 +224,12 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 	} else {
 		m.uram.Reset()
 	}
-	m.uram.IndexCode(len(prog.Code))
 	if fresh || prev.PCacheEntries != cfg.PCacheEntries {
 		m.predCache = pcache.New(cfg.PCacheEntries)
 	} else {
 		m.predCache.Reset()
 	}
 
-	m.routineReady.clear()
 	m.promoted.clear()
 	m.prePromoted.clear()
 	m.builderFreeAt = 0
@@ -845,7 +842,6 @@ func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMis
 			m.promoted.delete(termID)
 		} else {
 			m.uram.Remove(termID)
-			m.routineReady.delete(termID)
 		}
 	case ev.Promote:
 		// The H2P spawn gate second-guesses the Path Cache: a path whose
@@ -915,8 +911,13 @@ func (m *Machine) buildRoutine(rec *emu.Record, retC uint64, id path.ID, scope i
 	// Snapshot the path's taken-branch history (the terminating branch
 	// has not been Observed yet at this point).
 	r := m.builder.Build(m.prb, rec.Seq, id, scope, m.tracker.Branches())
-	if r != nil && m.cfg.OnBuild != nil {
-		m.cfg.OnBuild(r)
+	if r != nil {
+		// The routine cannot spawn before construction finishes, in
+		// this context or in any other sharing the MicroRAM.
+		r.ReadyAt = retC + uint64(m.cfg.BuildLatency)
+		if m.cfg.OnBuild != nil {
+			m.cfg.OnBuild(r)
+		}
 	}
 	if r == nil || !m.uram.Install(r) {
 		if !rebuild {
@@ -924,8 +925,7 @@ func (m *Machine) buildRoutine(rec *emu.Record, retC uint64, id path.ID, scope i
 		}
 		return
 	}
-	m.builderFreeAt = retC + uint64(m.cfg.BuildLatency)
-	m.routineReady.set(id, m.builderFreeAt)
+	m.builderFreeAt = r.ReadyAt
 	if rebuild {
 		m.res.Micro.Rebuilds++
 	} else {

@@ -23,7 +23,6 @@ type issueRec struct {
 
 // mctx is one microcontext: the state of an active spawned microthread.
 type mctx struct {
-	active    bool
 	r         *uthread.Routine
 	spawnSeq  uint64
 	targetSeq uint64
@@ -48,15 +47,12 @@ func (m *Machine) trySpawns(pc isa.Addr, seq uint64, fc uint64) {
 		return // dense probe; skips the map lookup on the common path
 	}
 	cands := m.uram.SpawnCandidates(pc)
-	if len(cands) == 0 {
-		return
-	}
 	if m.throttled {
 		m.res.Micro.SkippedByThrottle += uint64(len(cands))
 		return
 	}
 	for _, r := range cands {
-		if m.routineReady.get(r.PathID) > fc {
+		if r.ReadyAt > fc {
 			continue // still being built
 		}
 		m.res.Micro.AttemptedSpawns++
@@ -117,13 +113,11 @@ func (m *Machine) freeContext() int {
 	return -1
 }
 
-// activate and deactivate keep the active count, the bitmask and
-// minTarget in sync with ctxs[i].active; every transition goes through
-// them.
+// activate and deactivate keep the active count and minTarget in sync
+// with the activeBits record; every transition goes through them.
 //
 //dpbp:speculative
 func (m *Machine) activate(i int) {
-	m.ctxs[i].active = true
 	m.activeCtxs++
 	m.activeBits[i>>6] |= 1 << (i & 63)
 	m.minTarget = min(m.minTarget, m.ctxs[i].targetSeq)
@@ -134,7 +128,6 @@ func (m *Machine) activate(i int) {
 
 //dpbp:speculative
 func (m *Machine) deactivate(i int) {
-	m.ctxs[i].active = false
 	m.activeCtxs--
 	m.activeBits[i>>6] &^= 1 << (i & 63)
 	if m.ctxs[i].targetSeq == m.minTarget {

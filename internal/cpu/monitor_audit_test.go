@@ -31,7 +31,7 @@ func TestMinTargetMatchesActiveContexts(t *testing.T) {
 		cfg.OnRetire = func(_ int, rec *emu.Record) {
 			want := uint64(math.MaxUint64)
 			for i := range m.ctxs {
-				if m.ctxs[i].active {
+				if m.activeBits[i>>6]&(1<<(i&63)) != 0 {
 					want = min(want, m.ctxs[i].targetSeq)
 				}
 			}

@@ -110,7 +110,8 @@ type Result struct {
 	PCache    pcache.Stats
 	Build     uthread.BuildStats
 
-	// Routine statistics over installed routines (Figure 8).
+	// Routine statistics over every routine the builder constructed,
+	// rebuilds and routines the MicroRAM refused included (Figure 8).
 	AvgRoutineSize float64
 	AvgDepChain    float64
 

@@ -88,10 +88,10 @@ type SMTConfig struct {
 	// SharedPCache shares one Prediction Cache; entries are context-
 	// tagged so streams never cross, but capacity is contended.
 	SharedPCache bool
-	// SharedMicroRAM shares one MicroRAM: routines built by one context
-	// spawn (and are aborted) under any context whose fetch stream hits
-	// their spawn PC — the cross-program aliasing the interference
-	// experiments study.
+	// SharedMicroRAM shares one MicroRAM: once the builder finishes a
+	// routine one context built, it spawns (and is aborted) under any
+	// context whose fetch stream hits its spawn PC — the cross-program
+	// aliasing the interference experiments study.
 	SharedMicroRAM bool
 	// SharedPredictor shares the hardware branch predictor (and the H2P
 	// spawn-gate filter) across contexts, the classic SMT
@@ -230,19 +230,6 @@ func (s *SMTMachine) RunContext(ctx context.Context, progs []*program.Program, c
 			m.h2pGate = lead.h2pGate
 		}
 	}
-	if cfg.SMT.SharedMicroRAM {
-		// The shared spawn-point index must cover every context's code
-		// image, or spawn PCs beyond the lead program's length would
-		// probe out of bounds and silently miss.
-		maxCode := 0
-		for _, p := range progs {
-			if len(p.Code) > maxCode {
-				maxCode = len(p.Code)
-			}
-		}
-		lead.uram.IndexCode(maxCode)
-	}
-
 	states := make([]runState, k)
 	for i, m := range s.ms {
 		m.beginRun(&states[i])

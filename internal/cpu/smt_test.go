@@ -245,6 +245,35 @@ func TestSMTCoRunnerDenials(t *testing.T) {
 	}
 }
 
+// TestSMTSharedMicroRAMHonoursBuildLatency: a routine one context builds
+// into a shared MicroRAM is unspawnable for every context, not only its
+// builder, until the Microthread Builder finishes it (Section 4.2.2).
+// Under a build latency longer than any run, no context may even attempt
+// a spawn. Two copies of one program share every path ID, so each
+// context fetches the spawn points of the routines its co-runner builds.
+func TestSMTSharedMicroRAMHonoursBuildLatency(t *testing.T) {
+	prog := benchProg(t, "gcc")
+	cfg := smtConfig(2, FetchRoundRobin, func(c *Config) {
+		c.BuildLatency = 1 << 40
+		c.MaxInsts = 200_000
+		c.SMT.SharedMicroRAM = true
+	})
+	res, err := RunSMT(context.Background(), []*program.Program{prog, prog}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var builds uint64
+	for i, c := range res.Contexts {
+		builds += c.Build.Builds
+		if c.Micro.AttemptedSpawns != 0 {
+			t.Errorf("ctx %d made %d spawn attempts on routines still being built", i, c.Micro.AttemptedSpawns)
+		}
+	}
+	if builds == 0 {
+		t.Fatal("vacuous: no routine was built")
+	}
+}
+
 // TestSMTSharedStructuresReportMachineWideStats: under sharing, every
 // context's Result carries the same (combined) copy of the shared
 // structure's statistics, and the Path Cache occupancy law holds.

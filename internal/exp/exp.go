@@ -100,8 +100,7 @@ func (o Options) programsFor(names []string) ([]*program.Program, error) {
 		v, err := o.Cache.Do(context.Background(), runcache.KeyOf("program", name),
 			func() (any, error) {
 				g := synth.Generate(p)
-				g.Blocks()      // precompute: lazy init would race across sweeps
-				g.Fingerprint() // ditto
+				g.Fingerprint() // hash once here, before the sweeps share g
 				return g, nil
 			})
 		if err != nil {

@@ -185,10 +185,3 @@ func (s *System) StoreLatency(addr isa.Addr, now uint64) int {
 	s.sbHead = (s.sbHead + 1) % len(s.sbAddr)
 	return 1
 }
-
-// Prefetch touches the hierarchy the way a microthread load does: it fills
-// the caches (future primary-thread loads hit) and returns the latency the
-// microthread instruction experiences.
-func (s *System) Prefetch(addr isa.Addr, now uint64) int {
-	return s.LoadLatency(addr, now)
-}

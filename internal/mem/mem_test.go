@@ -63,14 +63,6 @@ func TestStoreInvalidatesL1Only(t *testing.T) {
 	}
 }
 
-func TestPrefetchFills(t *testing.T) {
-	s := New(Config{})
-	s.Prefetch(0x4000, 0)
-	if lat := s.LoadLatency(0x4000, 500); lat != 3 {
-		t.Errorf("post-prefetch load latency %d, want 3", lat)
-	}
-}
-
 func TestCapacityMissesAtScale(t *testing.T) {
 	// A stream far larger than L1 must produce L1 misses.
 	s := New(Config{})

@@ -7,8 +7,8 @@ import (
 )
 
 // TestResetMatchesFreshSystem audits Reset against reconstruction: after
-// arbitrary traffic (loads, stores, prefetches spanning L1, L2, DRAM
-// banks, and the store buffer), a reset system must report latencies and
+// arbitrary traffic (loads and stores spanning L1, L2, DRAM banks, and
+// the store buffer), a reset system must report latencies and
 // statistics identical to a newly built one over the same access trace.
 func TestResetMatchesFreshSystem(t *testing.T) {
 	cfg := Config{DRAMBanks: 4, StoreBufferEntries: 4}
@@ -24,7 +24,7 @@ func TestResetMatchesFreshSystem(t *testing.T) {
 			now += uint64(used.StoreLatency(a, now))
 		}
 		if i%17 == 0 {
-			used.Prefetch(a+8, now)
+			used.LoadLatency(a+8, now)
 		}
 	}
 	used.Reset()

@@ -16,7 +16,7 @@
 // event buffer is bounded (Dropped counts truncation) but the counters
 // are not, so per-kind counts always reconcile exactly with the
 // simulator's aggregate Stats structs — each emit site sits next to the
-// counter it mirrors, and TestTracerReconcilesWithStats in internal/cpu
+// counter it mirrors, and TestTracerReconcilesWithStats in internal/oracle
 // pins the correspondence.
 package obs
 

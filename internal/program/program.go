@@ -1,7 +1,7 @@
-// Package program represents executable programs for the simulator: a flat
-// instruction array plus derived control-flow structure (basic blocks and a
-// CFG). The path machinery uses block structure to compute scopes; the
-// synthetic workload generator emits Programs.
+// Package program represents executable programs for the simulator: a flat,
+// word-addressed instruction array with an entry point and an initial data
+// image, plus a content fingerprint for run caching. The synthetic workload
+// generator emits Programs through Builder.
 package program
 
 import (
@@ -27,9 +27,6 @@ type Program struct {
 	Data      []isa.Word
 	StackBase isa.Addr
 
-	// blocks caches ComputeBlocks output.
-	blocks *BlockInfo
-
 	// fp caches Fingerprint; fpOnce makes the lazy computation safe for
 	// concurrent callers (the experiment sweeps share Programs).
 	fpOnce sync.Once
@@ -45,71 +42,6 @@ func (p *Program) At(addr isa.Addr) isa.Inst {
 // Valid reports whether addr is a valid instruction address.
 func (p *Program) Valid(addr isa.Addr) bool {
 	return addr < isa.Addr(len(p.Code))
-}
-
-// Block is one basic block: a maximal straight-line instruction sequence.
-// Start is the address of its first instruction; End is one past its last.
-type Block struct {
-	Start, End isa.Addr
-}
-
-// Len returns the number of instructions in the block.
-func (b Block) Len() int { return int(b.End - b.Start) }
-
-// BlockInfo is the derived block structure of a program.
-type BlockInfo struct {
-	// Blocks are sorted by Start and tile the entire code image.
-	Blocks []Block
-	// blockOf[a] is the index in Blocks of the block containing a.
-	blockOf []int
-}
-
-// BlockOf returns the index of the block containing addr.
-func (bi *BlockInfo) BlockOf(addr isa.Addr) int {
-	return bi.blockOf[addr]
-}
-
-// BlockAt returns the block containing addr.
-func (bi *BlockInfo) BlockAt(addr isa.Addr) Block {
-	return bi.Blocks[bi.blockOf[addr]]
-}
-
-// Blocks returns the program's basic-block structure, computing and caching
-// it on first use. Leaders are: the entry point, every branch target, and
-// every instruction following a branch.
-func (p *Program) Blocks() *BlockInfo {
-	if p.blocks != nil {
-		return p.blocks
-	}
-	n := len(p.Code)
-	leader := make([]bool, n+1)
-	leader[0] = true
-	leader[p.Entry] = true
-	for a, in := range p.Code {
-		if !in.IsBranch() {
-			continue
-		}
-		if a+1 <= n {
-			leader[a+1] = true
-		}
-		if !in.IsIndirect() && p.Valid(in.Target) {
-			leader[in.Target] = true
-		}
-	}
-	bi := &BlockInfo{blockOf: make([]int, n)}
-	start := 0
-	for a := 1; a <= n; a++ {
-		if a == n || leader[a] {
-			bi.Blocks = append(bi.Blocks, Block{Start: isa.Addr(start), End: isa.Addr(a)})
-			idx := len(bi.Blocks) - 1
-			for i := start; i < a; i++ {
-				bi.blockOf[i] = idx
-			}
-			start = a
-		}
-	}
-	p.blocks = bi
-	return bi
 }
 
 // Fingerprint returns a sha256 content hash of the executable image:

@@ -27,55 +27,6 @@ func tinyProgram() *Program {
 	}
 }
 
-func TestBlocks(t *testing.T) {
-	p := tinyProgram()
-	bi := p.Blocks()
-	// Leaders: 0 (entry), 2 (after beqz), 4 (beqz target, after jmp).
-	want := []Block{{0, 2}, {2, 4}, {4, 5}}
-	if len(bi.Blocks) != len(want) {
-		t.Fatalf("got %d blocks %v, want %v", len(bi.Blocks), bi.Blocks, want)
-	}
-	for i, b := range bi.Blocks {
-		if b != want[i] {
-			t.Errorf("block %d = %v, want %v", i, b, want[i])
-		}
-	}
-	if bi.BlockOf(1) != 0 || bi.BlockOf(2) != 1 || bi.BlockOf(4) != 2 {
-		t.Errorf("BlockOf mapping wrong: %v %v %v", bi.BlockOf(1), bi.BlockOf(2), bi.BlockOf(4))
-	}
-	if got := bi.BlockAt(3); got != (Block{2, 4}) {
-		t.Errorf("BlockAt(3) = %v", got)
-	}
-	if bi.BlockAt(0).Len() != 2 {
-		t.Errorf("block 0 len = %d, want 2", bi.BlockAt(0).Len())
-	}
-}
-
-func TestBlocksCached(t *testing.T) {
-	p := tinyProgram()
-	if p.Blocks() != p.Blocks() {
-		t.Error("Blocks should cache and return the same pointer")
-	}
-}
-
-func TestBlocksTileProgram(t *testing.T) {
-	p := tinyProgram()
-	bi := p.Blocks()
-	var next isa.Addr
-	for _, b := range bi.Blocks {
-		if b.Start != next {
-			t.Fatalf("blocks do not tile: gap before %v", b)
-		}
-		if b.End <= b.Start {
-			t.Fatalf("empty block %v", b)
-		}
-		next = b.End
-	}
-	if next != isa.Addr(len(p.Code)) {
-		t.Fatalf("blocks end at %d, want %d", next, len(p.Code))
-	}
-}
-
 func TestValidate(t *testing.T) {
 	p := tinyProgram()
 	if err := p.Validate(); err != nil {

@@ -17,9 +17,10 @@ type MicroRAM struct {
 	routines map[path.ID]*Routine
 	bySpawn  map[isa.Addr][]*Routine
 	rebuild  map[path.ID]bool
-	// spawnCnt, when indexed via IndexCode, counts routines per spawn PC
-	// so the fetch loop's per-instruction spawn probe is an array read
-	// instead of a map lookup.
+	// spawnCnt counts routines per spawn PC, so the fetch loop's
+	// per-instruction spawn probe is an array read instead of a map
+	// lookup. Install grows it to cover each routine's spawn PC; Reset
+	// zeroes it and keeps the length for the next run.
 	spawnCnt []uint16
 
 	// Stats.
@@ -41,22 +42,8 @@ func NewMicroRAM(capacity int) *MicroRAM {
 	}
 }
 
-// IndexCode sizes the dense spawn-point index for a program whose code
-// image spans n addresses. The SSMT core calls it once per run; spawn PCs
-// are code addresses, so the index covers every possible key.
-func (m *MicroRAM) IndexCode(n int) {
-	m.spawnCnt = make([]uint16, n)
-	for pc, list := range m.bySpawn { //dpbplint:ignore simdeterminism counter writes are keyed by pc, order-independent
-		m.spawnCnt[pc] = uint16(len(list))
-	}
-}
-
-// HasSpawn reports whether any routine spawns at pc. Without an index it
-// is conservatively true; with one it is a single array read.
+// HasSpawn reports whether any routine spawns at pc, with one array read.
 func (m *MicroRAM) HasSpawn(pc isa.Addr) bool {
-	if m.spawnCnt == nil {
-		return true
-	}
 	return int(pc) < len(m.spawnCnt) && m.spawnCnt[pc] > 0
 }
 
@@ -77,9 +64,10 @@ func (m *MicroRAM) Install(r *Routine) bool {
 	}
 	m.routines[r.PathID] = r
 	m.bySpawn[r.SpawnPC] = append(m.bySpawn[r.SpawnPC], r)
-	if m.spawnCnt != nil && int(r.SpawnPC) < len(m.spawnCnt) {
-		m.spawnCnt[r.SpawnPC]++
+	if n := int(r.SpawnPC) + 1; n > len(m.spawnCnt) {
+		m.spawnCnt = append(m.spawnCnt, make([]uint16, n-len(m.spawnCnt))...)
 	}
+	m.spawnCnt[r.SpawnPC]++
 	delete(m.rebuild, r.PathID)
 	m.Installs++
 	return true
@@ -105,9 +93,7 @@ func (m *MicroRAM) Remove(id path.ID) {
 }
 
 func (m *MicroRAM) removeSpawnIndex(r *Routine) {
-	if m.spawnCnt != nil && int(r.SpawnPC) < len(m.spawnCnt) {
-		m.spawnCnt[r.SpawnPC]--
-	}
+	m.spawnCnt[r.SpawnPC]--
 	list := m.bySpawn[r.SpawnPC]
 	for i, x := range list {
 		if x == r {

@@ -10,15 +10,12 @@ func (p *PRB) Reset() {
 }
 
 // Reset removes every routine and zeroes the statistics, keeping the map
-// allocations for reuse.
+// and spawn-index allocations for reuse.
 func (m *MicroRAM) Reset() {
 	clear(m.routines)
 	clear(m.bySpawn)
 	clear(m.rebuild)
-	// Drop the dense spawn index: it is sized for the previous program's
-	// code image, and a stale one would answer HasSpawn against the wrong
-	// addresses. The owner calls IndexCode for the next program.
-	m.spawnCnt = nil
+	clear(m.spawnCnt)
 	m.Installs = 0
 	m.Refusals = 0
 	m.Removals = 0

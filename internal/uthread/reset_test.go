@@ -2,27 +2,26 @@ package uthread
 
 import "testing"
 
-// TestResetDropsSpawnIndex is the regression test for a stale dense spawn
-// index: the index is sized for one program's code image, so after Reset
-// the probe must fall back to conservative answers until IndexCode is
-// called for the next program. Before the fix, a reset MicroRAM kept the
-// previous program's index and denied spawns at every PC it had mapped
-// to zero.
+// TestResetDropsSpawnIndex: Reset keeps the spawn index's storage for the
+// next run, but no count may survive it, or the probe would claim a spawn
+// that no routine makes.
 func TestResetDropsSpawnIndex(t *testing.T) {
 	m := NewMicroRAM(4)
 	if !m.Install(&Routine{PathID: 1, SpawnPC: 2}) {
 		t.Fatal("install refused with free capacity")
 	}
-	m.IndexCode(8)
+	if !m.HasSpawn(2) {
+		t.Fatal("probe missed an installed spawn PC")
+	}
 	if m.HasSpawn(5) {
-		t.Fatal("indexed probe claimed a spawn at an unmapped PC")
+		t.Fatal("probe claimed a spawn at an unmapped PC")
 	}
 
 	m.Reset()
 	if m.Len() != 0 {
 		t.Fatalf("routines survived Reset: %d", m.Len())
 	}
-	if !m.HasSpawn(5) {
-		t.Fatal("stale spawn index survived Reset: probe must be conservative until IndexCode")
+	if m.HasSpawn(2) {
+		t.Fatal("stale spawn index survived Reset")
 	}
 }

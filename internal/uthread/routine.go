@@ -40,6 +40,11 @@ type Routine struct {
 	// SpawnPC is the primary-thread instruction whose fetch triggers the
 	// spawn.
 	SpawnPC isa.Addr
+	// ReadyAt is the cycle the Microthread Builder finishes the routine
+	// (Section 4.2.2): no primary context may spawn it earlier. The SSMT
+	// core sets it before installing the routine, so it travels with the
+	// routine into a MicroRAM that co-running contexts share.
+	ReadyAt uint64
 	// SeqDelta is the dynamic-instruction separation between the spawn
 	// point and the terminating branch, fixed at construction time; the
 	// Store_PCache write targets Seq(spawn) + SeqDelta.
