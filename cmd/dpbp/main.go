@@ -38,13 +38,13 @@
 // "metrics" section — the scattered statistics structs unified into one
 // named counter/histogram registry — rendered in whatever -format says.
 //
-// -bpred swaps the direction predictor every timing run uses (the
-// backends of internal/bpred; default "hybrid", the paper's gshare/PAs
-// machine). -exp shootout instead varies the backend itself, pitting
-// every backend and the H2P-gated microthread variant against
-// the hybrid baseline; it ignores -bpred's name but is not part of
-// "all" (its runs would double the budget without reproducing a paper
-// figure).
+// -bpred names the direction predictor every timing run uses (the
+// backends of internal/bpred at their default sizes; default "hybrid",
+// the paper's gshare/PAs machine). -exp shootout instead varies the
+// backend itself, pitting every backend and the H2P-gated microthread
+// variant against the hybrid baseline, so it ignores -bpred. Shootout
+// is not part of "all" (its runs would double the budget without
+// reproducing a paper figure).
 //
 // -exp smt is the SMT interference study: benchmark pairs co-scheduled
 // as primary contexts on one machine, each mix run with everything
@@ -168,10 +168,10 @@ func mainExit(expName, bench, bpredName, smtSpec, format string, insts, profInst
 		TimingInsts:  insts,
 		ProfileInsts: profInsts,
 		Parallelism:  jobs,
+		BPred:        bpredName,
 		SMT:          smt,
 		Cache:        dpbp.NewRunCache(),
 	}
-	opts.BPred.Name = bpredName
 
 	if err := runObs(ctx, os.Stdout, expName, format, opts, oo); err != nil {
 		fmt.Fprintln(os.Stderr, "dpbp:", err)

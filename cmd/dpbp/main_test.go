@@ -498,7 +498,7 @@ func TestRunBPredFlagChangesRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := tiny()
-	opts.BPred.Name = dpbp.BackendTAGE
+	opts.BPred = dpbp.BackendTAGE
 	if err := run(context.Background(), &tage, "fig7", "", opts); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@
 //
 //	w := dpbp.MustWorkload("gcc")
 //	base := dpbp.Run(w, dpbp.BaselineConfig())
-//	mech := dpbp.Run(w, dpbp.MachineConfig{})   // full mechanism, defaults
+//	mech := dpbp.Run(w, dpbp.DefaultConfig())   // full mechanism, defaults
 //	fmt.Printf("speedup %.2f%%\n", 100*(mech.Speedup(base)-1))
 //
 // Experiments (Tables 1-2, Figures 6-9) are exposed through the Table1,

@@ -36,7 +36,7 @@ func DefaultConfig() Config {
 // Canonical fills zero-valued fields from DefaultConfig, per-field, so
 // a partially specified config (say, only BTBEntries) still gets the
 // Table 3 sizing for everything else instead of degenerate one-entry
-// tables. Idempotent; the run cache keys on the canonical form.
+// tables. Idempotent; NewFromSpec and NewBackend apply it.
 func (c Config) Canonical() Config {
 	d := DefaultConfig()
 	if c.PHTEntries == 0 {

@@ -25,11 +25,9 @@ package cpu
 import (
 	"dpbp/internal/bpred"
 	"dpbp/internal/emu"
-	"dpbp/internal/mem"
 	"dpbp/internal/obs"
 	"dpbp/internal/pathcache"
 	"dpbp/internal/uthread"
-	"dpbp/internal/vpred"
 )
 
 // Mode selects the machine configuration under test.
@@ -94,16 +92,6 @@ type Config struct {
 	// SpawnOverhead is the MicroRAM read + injection delay between the
 	// spawn fetch and the first microthread instruction being ready.
 	SpawnOverhead int
-	// InjectPerCycle bounds how many microthread instructions a
-	// microcontext queue can feed into the machine per cycle
-	// (Section 4.3.1's per-cycle packet formation). It spreads a
-	// routine's resource usage over time, which is what lets aborts
-	// reclaim the unissued remainder.
-	InjectPerCycle int
-	// PRBEntries sizes the Post-Retirement Buffer (512).
-	PRBEntries int
-	// MCBCapacity bounds routine extraction (64).
-	MCBCapacity int
 
 	// RebuildOnViolation controls whether a memory-dependence violation
 	// marks the routine for reconstruction (Section 4.2.4). On by
@@ -143,11 +131,10 @@ type Config struct {
 	// Path Cache's difficulty training for these paths.
 	PrePromoted []uint64
 
-	// Predictor configures the baseline branch predictors.
-	Predictor bpred.Config
 	// BPred selects and sizes the conditional-direction backend (the
-	// zero value canonicalizes to the gshare/PAs hybrid). The target
-	// structures (BTB/RAS/target cache) stay in Predictor.
+	// zero value canonicalizes to the gshare/PAs hybrid). The hybrid's
+	// tables and the target structures (BTB/RAS/target cache) have the
+	// Table 3 sizes of bpred.DefaultConfig.
 	BPred bpred.Spec
 	// H2PSpawnGate, in ModeMicrothread or ModePerfectPromoted, gates
 	// path promotion on an H2P filter (sized by BPred.H2P): a path
@@ -157,22 +144,12 @@ type Config struct {
 	// (the Bullseye-style classifier driving spawning instead of a side
 	// predictor).
 	H2PSpawnGate bool
-	// VPred configures the value/address predictors behind pruning.
-	VPred vpred.Config
-	// Mem configures the data-memory hierarchy.
-	Mem mem.Config
 
 	// Front end and core widths (Table 3).
-	FetchWidth        int
-	BranchesPerCycle  int
-	ICacheLinesPerCyc int
-	FrontLatency      int // fetch->rename pipeline depth
-	WindowSize        int
-	FUs               int
-	L1Ports           int
-	RetireWidth       int
-	RedirectPenalty   int // pipeline refill gap after a redirect
-	ICacheMissPenalty int
+	FetchWidth       int
+	BranchesPerCycle int
+	WindowSize       int
+	RetireWidth      int
 
 	// L1I geometry (64KB, 4-way in Table 3).
 	L1IWords int
@@ -212,6 +189,36 @@ type Config struct {
 	Obs *obs.Tracer
 }
 
+// The Table 3 parameters no experiment varies are constants, not Config
+// fields. The memory hierarchy (mem.DefaultConfig), the value and
+// address predictors (vpred.DefaultConfig), the hybrid's tables and the
+// target structures (bpred.DefaultConfig) and the 64-entry MCB
+// (uthread.DefaultBuildConfig) are their packages' defaults; the rest
+// are these.
+const (
+	// prbEntries sizes the Post-Retirement Buffer.
+	prbEntries = 512
+	// injectPerCycle bounds how many microthread instructions a
+	// microcontext queue can feed into the machine per cycle (Section
+	// 4.3.1's per-cycle packet formation). It spreads a routine's
+	// resource usage over time, which is what lets aborts reclaim the
+	// unissued remainder.
+	injectPerCycle = 2
+	// frontLatency is the fetch->rename pipeline depth.
+	frontLatency = 8
+	// funcUnits is the number of all-purpose functional units.
+	funcUnits = 16
+	// l1Ports is the number of L1 data-cache ports.
+	l1Ports = 4
+	// redirectPenalty is the pipeline refill gap after a redirect.
+	redirectPenalty = 10
+	// icacheMissPenalty is the fetch stall of a discontinuous I-cache
+	// miss.
+	icacheMissPenalty = 6
+	// icacheLinesPerCycle bounds the I-cache lines fetched per cycle.
+	icacheLinesPerCycle = 3
+)
+
 // DefaultConfig returns the Table 3 machine running the full microthread
 // mechanism with the paper's Figure 7 parameters (n=10, T=.10, 8K Path
 // Cache, training interval 32, 8K MicroRAM, 128-entry Prediction Cache,
@@ -232,22 +239,10 @@ func DefaultConfig() Config {
 		Microcontexts:      16,
 		BuildLatency:       100,
 		SpawnOverhead:      4,
-		InjectPerCycle:     2,
-		PRBEntries:         512,
-		MCBCapacity:        64,
-		Predictor:          bpred.DefaultConfig(),
-		VPred:              vpred.DefaultConfig(),
-		Mem:                mem.DefaultConfig(),
 		FetchWidth:         16,
 		BranchesPerCycle:   3,
-		ICacheLinesPerCyc:  3,
-		FrontLatency:       8,
 		WindowSize:         512,
-		FUs:                16,
-		L1Ports:            4,
 		RetireWidth:        16,
-		RedirectPenalty:    10,
-		ICacheMissPenalty:  6,
 		L1IWords:           8 << 10,
 		L1IWays:            4,
 		MaxInsts:           1_000_000,
@@ -255,21 +250,30 @@ func DefaultConfig() Config {
 }
 
 // Canonical returns the configuration with every zero field replaced by
-// its Table 3 default — exactly the configuration a run with c actually
-// uses (Machine.Reset applies the same defaulting). Two Configs that
-// canonicalize equal produce bit-identical runs, which is what makes
-// Canonical the right input for content-addressed run caching.
-func (c Config) Canonical() Config { return c.withDefaults() }
-
-// withDefaults fills zero fields from DefaultConfig, preserving Mode and
-// the boolean switches as given.
-func (c Config) withDefaults() Config {
+// its Table 3 default, preserving Mode and the boolean switches as given
+// — exactly the configuration a run with c actually uses (Machine.Reset
+// runs it first). Two Configs that canonicalize equal produce
+// bit-identical runs, which is what makes Canonical the right input for
+// content-addressed run caching.
+func (c Config) Canonical() Config {
 	d := DefaultConfig()
 	if c.N == 0 {
 		c.N = d.N
 	}
+	// Sub-configs fill field by field, never whole-struct on a single
+	// sentinel field: a partial pathcache.Config or bpred.Spec keeps its
+	// set fields and defaults the rest.
 	if c.PathCache.Entries == 0 {
-		c.PathCache = d.PathCache
+		c.PathCache.Entries = d.PathCache.Entries
+	}
+	if c.PathCache.Ways == 0 {
+		c.PathCache.Ways = d.PathCache.Ways
+	}
+	if c.PathCache.TrainInterval == 0 {
+		c.PathCache.TrainInterval = d.PathCache.TrainInterval
+	}
+	if c.PathCache.Threshold == 0 {
+		c.PathCache.Threshold = d.PathCache.Threshold
 	}
 	if c.MicroRAMEntries == 0 {
 		c.MicroRAMEntries = d.MicroRAMEntries
@@ -286,51 +290,18 @@ func (c Config) withDefaults() Config {
 	if c.SpawnOverhead == 0 {
 		c.SpawnOverhead = d.SpawnOverhead
 	}
-	if c.InjectPerCycle == 0 {
-		c.InjectPerCycle = d.InjectPerCycle
-	}
-	if c.PRBEntries == 0 {
-		c.PRBEntries = d.PRBEntries
-	}
-	if c.MCBCapacity == 0 {
-		c.MCBCapacity = d.MCBCapacity
-	}
-	// Sub-configs canonicalize per-field (not whole-struct on a single
-	// sentinel field): a partial bpred.Config or vpred.Config keeps its
-	// set fields and defaults the rest, matching what the constructors
-	// build.
-	c.Predictor = c.Predictor.Canonical()
 	c.BPred = c.BPred.Canonical()
-	c.VPred = c.VPred.Canonical()
 	if c.FetchWidth == 0 {
 		c.FetchWidth = d.FetchWidth
 	}
 	if c.BranchesPerCycle == 0 {
 		c.BranchesPerCycle = d.BranchesPerCycle
 	}
-	if c.ICacheLinesPerCyc == 0 {
-		c.ICacheLinesPerCyc = d.ICacheLinesPerCyc
-	}
-	if c.FrontLatency == 0 {
-		c.FrontLatency = d.FrontLatency
-	}
 	if c.WindowSize == 0 {
 		c.WindowSize = d.WindowSize
 	}
-	if c.FUs == 0 {
-		c.FUs = d.FUs
-	}
-	if c.L1Ports == 0 {
-		c.L1Ports = d.L1Ports
-	}
 	if c.RetireWidth == 0 {
 		c.RetireWidth = d.RetireWidth
-	}
-	if c.RedirectPenalty == 0 {
-		c.RedirectPenalty = d.RedirectPenalty
-	}
-	if c.ICacheMissPenalty == 0 {
-		c.ICacheMissPenalty = d.ICacheMissPenalty
 	}
 	if c.L1IWords == 0 {
 		c.L1IWords = d.L1IWords
@@ -347,10 +318,6 @@ func (c Config) withDefaults() Config {
 	if c.ThrottleMinYield == 0 {
 		c.ThrottleMinYield = d.ThrottleMinYield
 	}
-	// The memory system defaults its own zero fields in mem.New, so the
-	// canonical form must apply the same filling or two configurations
-	// that build identical hierarchies would key differently.
-	c.Mem = c.Mem.Canonical()
 	c.SMT = c.SMT.Canonical()
 	return c
 }

@@ -135,16 +135,22 @@ func NewMachine() *Machine { return &Machine{} }
 // reallocated. A reset machine is bit-identical in behaviour to a freshly
 // constructed one (TestResetMatchesFresh holds this).
 func (m *Machine) Reset(prog *program.Program, cfg Config) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Canonical()
 	prev := m.cfg
 	fresh := m.em == nil
 	m.cfg = cfg
 	m.prog = prog
 
+	// Components with fixed Table 3 sizes are built once and rewound.
 	if fresh {
 		m.em = emu.New(prog)
-		// The closures dereference m at call time, so they stay correct
-		// when Reset swaps components (predictors) underneath.
+		m.vp = vpred.New(vpred.DefaultConfig())
+		m.ap = vpred.New(vpred.DefaultConfig())
+		m.msys = mem.New(mem.DefaultConfig())
+		m.prb = uthread.NewPRB(prbEntries)
+		m.builder = uthread.NewBuilder(uthread.DefaultBuildConfig(cfg.Pruning))
+		m.fus = newCalendar(funcUnits)
+		m.ports = newCalendar(l1Ports)
 		m.uenv = uthread.Env{
 			ReadReg: func(r isa.Reg) isa.Word { return m.em.Reg(r) },
 			LoadMem: func(a isa.Addr) isa.Word { return m.em.Mem.Load(a) },
@@ -157,9 +163,16 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		}
 	} else {
 		m.em.Reset(prog)
+		m.vp.Reset()
+		m.ap.Reset()
+		m.msys.Reset()
+		m.prb.Reset()
+		m.builder.Reset(uthread.DefaultBuildConfig(cfg.Pruning))
+		m.fus.reset()
+		m.ports.reset()
 	}
-	if fresh || prev.Predictor != cfg.Predictor || prev.BPred != cfg.BPred {
-		p, err := bpred.NewFromSpec(cfg.Predictor, cfg.BPred)
+	if fresh || prev.BPred != cfg.BPred {
+		p, err := bpred.NewFromSpec(bpred.DefaultConfig(), cfg.BPred)
 		if err != nil {
 			// CLI and experiment layers validate backend names up front;
 			// reaching here means an internal caller bypassed them. The
@@ -180,18 +193,6 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 	default:
 		m.h2pGate.Reset()
 	}
-	if fresh || prev.VPred != cfg.VPred {
-		m.vp = vpred.New(cfg.VPred)
-		m.ap = vpred.New(cfg.VPred)
-	} else {
-		m.vp.Reset()
-		m.ap.Reset()
-	}
-	if fresh || prev.Mem != cfg.Mem {
-		m.msys = mem.New(cfg.Mem)
-	} else {
-		m.msys.Reset()
-	}
 	if fresh || prev.L1IWords != cfg.L1IWords || prev.L1IWays != cfg.L1IWays {
 		m.l1i = cache.New(cache.Config{
 			SizeWords: cfg.L1IWords, Ways: cfg.L1IWays, LineWords: 8,
@@ -208,16 +209,6 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		m.pathCache = pathcache.New(cfg.PathCache)
 	} else {
 		m.pathCache.Reset()
-	}
-	if fresh || prev.PRBEntries != cfg.PRBEntries {
-		m.prb = uthread.NewPRB(cfg.PRBEntries)
-	} else {
-		m.prb.Reset()
-	}
-	if fresh {
-		m.builder = uthread.NewBuilder(buildConfigOf(cfg))
-	} else {
-		m.builder.Reset(buildConfigOf(cfg))
 	}
 	if fresh || prev.MicroRAMEntries != cfg.MicroRAMEntries {
 		m.uram = uthread.NewMicroRAM(cfg.MicroRAMEntries)
@@ -262,16 +253,6 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		clear(m.activeBits)
 	}
 
-	if fresh || prev.FUs != cfg.FUs {
-		m.fus = newCalendar(cfg.FUs)
-	} else {
-		m.fus.reset()
-	}
-	if fresh || prev.L1Ports != cfg.L1Ports {
-		m.ports = newCalendar(cfg.L1Ports)
-	} else {
-		m.ports.reset()
-	}
 	m.regReady = [isa.NumRegs]uint64{}
 	ringLen := 1
 	for ringLen < cfg.WindowSize {
@@ -431,12 +412,6 @@ func (m *Machine) ArchRegs() [isa.NumRegs]isa.Word { return m.em.Regs }
 // returns, until the next Reset.
 func (m *Machine) ArchMem(dst []emu.MemWord) []emu.MemWord { return m.em.Mem.Snapshot(dst) }
 
-func buildConfigOf(cfg Config) uthread.BuildConfig {
-	bc := uthread.DefaultBuildConfig(cfg.Pruning)
-	bc.MCBCapacity = cfg.MCBCapacity
-	return bc
-}
-
 func (m *Machine) resetFetch() {
 	m.instsThis = 0
 	m.branchesThis = 0
@@ -480,9 +455,8 @@ func (m *Machine) fetchCycleFor(pc isa.Addr, isBr bool, i uint64) uint64 {
 	// i-WindowSize has retired.
 	if w := uint64(m.cfg.WindowSize); i >= w {
 		gate := m.retRing[(i-w)&m.retMask]
-		fl := uint64(m.cfg.FrontLatency)
-		if gate > m.fc+fl {
-			m.fc = gate - fl
+		if gate > m.fc+frontLatency {
+			m.fc = gate - frontLatency
 			m.resetFetch()
 		}
 	}
@@ -499,7 +473,7 @@ func (m *Machine) fetchCycleFor(pc isa.Addr, isBr bool, i uint64) uint64 {
 		}
 		line := m.l1i.Line(pc)
 		if !containsLine(m.linesThis, line) {
-			if len(m.linesThis) >= m.cfg.ICacheLinesPerCyc {
+			if len(m.linesThis) >= icacheLinesPerCycle {
 				m.advanceCycle()
 				continue
 			}
@@ -509,7 +483,7 @@ func (m *Machine) fetchCycleFor(pc isa.Addr, isBr bool, i uint64) uint64 {
 			// fetches pay the miss penalty.
 			sequential := m.haveLine && line == m.lastLine+1
 			if !m.l1i.Access(pc) && !sequential {
-				m.fc += uint64(m.cfg.ICacheMissPenalty)
+				m.fc += icacheMissPenalty
 				m.resetFetch()
 				m.alignFetch()
 			}
@@ -571,9 +545,9 @@ func (m *Machine) retire(complete uint64) uint64 {
 }
 
 // redirect schedules a fetch redirect: the next instruction cannot fetch
-// before cycle at + RedirectPenalty.
+// before cycle at + redirectPenalty.
 func (m *Machine) redirect(at uint64) {
-	t := at + uint64(m.cfg.RedirectPenalty)
+	t := at + redirectPenalty
 	if t > m.redirectAt {
 		m.redirectAt = t
 	}
@@ -588,7 +562,7 @@ func (m *Machine) execute(rec *emu.Record, fc uint64) {
 	in := rec.Inst
 
 	// Rename and operand readiness.
-	ready := fc + uint64(cfg.FrontLatency)
+	ready := fc + frontLatency
 	for i := 0; i < int(rec.NSrc); i++ {
 		if r := rec.SrcReg[i]; r != isa.RZero && m.regReady[r] > ready {
 			ready = m.regReady[r]

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dpbp/internal/isa"
+	"dpbp/internal/pathcache"
 	"dpbp/internal/program"
 	"dpbp/internal/synth"
 )
@@ -145,17 +146,41 @@ func TestBranchBandwidthBoundsFetch(t *testing.T) {
 }
 
 func TestWithDefaultsFillsEverything(t *testing.T) {
-	c := Config{}.withDefaults()
+	c := Config{}.Canonical()
 	d := DefaultConfig()
 	if c.N != d.N || c.FetchWidth != d.FetchWidth || c.WindowSize != d.WindowSize ||
 		c.PCacheEntries != d.PCacheEntries || c.Microcontexts != d.Microcontexts ||
 		c.ThrottleWindow != d.ThrottleWindow || c.MaxInsts != d.MaxInsts {
-		t.Errorf("withDefaults incomplete: %+v", c)
+		t.Errorf("Canonical incomplete: %+v", c)
 	}
 	// Explicit values survive.
-	c2 := Config{FetchWidth: 4, MaxInsts: 7}.withDefaults()
+	c2 := Config{FetchWidth: 4, MaxInsts: 7}.Canonical()
 	if c2.FetchWidth != 4 || c2.MaxInsts != 7 {
-		t.Error("withDefaults clobbered explicit values")
+		t.Error("Canonical clobbered explicit values")
+	}
+}
+
+// TestSparsePathCacheConfigKeepsFields is the regression test for sparse
+// sub-configs: a PathCache that sets only TrainInterval keeps it, with
+// the other fields defaulted, so the run equals the default config with
+// that interval.
+func TestSparsePathCacheConfigKeepsFields(t *testing.T) {
+	p, _ := synth.ProfileByName("gcc")
+	prog := synth.Generate(p)
+	sparse := DefaultConfig()
+	sparse.MaxInsts = 200_000
+	sparse.PathCache = pathcache.Config{TrainInterval: 8}
+	full := DefaultConfig()
+	full.MaxInsts = 200_000
+	full.PathCache.TrainInterval = 8
+
+	if got := sparse.Canonical().PathCache; got != full.PathCache {
+		t.Fatalf("Canonical PathCache = %+v, want %+v", got, full.PathCache)
+	}
+	rs, rf := Run(prog, sparse), Run(prog, full)
+	if rs.Cycles != rf.Cycles || rs.PathCache != rf.PathCache {
+		t.Errorf("sparse PathCache ran %d cycles, %+v; want %d cycles, %+v",
+			rs.Cycles, rs.PathCache, rf.Cycles, rf.PathCache)
 	}
 }
 

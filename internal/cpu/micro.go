@@ -182,14 +182,14 @@ func (m *Machine) spawn(ci int, r *uthread.Routine, seq, fc uint64) {
 	// when their producer slot completes.
 	start := fc + uint64(m.cfg.SpawnOverhead)
 	issues := ctx.issues[:0]
-	// Microcontext queues feed InjectPerCycle instructions into the
+	// Microcontext queues feed injectPerCycle instructions into the
 	// machine per cycle.
 	inject, injected := start, 0
 	loadIdx := 0
 	for i := range r.Slots {
 		s := &r.Slots[i]
 		ready := inject
-		if injected++; injected == m.cfg.InjectPerCycle {
+		if injected++; injected == injectPerCycle {
 			inject++
 			injected = 0
 		}
@@ -253,7 +253,7 @@ func (m *Machine) spawn(ci int, r *uthread.Routine, seq, fc uint64) {
 //
 //dpbp:speculative
 func (m *Machine) wrongPathSpawns(start isa.Addr, seq uint64, fc uint64) {
-	limit := m.cfg.RedirectPenalty * m.cfg.FetchWidth / 2
+	limit := redirectPenalty * m.cfg.FetchWidth / 2
 	if limit > 64 {
 		limit = 64
 	}

@@ -180,7 +180,7 @@ func RunSMT(ctx context.Context, progs []*program.Program, cfg Config) (*SMTResu
 // must match). On cancellation the partial statistics accumulated so
 // far are returned alongside the context's error.
 func (s *SMTMachine) RunContext(ctx context.Context, progs []*program.Program, cfg Config) (*SMTResult, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Canonical()
 	k := len(cfg.SMT.Contexts)
 	if k == 0 {
 		return nil, errors.New("cpu: SMT run with no contexts (SMTConfig is zero)")

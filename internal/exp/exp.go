@@ -49,11 +49,10 @@ type Options struct {
 	// cache: a cache hit would return statistics without replaying the
 	// events that reconcile with them.
 	Trace *obs.Collector
-	// BPred selects the direction-predictor backend every timing run
-	// uses (the zero value is the paper's hybrid). The shootout
-	// experiment varies the backend itself and only honours the Spec's
-	// sizing sections.
-	BPred bpred.Spec
+	// BPred names the direction-predictor backend every timing run uses
+	// (see bpred.Backends; empty is the paper's hybrid). The shootout
+	// experiment varies the backend itself and ignores it.
+	BPred string
 	// SMT, when enabled, overrides the SMT interference study's workload
 	// mix, fetch policy, and sharing flags (the CLI's -smt flag; see
 	// ParseSMTSpec for the spec vocabulary). Only the "smt" experiment
@@ -236,7 +235,7 @@ func timingConfig(o Options, mode cpu.Mode, pruning, usePreds bool) cpu.Config {
 	cfg.Pruning = pruning
 	cfg.UsePredictions = usePreds
 	cfg.MaxInsts = o.TimingInsts
-	cfg.BPred = o.BPred
+	cfg.BPred.Name = o.BPred
 	return cfg
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dpbp/internal/bpred"
 	"dpbp/internal/runcache"
 	"dpbp/internal/synth"
 )
@@ -279,5 +280,25 @@ func TestCancelledContextPartial(t *testing.T) {
 	}
 	if len(r.Errors) != 2 {
 		t.Errorf("errors = %+v, want one per benchmark", r.Errors)
+	}
+}
+
+// TestShootoutIgnoresBPred pins the shootout's contract with -bpred: every
+// contender names its own backend, so a backend chosen in Options.BPred
+// must not reach any of its runs.
+func TestShootoutIgnoresBPred(t *testing.T) {
+	o := quick("comp")
+	o.TimingInsts = 60_000
+	want, err := Shootout(ctx(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.BPred = bpred.BackendTAGE
+	got, err := Shootout(ctx(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Options.BPred moved the shootout:\nwith tage: %+v\nwithout:   %+v", got, want)
 	}
 }

@@ -12,36 +12,22 @@ import (
 // ShootoutResult re-exports the typed result.
 type ShootoutResult = results.ShootoutResult
 
-// shootoutConfigs enumerates the arena's contenders. The first entry is
-// the reference (the Table 3 baseline machine with the hybrid
-// predictor); every speedup in the table is relative to it. Mutators
-// adjust the backend Spec in place (rather than replacing it) so
-// caller-supplied sizing in Options.BPred carries through.
-func shootoutConfigs() []struct {
-	name string
-	mut  func(*cpu.Config)
-} {
-	baseline := func(c *cpu.Config) {
-		c.Mode = cpu.ModeBaseline
-		c.Pruning = false
-		c.UsePredictions = false
-	}
-	micro := func(c *cpu.Config) {
-		c.Mode = cpu.ModeMicrothread
-		c.Pruning = true
-		c.UsePredictions = true
-	}
-	return []struct {
-		name string
-		mut  func(*cpu.Config)
-	}{
-		{"hybrid", baseline},
-		{"tage", func(c *cpu.Config) { baseline(c); c.BPred.Name = bpred.BackendTAGE }},
-		{"h2p-side", func(c *cpu.Config) { baseline(c); c.BPred.Name = bpred.BackendH2P }},
-		{"uthread+hybrid", micro},
-		{"uthread+tage", func(c *cpu.Config) { micro(c); c.BPred.Name = bpred.BackendTAGE }},
-		{"uthread+h2p-gate", func(c *cpu.Config) { micro(c); c.H2PSpawnGate = true }},
-	}
+// shootoutContenders are the arena's contenders. The first entry is the
+// reference (the Table 3 baseline machine with the hybrid predictor);
+// every speedup in the table is relative to it. Every contender names
+// its backend, so Options.BPred never reaches a run.
+var shootoutContenders = []struct {
+	name    string
+	micro   bool // the full mechanism with pruning, else the baseline machine
+	backend string
+	gate    bool // cpu.Config.H2PSpawnGate
+}{
+	{"hybrid", false, bpred.BackendHybrid, false},
+	{"tage", false, bpred.BackendTAGE, false},
+	{"h2p-side", false, bpred.BackendH2P, false},
+	{"uthread+hybrid", true, bpred.BackendHybrid, false},
+	{"uthread+tage", true, bpred.BackendTAGE, false},
+	{"uthread+h2p-gate", true, bpred.BackendHybrid, true},
 }
 
 // Shootout pits the predictor backends against the microthread
@@ -57,7 +43,7 @@ func Shootout(ctx context.Context, o Options) (*results.ShootoutResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfgs := shootoutConfigs()
+	cfgs := shootoutContenders
 	res := &results.ShootoutResult{
 		Configs: make([]string, len(cfgs)),
 		Rows:    make([]results.ShootoutRow, len(progs)),
@@ -76,8 +62,13 @@ func Shootout(ctx context.Context, o Options) (*results.ShootoutResult, error) {
 	refs := make([]*cpu.Result, len(progs))
 	run := func(ci int) func(ctx context.Context, i int, prog *program.Program) error {
 		return func(ctx context.Context, i int, prog *program.Program) error {
+			c := cfgs[ci]
 			cfg := timingConfig(o, cpu.ModeBaseline, false, false)
-			cfgs[ci].mut(&cfg)
+			if c.micro {
+				cfg = timingConfig(o, cpu.ModeMicrothread, true, true)
+			}
+			cfg.BPred.Name = c.backend
+			cfg.H2PSpawnGate = c.gate
 			r, err := timedRun(ctx, o, prog, cfg)
 			if err != nil {
 				return err

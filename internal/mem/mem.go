@@ -75,9 +75,7 @@ type System struct {
 }
 
 // Canonical returns the configuration with every zero field replaced by
-// its Table 3 default — exactly the configuration New builds. Run caching
-// keys on the canonical form so spelled-out and defaulted configurations
-// that mean the same hierarchy share an entry.
+// its Table 3 default — exactly the configuration New builds.
 func (cfg Config) Canonical() Config {
 	d := DefaultConfig()
 	if cfg.L1SizeWords == 0 {

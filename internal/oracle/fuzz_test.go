@@ -53,13 +53,16 @@ var fuzzCanonProg = synth.Random(1, 2)
 // must be idempotent, two canonically-equal configurations must produce
 // equal run-cache keys, and — the property the run cache's correctness
 // rests on — a run under c must be byte-identical to a run under
-// c.Canonical(), since both map to the same cache key.
+// c.Canonical(), since both map to the same cache key. The Path Cache
+// config is sparse (Entries stays 0), so the properties also cover
+// field-by-field defaulting of a sub-config.
 func FuzzConfigCanonical(f *testing.F) {
 	f.Add(uint64(3), uint64(10), false, false)
 	f.Add(uint64(0), uint64(0), true, true)
 	f.Add(uint64(2), uint64(513), true, false)
-	f.Add(uint64(16), uint64(99), true, true)  // tage backend
-	f.Add(uint64(32), uint64(257), true, true) // h2p backend + spawn gate
+	f.Add(uint64(16), uint64(99), true, true)                   // tage backend
+	f.Add(uint64(32), uint64(257), true, true)                  // h2p backend + spawn gate
+	f.Add(uint64(3), uint64(0x1800_0000_0000_000a), true, true) // sparse PathCache: interval 8, T=.05
 	f.Fuzz(func(t *testing.T, modeBits, geom uint64, usePred, pruning bool) {
 		backends := []string{"", bpred.BackendTAGE, bpred.BackendH2P}
 		cfg := cpu.Config{
@@ -77,8 +80,10 @@ func FuzzConfigCanonical(f *testing.F) {
 			MaxInsts:       4_000 + geom>>32%4_000, //
 		}
 		cfg.BPred.Name = backends[modeBits>>4%uint64(len(backends))]
-		cfg.BPred.TAGE.MaxHistory = int(geom >> 40 % 100) // 0 = default
-		cfg.BPred.H2P.H2PThreshold = int(geom >> 48 % 12) //
+		cfg.BPred.TAGE.MaxHistory = int(geom >> 40 % 100)    // 0 = default
+		cfg.BPred.H2P.H2PThreshold = int(geom >> 48 % 12)    //
+		cfg.PathCache.TrainInterval = int(geom >> 56 % 16)   // 0 = default
+		cfg.PathCache.Threshold = float64(geom>>60%4) * 0.05 //
 
 		canon := cfg.Canonical()
 		if again := canon.Canonical(); !reflect.DeepEqual(canon, again) {

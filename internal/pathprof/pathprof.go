@@ -61,14 +61,11 @@ type Config struct {
 	Ns []int
 	// MaxInsts bounds the functional run.
 	MaxInsts uint64
-	// Predictor sizes the baseline predictor; zero value means Table 3
-	// defaults.
-	Predictor bpred.Config
 }
 
 // DefaultConfig profiles n = 4, 10, 16 over 2M instructions.
 func DefaultConfig() Config {
-	return Config{Ns: []int{4, 10, 16}, MaxInsts: 2_000_000, Predictor: bpred.DefaultConfig()}
+	return Config{Ns: []int{4, 10, 16}, MaxInsts: 2_000_000}
 }
 
 // Canonical returns the configuration with every zero field replaced by
@@ -83,13 +80,10 @@ func (c Config) Canonical() Config {
 	if c.MaxInsts == 0 {
 		c.MaxInsts = d.MaxInsts
 	}
-	if c.Predictor.PHTEntries == 0 {
-		c.Predictor = d.Predictor
-	}
 	return c
 }
 
-// Run profiles prog under cfg, simulating the baseline predictor
+// Run profiles prog under cfg, simulating the Table 3 baseline predictor
 // against a fresh functional run.
 func Run(prog *program.Program, cfg Config) *Profile {
 	cfg = cfg.Canonical()
@@ -102,7 +96,7 @@ func Run(prog *program.Program, cfg Config) *Profile {
 		p.ByN = append(p.ByN, &NProfile{N: n, paths: make(map[path.ID]*pathStats)})
 		trackers[i] = path.NewTracker(n)
 	}
-	pred := bpred.New(cfg.Predictor)
+	pred := bpred.New(bpred.DefaultConfig())
 	p.Insts = emu.New(prog).Run(cfg.MaxInsts, func(r *emu.Record) bool {
 		if !r.Inst.IsBranch() {
 			return true

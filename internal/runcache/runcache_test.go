@@ -235,7 +235,6 @@ func TestKeyOfCPUConfigCanonical(t *testing.T) {
 		"Pruning":        func(c *cpu.Config) { c.Pruning = !c.Pruning },
 		"PCacheEntries":  func(c *cpu.Config) { c.PCacheEntries += 1 },
 		"WindowSize":     func(c *cpu.Config) { c.WindowSize *= 2 },
-		"VPred.Entries":  func(c *cpu.Config) { c.VPred.Entries *= 2 },
 		"PrePromoted":    func(c *cpu.Config) { c.PrePromoted = []uint64{7} },
 		"UsePredictions": func(c *cpu.Config) { c.UsePredictions = !c.UsePredictions },
 		"BPred.Name":     func(c *cpu.Config) { c.BPred.Name = bpred.BackendTAGE },

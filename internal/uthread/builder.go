@@ -71,9 +71,6 @@ type Builder struct {
 
 // NewBuilder returns a builder with the given configuration.
 func NewBuilder(cfg BuildConfig) *Builder {
-	if cfg.MCBCapacity <= 0 {
-		cfg.MCBCapacity = 64
-	}
 	return &Builder{cfg: cfg}
 }
 

@@ -23,9 +23,6 @@ func (m *MicroRAM) Reset() {
 
 // Reset reconfigures the builder in place and zeroes its statistics.
 func (b *Builder) Reset(cfg BuildConfig) {
-	if cfg.MCBCapacity <= 0 {
-		cfg.MCBCapacity = 64
-	}
 	b.cfg = cfg
 	b.Stats = BuildStats{}
 }

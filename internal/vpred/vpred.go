@@ -32,24 +32,6 @@ func DefaultConfig() Config {
 	return Config{Entries: 16 << 10, ConfMax: 7, ConfThreshold: 4}
 }
 
-// Canonical fills zero-valued fields from DefaultConfig, per-field, so
-// a partially specified config keeps its set fields instead of falling
-// back to a degenerate table. Idempotent; run-cache keys use the
-// canonical form.
-func (c Config) Canonical() Config {
-	d := DefaultConfig()
-	if c.Entries == 0 {
-		c.Entries = d.Entries
-	}
-	if c.ConfMax == 0 {
-		c.ConfMax = d.ConfMax
-	}
-	if c.ConfThreshold == 0 {
-		c.ConfThreshold = d.ConfThreshold
-	}
-	return c
-}
-
 type entry struct {
 	tag    isa.Addr
 	last   isa.Word
