@@ -178,10 +178,10 @@ func expAll(b *testing.B, o ExperimentOptions) {
 
 // BenchmarkExpAll measures the whole `dpbp -exp all` computation —
 // every table and figure against one options value — with and without
-// the run cache. The gap is what content-addressed memoization buys:
-// the sections re-request each benchmark's baseline run and share one
-// profile, so the cached variant computes each unique run exactly once
-// (see EXPERIMENTS.md for recorded numbers).
+// the run cache. The gap is what memoization buys: the sections
+// re-request each benchmark's baseline run and share one profile, so
+// the cached variant computes each unique run exactly once (see
+// EXPERIMENTS.md for recorded numbers).
 func BenchmarkExpAll(b *testing.B) {
 	b.Run("uncached", func(b *testing.B) {
 		b.ReportAllocs()

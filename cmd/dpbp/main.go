@@ -26,10 +26,11 @@
 // (text marks the output PARTIAL RESULT; JSON and CSV carry the errors
 // structurally).
 //
-// Runs are memoized through a content-addressed cache, so experiments
-// sharing configurations (the figures re-request the same baselines;
-// Tables 1 and 2 share one profile) compute each unique run exactly
-// once. Results are bit-identical to recomputing every run.
+// Runs are memoized through a cache keyed by benchmark name and
+// canonical configuration, so experiments sharing configurations (the
+// figures re-request the same baselines; Tables 1 and 2 share one
+// profile) compute each unique run exactly once. Results are
+// bit-identical to recomputing every run.
 //
 // -trace attaches a lifecycle tracer to every timing run and writes one
 // Chrome trace-event JSON document (loadable in Perfetto or

@@ -17,12 +17,12 @@ import (
 type ExperimentOptions = exp.Options
 
 // RunCache memoizes timing runs, profiling runs, and generated benchmark
-// programs by content-addressed key, with single-flight semantics for
-// concurrent requests. Assign one (via NewRunCache) to
-// ExperimentOptions.Cache and share it across experiment calls: because
-// the simulator is bit-deterministic, cached results are identical to
-// fresh ones, and each unique run is computed exactly once. Cached
-// results are shared — treat them as immutable.
+// programs, keyed by benchmark name and canonical configuration, with
+// single-flight semantics for concurrent requests. Assign one (via
+// NewRunCache) to ExperimentOptions.Cache and share it across experiment
+// calls: because the simulator is bit-deterministic, cached results are
+// identical to fresh ones, and each unique run is computed exactly once.
+// Cached results are shared — treat them as immutable.
 type RunCache = runcache.Cache
 
 // RunCacheStats is a snapshot of a RunCache's traffic counters.

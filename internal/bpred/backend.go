@@ -30,19 +30,19 @@ const (
 
 // Spec selects and sizes a direction-predictor backend. It is part of
 // cpu.Config, so it must stay comparable (the machine pool diffs specs
-// to decide between Reset and reconstruction) and canonicalizable (the
-// run cache keys on the canonical form). Name chooses the backend;
+// to decide between Reset and reconstruction) and plain data (the run
+// cache keys on the printed canonical config). Name chooses the backend;
 // the sizing sections are always canonicalized, even for backends that
 // ignore them, because the H2P section also drives the microthread
 // spawn gate under any backend.
 type Spec struct {
 	// Name is a backend name; empty means BackendHybrid.
-	Name string `json:"name,omitempty"`
+	Name string
 	// TAGE sizes the tage backend (used when Name == "tage").
-	TAGE tage.Config `json:"tage,omitempty"`
+	TAGE tage.Config
 	// H2P sizes the h2p side predictor (used when Name == "h2p") and
 	// the H2P spawn-gate filter (used whenever cpu enables the gate).
-	H2P h2p.Config `json:"h2p,omitempty"`
+	H2P h2p.Config
 }
 
 // Canonical fills the zero value with defaults: an empty Name becomes

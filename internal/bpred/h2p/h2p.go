@@ -37,23 +37,23 @@ import "dpbp/internal/isa"
 type Config struct {
 	// FilterEntries is the number of direct-mapped filter slots
 	// (rounded up to a power of two).
-	FilterEntries int `json:"filter_entries,omitempty"`
+	FilterEntries int
 	// FilterTagBits is the width of the partial PC tag stored per slot.
-	FilterTagBits int `json:"filter_tag_bits,omitempty"`
+	FilterTagBits int
 	// H2PThreshold is the aged mispredict count at or above which a
 	// tracked branch is classified hard-to-predict.
-	H2PThreshold int `json:"h2p_threshold,omitempty"`
+	H2PThreshold int
 	// FilterWindow is the aging period: when a slot's total count
 	// reaches it, both of the slot's counts are halved.
-	FilterWindow int `json:"filter_window,omitempty"`
+	FilterWindow int
 	// SideEntries is the number of side-table counters (rounded up to a
 	// power of two).
-	SideEntries int `json:"side_entries,omitempty"`
+	SideEntries int
 	// SideHistBits is how many global history bits index the side table.
-	SideHistBits int `json:"side_hist_bits,omitempty"`
+	SideHistBits int
 	// SideConfidence is the minimum counter magnitude at which the side
 	// table overrides the base prediction (1..4 for 3-bit counters).
-	SideConfidence int `json:"side_confidence,omitempty"`
+	SideConfidence int
 }
 
 // DefaultConfig returns the sizing used by the shootout experiment: a

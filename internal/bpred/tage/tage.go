@@ -32,19 +32,19 @@ import (
 // Canonical.
 type Config struct {
 	// BimodalEntries sizes the base bimodal table.
-	BimodalEntries int `json:"bimodal_entries,omitempty"`
+	BimodalEntries int
 	// Tables is the number of tagged tables.
-	Tables int `json:"tables,omitempty"`
+	Tables int
 	// TableEntries sizes each tagged table.
-	TableEntries int `json:"table_entries,omitempty"`
+	TableEntries int
 	// TagBits is the partial-tag width of tagged entries (at least 2).
-	TagBits int `json:"tag_bits,omitempty"`
+	TagBits int
 	// MinHistory is the shortest tagged table's history length.
-	MinHistory int `json:"min_history,omitempty"`
+	MinHistory int
 	// MaxHistory is the longest tagged table's history length.
-	MaxHistory int `json:"max_history,omitempty"`
+	MaxHistory int
 	// UDecayInterval is the number of updates between usefulness decays.
-	UDecayInterval int `json:"u_decay_interval,omitempty"`
+	UDecayInterval int
 }
 
 // DefaultConfig returns a configuration whose storage budget roughly

@@ -254,7 +254,9 @@ func DefaultConfig() Config {
 // — exactly the configuration a run with c actually uses (Machine.Reset
 // runs it first). Two Configs that canonicalize equal produce
 // bit-identical runs, which is what makes Canonical the right input for
-// content-addressed run caching.
+// a run-cache key. An empty PrePromoted folds to nil, because the key
+// prints a nil slice differently from an empty one and both mean no
+// pre-promoted paths.
 func (c Config) Canonical() Config {
 	d := DefaultConfig()
 	if c.N == 0 {
@@ -317,6 +319,9 @@ func (c Config) Canonical() Config {
 	}
 	if c.ThrottleMinYield == 0 {
 		c.ThrottleMinYield = d.ThrottleMinYield
+	}
+	if len(c.PrePromoted) == 0 {
+		c.PrePromoted = nil
 	}
 	c.SMT = c.SMT.Canonical()
 	return c

@@ -2,20 +2,19 @@ package cpu
 
 import "dpbp/internal/path"
 
-// pathMap is an open-addressed hash map from path.ID to uint64, built for
-// the promotion hot path: the promoted sets are probed for every
-// terminating branch, and a built-in map's hashing and bucket chasing
-// showed up prominently in CPU profiles of the figure sweeps. Linear
-// probing over two flat arrays keeps each lookup to one multiply and
-// (almost always) one cache line.
+// pathMap is an open-addressed hash set of path.IDs, built for the
+// promotion hot path: the promoted sets are probed for every terminating
+// branch, and a built-in map's hashing and bucket chasing showed up
+// prominently in CPU profiles of the figure sweeps. Linear probing over
+// flat arrays keeps each probe to one multiply and (almost always) one
+// cache line.
 //
-// The zero value is an empty map. clear keeps the backing arrays, so a
+// The zero value is an empty set. clear keeps the backing arrays, so a
 // reused Machine stops re-allocating its tables on every Reset. Deletion
 // uses backward-shift compaction, so the table never accumulates
-// tombstones and lookups stay O(probe distance).
+// tombstones and probes stay O(probe distance).
 type pathMap struct {
 	keys []path.ID
-	vals []uint64
 	live []bool
 	n    int
 }
@@ -33,7 +32,7 @@ func (m *pathMap) home(k path.ID) uint64 {
 // len returns the number of live entries.
 func (m *pathMap) len() int { return m.n }
 
-// clear empties the map, keeping capacity for reuse.
+// clear empties the set, keeping capacity for reuse.
 func (m *pathMap) clear() {
 	if m.n == 0 {
 		return
@@ -42,28 +41,22 @@ func (m *pathMap) clear() {
 	m.n = 0
 }
 
-// lookup returns the value stored for k and whether it is present.
-func (m *pathMap) lookup(k path.ID) (uint64, bool) {
+// has reports whether k is present.
+func (m *pathMap) has(k path.ID) bool {
 	if m.n == 0 {
-		return 0, false
+		return false
 	}
 	mask := uint64(len(m.keys) - 1)
 	for i := m.home(k); m.live[i]; i = (i + 1) & mask {
 		if m.keys[i] == k {
-			return m.vals[i], true
+			return true
 		}
 	}
-	return 0, false
+	return false
 }
 
-// has reports whether k is present.
-func (m *pathMap) has(k path.ID) bool {
-	_, ok := m.lookup(k)
-	return ok
-}
-
-// set inserts or overwrites the value for k.
-func (m *pathMap) set(k path.ID, v uint64) {
+// add inserts k; adding a present key is a no-op.
+func (m *pathMap) add(k path.ID) {
 	if len(m.keys) == 0 || (m.n+1)*4 > len(m.keys)*3 {
 		m.grow()
 	}
@@ -71,13 +64,11 @@ func (m *pathMap) set(k path.ID, v uint64) {
 	i := m.home(k)
 	for m.live[i] {
 		if m.keys[i] == k {
-			m.vals[i] = v
 			return
 		}
 		i = (i + 1) & mask
 	}
 	m.keys[i] = k
-	m.vals[i] = v
 	m.live[i] = true
 	m.n++
 }
@@ -117,7 +108,6 @@ func (m *pathMap) delete(k path.ID) {
 			}
 		}
 		m.keys[i] = m.keys[j]
-		m.vals[i] = m.vals[j]
 		m.live[i] = true
 		i = j
 	}
@@ -129,14 +119,13 @@ func (m *pathMap) grow() {
 	if len(m.keys) > 0 {
 		newCap = len(m.keys) * 2
 	}
-	oldKeys, oldVals, oldLive := m.keys, m.vals, m.live
+	oldKeys, oldLive := m.keys, m.live
 	m.keys = make([]path.ID, newCap)
-	m.vals = make([]uint64, newCap)
 	m.live = make([]bool, newCap)
 	m.n = 0
 	for i, ok := range oldLive {
 		if ok {
-			m.set(oldKeys[i], oldVals[i])
+			m.add(oldKeys[i])
 		}
 	}
 }

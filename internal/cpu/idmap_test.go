@@ -16,19 +16,17 @@ func (r *lcg) next() uint64 {
 }
 
 // TestPathMapMatchesBuiltin drives a pathMap and a built-in map through
-// the same deterministic op sequence and requires identical observable
-// state throughout, including after clear-and-reuse.
+// the same deterministic op sequence and requires identical membership
+// throughout, including after clear-and-reuse.
 func TestPathMapMatchesBuiltin(t *testing.T) {
 	var pm pathMap
-	ref := map[path.ID]uint64{}
+	ref := map[path.ID]bool{}
 	rng := lcg(12345)
 
 	check := func(step int, k path.ID) {
 		t.Helper()
-		wantV, wantOK := ref[k]
-		gotV, gotOK := pm.lookup(k)
-		if gotOK != wantOK || (wantOK && gotV != wantV) {
-			t.Fatalf("step %d: lookup(%d) = (%d,%v), want (%d,%v)", step, k, gotV, gotOK, wantV, wantOK)
+		if got := pm.has(k); got != ref[k] {
+			t.Fatalf("step %d: has(%d) = %v, want %v", step, k, got, ref[k])
 		}
 		if pm.len() != len(ref) {
 			t.Fatalf("step %d: len = %d, want %d", step, pm.len(), len(ref))
@@ -37,29 +35,28 @@ func TestPathMapMatchesBuiltin(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 20000; i++ {
-			// Small key space forces collisions, overwrites, and
+			// Small key space forces collisions, re-adds, and
 			// delete-of-present cases.
 			k := path.ID(rng.next() % 512)
 			switch rng.next() % 4 {
 			case 0, 1:
-				v := rng.next()
-				pm.set(k, v)
-				ref[k] = v
+				pm.add(k)
+				ref[k] = true
 			case 2:
 				pm.delete(k)
 				delete(ref, k)
 			case 3:
-				// Pure lookup; checked below.
+				// Pure probe; checked below.
 			}
 			check(i, k)
 			probe := path.ID(rng.next() % 512)
 			check(i, probe)
 		}
-		// clear keeps capacity but must empty the map.
+		// clear keeps capacity but must empty the set.
 		pm.clear()
-		ref = map[path.ID]uint64{}
+		ref = map[path.ID]bool{}
 		if pm.len() != 0 || pm.has(path.ID(1)) {
-			t.Fatalf("round %d: map not empty after clear", round)
+			t.Fatalf("round %d: set not empty after clear", round)
 		}
 	}
 }
@@ -67,13 +64,13 @@ func TestPathMapMatchesBuiltin(t *testing.T) {
 // TestPathMapZeroValue verifies the zero value works for every operation.
 func TestPathMapZeroValue(t *testing.T) {
 	var pm pathMap
-	if v, ok := pm.lookup(0); ok || v != 0 || pm.has(0) || pm.len() != 0 {
+	if pm.has(0) || pm.len() != 0 {
 		t.Fatal("zero-value pathMap not empty")
 	}
 	pm.delete(7) // no-op
 	pm.clear()   // no-op
-	pm.set(0, 42)
-	if v, ok := pm.lookup(0); !ok || v != 42 || !pm.has(0) || pm.len() != 1 {
+	pm.add(0)
+	if !pm.has(0) || pm.len() != 1 {
 		t.Fatal("zero key not stored")
 	}
 }
@@ -84,14 +81,14 @@ func TestPathMapGrowth(t *testing.T) {
 	var pm pathMap
 	const n = 10000
 	for i := 0; i < n; i++ {
-		pm.set(path.ID(i*2654435761), uint64(i))
+		pm.add(path.ID(i * 2654435761))
 	}
 	if pm.len() != n {
 		t.Fatalf("len = %d, want %d", pm.len(), n)
 	}
 	for i := 0; i < n; i++ {
-		if got, ok := pm.lookup(path.ID(i * 2654435761)); !ok || got != uint64(i) {
-			t.Fatalf("key %d: got (%d,%v), want (%d,true)", i, got, ok, i)
+		if !pm.has(path.ID(i * 2654435761)) {
+			t.Fatalf("key %d missing after growth", i)
 		}
 	}
 }

@@ -225,9 +225,9 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 	m.prePromoted.clear()
 	m.builderFreeAt = 0
 	for _, id := range cfg.PrePromoted {
-		m.prePromoted.set(path.ID(id), 1)
+		m.prePromoted.add(path.ID(id))
 		if cfg.Mode == ModePerfectPromoted {
-			m.promoted.set(path.ID(id), 1)
+			m.promoted.add(path.ID(id))
 		}
 	}
 
@@ -829,7 +829,7 @@ func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMis
 		}
 		if cfg.Mode == ModePerfectPromoted {
 			if m.promoted.len() < cfg.MicroRAMEntries {
-				m.promoted.set(termID, 1)
+				m.promoted.add(termID)
 				m.pathCache.SetPromoted(termID, true)
 			} else {
 				m.pathCache.SetPromoted(termID, false)

@@ -67,8 +67,8 @@ func ParseFetchPolicy(s string) (FetchPolicy, error) {
 
 // WorkloadRef names the workload one SMT primary context runs. The cpu
 // package never resolves the name — program construction stays in the
-// synth/experiment layers — but the reference lives here so runcache
-// keys, JSON output, and the -smt CLI flag share one vocabulary.
+// synth/experiment layers — but the reference lives here so SMTConfig,
+// JSON output, and the -smt CLI flag share one vocabulary.
 type WorkloadRef struct {
 	// Bench is a benchmark name (internal/synth's fixed set).
 	Bench string
@@ -102,9 +102,9 @@ type SMTConfig struct {
 // Enabled reports whether the configuration asks for an SMT run.
 func (s SMTConfig) Enabled() bool { return len(s.Contexts) > 0 }
 
-// Canonical normalizes the configuration for content-addressed run
-// caching. Every zero field is meaningful (private, round-robin), so
-// only the empty-vs-nil slice distinction needs folding.
+// Canonical normalizes the configuration for a run-cache key. Every zero
+// field is meaningful (private, round-robin), so only the empty-vs-nil
+// slice distinction needs folding.
 func (s SMTConfig) Canonical() SMTConfig {
 	if len(s.Contexts) == 0 {
 		s.Contexts = nil

@@ -36,18 +36,18 @@ type Options struct {
 	// Parallelism bounds concurrent benchmark runs (default GOMAXPROCS).
 	Parallelism int
 	// Cache, when non-nil, memoizes timing runs, profiling runs, and
-	// generated benchmark programs by content-addressed key (program
-	// fingerprint plus canonicalized configuration). Because the
-	// simulator is bit-deterministic, a cached result is identical to a
-	// fresh one; sharing one Cache across experiments makes each unique
-	// run compute exactly once (e.g. the figure sweeps re-request the
-	// same baseline runs). Cached values are shared and must be treated
-	// as immutable, which every consumer in this package honours.
+	// generated benchmark programs, keyed by benchmark name plus
+	// canonicalized configuration. Because the simulator is
+	// bit-deterministic, a cached result is identical to a fresh one;
+	// sharing one Cache across experiments makes each unique run compute
+	// exactly once (e.g. the figure sweeps re-request the same baseline
+	// runs). Cached values are shared and must be treated as immutable,
+	// which every consumer in this package honours.
 	Cache *runcache.Cache
 	// Trace, when non-nil, attaches a lifecycle tracer to every timing
-	// run (named "<bench>/<mode>[+variant]"). Traced runs bypass the
-	// cache: a cache hit would return statistics without replaying the
-	// events that reconcile with them.
+	// run (named "<bench>/<mode>[+variant]", or "<mix>/<sharing>" for an
+	// SMT run). Traced runs bypass the cache: a cache hit would return
+	// statistics without replaying the events that reconcile with them.
 	Trace *obs.Collector
 	// BPred names the direction-predictor backend every timing run uses
 	// (see bpred.Backends; empty is the paper's hybrid). The shootout
@@ -82,9 +82,8 @@ func (o Options) programs() ([]*program.Program, error) {
 }
 
 // programsFor generates the named benchmarks. With a cache, generation
-// is memoized by name (the generator is deterministic) and the block
-// structure and fingerprint are precomputed, so the shared Program is
-// immutable from then on.
+// is memoized by name (the generator is deterministic), so every run in
+// the cache's lifetime shares one immutable Program per name.
 func (o Options) programsFor(names []string) ([]*program.Program, error) {
 	progs := make([]*program.Program, len(names))
 	for i, name := range names {
@@ -97,11 +96,7 @@ func (o Options) programsFor(names []string) ([]*program.Program, error) {
 			continue
 		}
 		v, err := o.Cache.Do(context.Background(), runcache.KeyOf("program", name),
-			func() (any, error) {
-				g := synth.Generate(p)
-				g.Fingerprint() // hash once here, before the sweeps share g
-				return g, nil
-			})
+			func() (any, error) { return synth.Generate(p), nil })
 		if err != nil {
 			return nil, err
 		}
@@ -124,17 +119,20 @@ var testHookBeforeRun func(bench string)
 var machines cpu.Pool
 
 // timedRun executes one cancellable timing run, memoized through o.Cache
-// when one is set. A config carrying an OnBuild hook or a tracer is
-// observable (the hook sees every built routine, the tracer every
-// lifecycle event), so it always runs fresh and uncached.
+// when one is set. The key names the program by benchmark name, which is
+// sound because every program this package runs comes from programsFor,
+// and programsFor memoizes one Program per name in the same cache. A
+// config carrying an OnBuild or OnRetire hook or a tracer is observable
+// (the hooks see every built routine or retired instruction, the tracer
+// every lifecycle event), so it always runs fresh and uncached.
 func timedRun(ctx context.Context, o Options, prog *program.Program, cfg cpu.Config) (*cpu.Result, error) {
 	if o.Trace != nil {
 		cfg.Obs = o.Trace.StartRun(runName(prog, cfg))
 	}
-	if o.Cache == nil || cfg.OnBuild != nil || cfg.Obs != nil {
+	if o.Cache == nil || cfg.OnBuild != nil || cfg.OnRetire != nil || cfg.Obs != nil {
 		return pooledRun(ctx, prog, cfg)
 	}
-	key := runcache.KeyOf("cpu", prog.Fingerprint(), cfg.Canonical())
+	key := runcache.KeyOf("cpu", prog.Name, cfg.Canonical())
 	v, err := o.Cache.Do(ctx, key, func() (any, error) {
 		return pooledRun(ctx, prog, cfg)
 	})
@@ -177,12 +175,12 @@ func pooledRun(ctx context.Context, prog *program.Program, cfg cpu.Config) (*cpu
 }
 
 // profileRun executes one functional profiling run, memoized through
-// o.Cache when one is set.
+// o.Cache when one is set and keyed by benchmark name like timedRun.
 func profileRun(ctx context.Context, o Options, prog *program.Program, cfg pathprof.Config) (*pathprof.Profile, error) {
 	if o.Cache == nil {
 		return pathprof.Run(prog, cfg), nil
 	}
-	key := runcache.KeyOf("pathprof", prog.Fingerprint(), cfg.Canonical())
+	key := runcache.KeyOf("pathprof", prog.Name, cfg.Canonical())
 	v, err := o.Cache.Do(ctx, key, func() (any, error) {
 		return pathprof.Run(prog, cfg), nil
 	})

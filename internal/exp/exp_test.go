@@ -193,6 +193,29 @@ func TestCachedMatchesCacheless(t *testing.T) {
 	}
 }
 
+// TestRunCacheTrafficAll pins how "all" uses the run cache. Per
+// benchmark it makes 5 program lookups (one per section), 2 profile
+// lookups (Tables 1 and 2) and 10 timing lookups (Section 1 2, Figure 6
+// 4, Figure 7 4), and computes 1 program, 1 profile and 8 timing runs. A
+// key that split equal runs or merged different ones would move the
+// counts.
+func TestRunCacheTrafficAll(t *testing.T) {
+	o := Options{
+		Benchmarks:   []string{"comp", "li"},
+		TimingInsts:  20_000,
+		ProfileInsts: 20_000,
+		Parallelism:  2,
+		Cache:        runcache.New(),
+	}
+	if _, err := Collect(ctx(), "all", o); err != nil {
+		t.Fatal(err)
+	}
+	want := runcache.Stats{Lookups: 34, Computes: 20, Hits: 14}
+	if got := o.Cache.Stats(); got != want {
+		t.Errorf("run cache traffic = %+v, want %+v", got, want)
+	}
+}
+
 func TestProfileGuidedExperiment(t *testing.T) {
 	r, err := ProfileGuided(ctx(), quick("vortex"))
 	if err != nil {

@@ -6,9 +6,7 @@ import (
 	"strings"
 
 	"dpbp/internal/cpu"
-	"dpbp/internal/program"
 	"dpbp/internal/results"
-	"dpbp/internal/runcache"
 	"dpbp/internal/sched"
 	"dpbp/internal/synth"
 )
@@ -82,7 +80,8 @@ func coveragePct(r *cpu.Result) float64 {
 // compared against the (cached) solo run of the same workload, and the
 // contended-spawn traffic against the machine-wide microcontext budget.
 // Options.SMT, when enabled, overrides the mix list, fetch policy, and
-// the shared variant's flags. A failed mix costs only its rows,
+// the shared variant's flags. SMT runs are not cached: the study runs
+// each (mix, sharing) unit once. A failed mix costs only its rows,
 // recorded in Errors as "mix/sharing".
 func SMT(ctx context.Context, o Options) (*results.SMTResult, error) {
 	o = o.withDefaults()
@@ -127,7 +126,10 @@ func SMT(ctx context.Context, o Options) (*results.SMTResult, error) {
 		for i, name := range names {
 			cfg.SMT.Contexts[i] = cpu.WorkloadRef{Bench: name}
 		}
-		run, err := smtRun(ctx, o, progs, cfg)
+		if o.Trace != nil {
+			cfg.Obs = o.Trace.StartRun(res.Mixes[u.mix].Name + "/" + sharingName(variants[u.variant]))
+		}
+		run, err := cpu.RunSMT(ctx, progs, cfg)
 		if err != nil {
 			return err
 		}
@@ -181,28 +183,6 @@ func SMT(ctx context.Context, o Options) (*results.SMTResult, error) {
 		res.Mixes[mi].Variants = kept
 	}
 	return res, nil
-}
-
-// smtRun executes one cancellable SMT run, memoized through o.Cache
-// when one is set. The cache key is the canonical configuration plus
-// every context's program fingerprint.
-func smtRun(ctx context.Context, o Options, progs []*program.Program, cfg cpu.Config) (*cpu.SMTResult, error) {
-	if o.Cache == nil {
-		return cpu.RunSMT(ctx, progs, cfg)
-	}
-	canon := cfg.Canonical()
-	parts := make([]any, 0, len(progs)+1)
-	for _, p := range progs {
-		parts = append(parts, p.Fingerprint())
-	}
-	parts = append(parts, canon)
-	v, err := o.Cache.Do(ctx, runcache.KeyOf("smt", parts...), func() (any, error) {
-		return cpu.RunSMT(ctx, progs, cfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*cpu.SMTResult), nil
 }
 
 // ParseSMTSpec parses the CLI's -smt vocabulary:

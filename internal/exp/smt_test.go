@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dpbp/internal/cpu"
+	"dpbp/internal/obs"
 	"dpbp/internal/runcache"
 )
 
@@ -103,6 +104,32 @@ func TestSMTExperimentDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cached, fresh) {
 		t.Errorf("cached and fresh SMT results differ:\n%+v\nvs\n%+v", cached, fresh)
+	}
+}
+
+// TestSMTRunsTraced pins that Options.Trace records the SMT runs, not
+// only their solo references: each (mix, sharing) run gets a tracer
+// named "mix/sharing", and its events carry the second primary context.
+func TestSMTRunsTraced(t *testing.T) {
+	o := tinySMTOpts()
+	o.SMT, _ = ParseSMTSpec("comp+comp")
+	o.Trace = obs.NewCollector()
+	if _, err := SMT(context.Background(), o); err != nil {
+		t.Fatal(err)
+	}
+	ctx1 := map[string]bool{}
+	for _, r := range o.Trace.Runs() {
+		for _, ev := range r.Tracer.Events() {
+			if ev.Ctx == 1 {
+				ctx1[r.Name] = true
+				break
+			}
+		}
+	}
+	for _, name := range []string{"comp+comp/private", "comp+comp/shared-pathcache"} {
+		if !ctx1[name] {
+			t.Errorf("no context-1 events traced for SMT run %s", name)
+		}
 	}
 }
 

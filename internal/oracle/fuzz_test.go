@@ -89,8 +89,8 @@ func FuzzConfigCanonical(f *testing.F) {
 		if again := canon.Canonical(); !reflect.DeepEqual(canon, again) {
 			t.Fatalf("Canonical not idempotent:\n%+v\nvs\n%+v", canon, again)
 		}
-		k1 := runcache.KeyOf("cpu", fuzzCanonProg.Fingerprint(), cfg.Canonical())
-		k2 := runcache.KeyOf("cpu", fuzzCanonProg.Fingerprint(), canon.Canonical())
+		k1 := runcache.KeyOf("cpu", fuzzCanonProg.Name, cfg.Canonical())
+		k2 := runcache.KeyOf("cpu", fuzzCanonProg.Name, canon.Canonical())
 		if k1 != k2 {
 			t.Fatal("canonically equal configs produced different cache keys")
 		}

@@ -71,7 +71,7 @@ func DefaultConfig() Config {
 // Canonical returns the configuration with every zero field replaced by
 // its default — the configuration Run actually uses. Configs that
 // canonicalize equal produce identical profiles, so Canonical is the
-// content-addressed cache key input for profiling runs.
+// run-cache key input for profiling runs.
 func (c Config) Canonical() Config {
 	d := DefaultConfig()
 	if len(c.Ns) == 0 {

@@ -1,14 +1,10 @@
 // Package program represents executable programs for the simulator: a flat,
 // word-addressed instruction array with an entry point and an initial data
-// image, plus a content fingerprint for run caching. The synthetic workload
-// generator emits Programs through Builder.
+// image. The synthetic workload generator emits Programs through Builder.
 package program
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"dpbp/internal/isa"
 )
@@ -26,11 +22,6 @@ type Program struct {
 	DataBase  isa.Addr
 	Data      []isa.Word
 	StackBase isa.Addr
-
-	// fp caches Fingerprint; fpOnce makes the lazy computation safe for
-	// concurrent callers (the experiment sweeps share Programs).
-	fpOnce sync.Once
-	fp     [sha256.Size]byte
 }
 
 // At returns the instruction at addr. It panics if addr is out of range;
@@ -42,40 +33,6 @@ func (p *Program) At(addr isa.Addr) isa.Inst {
 // Valid reports whether addr is a valid instruction address.
 func (p *Program) Valid(addr isa.Addr) bool {
 	return addr < isa.Addr(len(p.Code))
-}
-
-// Fingerprint returns a sha256 content hash of the executable image:
-// name, entry point, every instruction, the initial data image, and the
-// stack base. Two programs with equal fingerprints behave identically in
-// the simulator, so the fingerprint serves as the program half of a
-// content-addressed run-cache key. The hash is computed once and cached;
-// Programs must not be mutated after first use.
-func (p *Program) Fingerprint() [sha256.Size]byte {
-	p.fpOnce.Do(func() {
-		h := sha256.New()
-		w64 := func(v uint64) {
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], v)
-			h.Write(buf[:]) //nolint:errcheck
-		}
-		w64(uint64(len(p.Name)))
-		h.Write([]byte(p.Name)) //nolint:errcheck
-		w64(uint64(p.Entry))
-		w64(uint64(len(p.Code)))
-		for _, in := range p.Code {
-			w64(uint64(in.Op) | uint64(in.Dst)<<8 | uint64(in.Src1)<<16 | uint64(in.Src2)<<24)
-			w64(uint64(in.Imm))
-			w64(uint64(in.Target))
-		}
-		w64(uint64(p.DataBase))
-		w64(uint64(len(p.Data)))
-		for _, d := range p.Data {
-			w64(uint64(d))
-		}
-		w64(uint64(p.StackBase))
-		h.Sum(p.fp[:0])
-	})
-	return p.fp
 }
 
 // Validate checks structural invariants: non-empty code, a valid entry

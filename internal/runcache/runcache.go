@@ -1,12 +1,12 @@
-// Package runcache is a concurrency-safe, content-addressed memoization
-// layer for deterministic computations. The experiment harness keys every
-// timing run and profiling run by (program fingerprint, canonicalized
-// configuration); because the simulator is bit-deterministic, two runs
-// with the same key produce identical results, so the second one is pure
-// waste. A shared Cache makes `-exp all` compute each unique run exactly
-// once: the figure sweeps re-request the same baselines and profiles, and
-// every repeat is served from the cache or by waiting on the in-flight
-// first computation (single-flight).
+// Package runcache is a concurrency-safe memoization layer for
+// deterministic computations. The experiment harness keys every timing
+// run and profiling run by (benchmark name, canonicalized configuration);
+// because the simulator is bit-deterministic, two runs with the same key
+// produce identical results, so the second one is pure waste. A shared
+// Cache makes `-exp all` compute each unique run exactly once: the figure
+// sweeps re-request the same baselines and profiles, and every repeat is
+// served from the cache or by waiting on the in-flight first computation
+// (single-flight).
 //
 // The cache stores values as `any` and never copies them, so cached
 // values are shared across callers and must be treated as immutable.
@@ -23,21 +23,14 @@ package runcache
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"hash"
-	"math"
-	"reflect"
+	"strings"
 	"sync"
 )
 
-// Key is a content-addressed cache key: a sha256 over a domain tag and
-// the canonical encoding of the inputs (see KeyOf).
-type Key [sha256.Size]byte
-
-// String renders an abbreviated hex form for logs.
-func (k Key) String() string { return fmt.Sprintf("%x", k[:8]) }
+// Key names one cached computation: a domain tag and the printed inputs
+// (see KeyOf).
+type Key string
 
 // Stats counts cache traffic. Computes equals the number of distinct keys
 // whose computation was started; with a deterministic workload and no
@@ -156,126 +149,23 @@ func (c *Cache) lead(k Key, e *entry, compute func() (any, error)) (any, error) 
 	return e.val, e.err
 }
 
-// KeyOf builds a content-addressed key from a domain tag and a sequence
-// of canonical parts. Parts are hashed structurally via reflection: two
-// parts hash identically iff they have the same shape and scalar
-// contents, regardless of how they were built (a nil slice equals an
-// empty one). Callers canonicalize configuration values first (e.g.
-// cpu.Config.Canonical) so that configs meaning the same run collide.
+// KeyOf builds a cache key: the domain, then each part printed with %#v,
+// separated by \x1f. %#v prints type names, field names and every value
+// (floats in shortest round-trip form), so two parts print the same
+// exactly when they are equal. Callers canonicalize configuration values
+// first (e.g. cpu.Config.Canonical) so that configs meaning the same run
+// print the same.
 //
-// Maps, channels, and non-nil funcs have no canonical encoding and panic:
-// a config carrying one (such as a cpu.Config with an OnBuild hook) is
-// not cacheable, and callers must bypass the cache for it.
+// %#v prints a pointer, func, map or channel as an address and a nil
+// slice unlike an empty one, so a part must be plain data with empty
+// slices folded to nil, as the Canonical methods do. A config carrying
+// an observation hook or a tracer is not cacheable; callers bypass the
+// cache for it.
 func KeyOf(domain string, parts ...any) Key {
-	h := sha256.New()
-	writeString(h, domain)
+	var b strings.Builder
+	b.WriteString(domain)
 	for _, p := range parts {
-		writeByte(h, 0x1f) // part separator
-		writeValue(h, reflect.ValueOf(p))
+		fmt.Fprintf(&b, "\x1f%#v", p)
 	}
-	var k Key
-	h.Sum(k[:0])
-	return k
-}
-
-func writeByte(h hash.Hash, b byte) {
-	// hash.Hash.Write never returns an error.
-	h.Write([]byte{b}) //nolint:errcheck
-}
-
-func writeUint64(h hash.Hash, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.Write(buf[:]) //nolint:errcheck
-}
-
-func writeString(h hash.Hash, s string) {
-	writeUint64(h, uint64(len(s)))
-	h.Write([]byte(s)) //nolint:errcheck
-}
-
-// Kind tags keep composite encodings prefix-free: every node contributes
-// its kind and (for variable-size nodes) its length before its contents.
-const (
-	tagBool = iota + 1
-	tagInt
-	tagUint
-	tagFloat
-	tagString
-	tagSeq // slices and arrays
-	tagStruct
-	tagNil // nil pointer, func, or interface
-	tagPtr
-	tagIface
-)
-
-func writeValue(h hash.Hash, v reflect.Value) {
-	if !v.IsValid() {
-		writeByte(h, tagNil)
-		return
-	}
-	switch v.Kind() {
-	case reflect.Bool:
-		writeByte(h, tagBool)
-		if v.Bool() {
-			writeByte(h, 1)
-		} else {
-			writeByte(h, 0)
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		writeByte(h, tagInt)
-		writeUint64(h, uint64(v.Int()))
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		writeByte(h, tagUint)
-		writeUint64(h, v.Uint())
-	case reflect.Float32, reflect.Float64:
-		writeByte(h, tagFloat)
-		writeUint64(h, math.Float64bits(v.Float()))
-	case reflect.Complex64, reflect.Complex128:
-		writeByte(h, tagFloat)
-		writeUint64(h, math.Float64bits(real(v.Complex())))
-		writeUint64(h, math.Float64bits(imag(v.Complex())))
-	case reflect.String:
-		writeByte(h, tagString)
-		writeString(h, v.String())
-	case reflect.Slice, reflect.Array:
-		// A nil slice and an empty one encode identically on purpose.
-		writeByte(h, tagSeq)
-		n := v.Len()
-		writeUint64(h, uint64(n))
-		for i := 0; i < n; i++ {
-			writeValue(h, v.Index(i))
-		}
-	case reflect.Struct:
-		t := v.Type()
-		writeByte(h, tagStruct)
-		writeString(h, t.String())
-		writeUint64(h, uint64(t.NumField()))
-		for i := 0; i < t.NumField(); i++ {
-			writeValue(h, v.Field(i))
-		}
-	case reflect.Ptr:
-		if v.IsNil() {
-			writeByte(h, tagNil)
-			return
-		}
-		writeByte(h, tagPtr)
-		writeValue(h, v.Elem())
-	case reflect.Interface:
-		if v.IsNil() {
-			writeByte(h, tagNil)
-			return
-		}
-		writeByte(h, tagIface)
-		writeString(h, v.Elem().Type().String())
-		writeValue(h, v.Elem())
-	case reflect.Func, reflect.Chan, reflect.Map:
-		if v.IsNil() {
-			writeByte(h, tagNil)
-			return
-		}
-		panic(fmt.Sprintf("runcache: cannot canonicalize non-nil %s (%s)", v.Kind(), v.Type()))
-	default:
-		panic(fmt.Sprintf("runcache: cannot canonicalize %s (%s)", v.Kind(), v.Type()))
-	}
+	return Key(b.String())
 }

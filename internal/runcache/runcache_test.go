@@ -3,6 +3,7 @@ package runcache
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -313,16 +314,60 @@ func TestKeyOfPathprofConfigCanonical(t *testing.T) {
 	}
 }
 
-// TestKeyOfNilVsEmptySlice asserts the encoder does not distinguish a nil
-// slice from an empty one: both mean "no elements".
-func TestKeyOfNilVsEmptySlice(t *testing.T) {
-	type s struct{ Xs []int }
-	if KeyOf("d", s{Xs: nil}) != KeyOf("d", s{Xs: []int{}}) {
-		t.Error("nil and empty slices produced different keys")
+// TestKeyOfEmptyPrePromoted asserts a config with an empty, non-nil
+// slice keys like one with none. The key prints a nil slice differently
+// from an empty one, so Canonical folds them: the profile-guided
+// experiment passes DifficultPathIDs' empty slice for a profile with no
+// difficult path, and that run is the dynamic one, which the cache
+// shares.
+func TestKeyOfEmptyPrePromoted(t *testing.T) {
+	want := KeyOf("cpu", "gcc", cpu.DefaultConfig().Canonical())
+	for name, empty := range map[string]func(*cpu.Config){
+		"PrePromoted":  func(c *cpu.Config) { c.PrePromoted = []uint64{} },
+		"SMT.Contexts": func(c *cpu.Config) { c.SMT.Contexts = []cpu.WorkloadRef{} },
+	} {
+		cfg := cpu.DefaultConfig()
+		empty(&cfg)
+		if KeyOf("cpu", "gcc", cfg.Canonical()) != want {
+			t.Errorf("empty %s keyed differently from nil", name)
+		}
 	}
-	if KeyOf("d", s{Xs: nil}) == KeyOf("d", s{Xs: []int{0}}) {
-		t.Error("nil and one-element slices produced the same key")
+}
+
+// TestKeyedConfigsArePlainData guards the printed key: %#v prints a
+// pointer, func, map, channel or interface as an address, so a keyed
+// config holding one would split equal runs or merge different ones.
+// Every field of the keyed configs must be a bool, a number, a string,
+// or a slice, array or struct of those. cpu.Config's observation hooks
+// and tracer are the exceptions: the experiment harness bypasses the
+// cache whenever one is set, so KeyOf only ever sees them nil.
+func TestKeyedConfigsArePlainData(t *testing.T) {
+	bypassed := map[string]bool{
+		"cpu.Config.OnBuild":  true,
+		"cpu.Config.OnRetire": true,
+		"cpu.Config.Obs":      true,
 	}
+	var walk func(name string, typ reflect.Type)
+	walk = func(name string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.String,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		case reflect.Slice, reflect.Array:
+			walk(name+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if f := name + "." + typ.Field(i).Name; !bypassed[f] {
+					walk(f, typ.Field(i).Type)
+				}
+			}
+		default:
+			t.Errorf("%s (%s) is not plain data: %%#v would print it into the key as an address", name, typ.Kind())
+		}
+	}
+	walk("cpu.Config", reflect.TypeOf(cpu.Config{}))
+	walk("pathprof.Config", reflect.TypeOf(pathprof.Config{}))
 }
 
 // TestKeyOfDomainSeparation asserts equal payloads under different
