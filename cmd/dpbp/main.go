@@ -56,8 +56,7 @@
 // optional fetch policy (rr, icount) and shared-structure flags
 // (pathcache, pcache, uram, pred, all), colon-separated:
 // "gcc+ijpeg:icount:pathcache,uram". Like shootout, smt is not part of
-// "all". The parsed spec is part of every smt run's cache key, so runs
-// of one mix memoize identically however the spec was spelled.
+// "all".
 package main
 
 import (

@@ -141,6 +141,58 @@ func TestRunAllText(t *testing.T) {
 	}
 }
 
+// TestRunAllPartialEveryFormat is the -timeout contract for "all": when
+// the deadline has passed before any run starts, every one of the seven
+// sections must report comp as missing, in every output format.
+func TestRunAllPartialEveryFormat(t *testing.T) {
+	expired, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+	render := func(format string) string {
+		var b bytes.Buffer
+		if err := run(expired, &b, "all", format, tiny()); err != nil {
+			t.Fatalf("run(all, %q) = %v", format, err)
+		}
+		return b.String()
+	}
+
+	if n := strings.Count(render("text"), "PARTIAL RESULT"); n != 7 {
+		t.Errorf("text: %d PARTIAL RESULT blocks, want 7", n)
+	}
+
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(render("json")), &doc); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	var order []string
+	if err := json.Unmarshal(doc["order"], &order); err != nil || len(order) != 7 {
+		t.Fatalf("order = %v (%v), want 7 sections", order, err)
+	}
+	for _, key := range order {
+		var sec struct {
+			Errors []dpbp.RunError `json:"errors"`
+		}
+		if err := json.Unmarshal(doc[key], &sec); err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if len(sec.Errors) != 1 || sec.Errors[0].Bench != "comp" {
+			t.Errorf("json %s: errors %+v, want one for comp", key, sec.Errors)
+		}
+	}
+
+	var sections, withError []string
+	for _, line := range strings.Split(render("csv"), "\n") {
+		switch {
+		case strings.HasPrefix(line, "# "):
+			sections = append(sections, strings.TrimPrefix(line, "# "))
+		case strings.HasPrefix(line, "ERROR,comp,") && len(sections) > len(withError):
+			withError = append(withError, sections[len(sections)-1])
+		}
+	}
+	if len(sections) != 7 || !reflect.DeepEqual(withError, sections) {
+		t.Errorf("csv: sections %v, ERROR records after %v; want one after each of 7", sections, withError)
+	}
+}
+
 func TestRunObsTraceWritesChromeJSON(t *testing.T) {
 	path := t.TempDir() + "/trace.json"
 	var b bytes.Buffer

@@ -123,7 +123,7 @@ func TestBackendByteDeterminism(t *testing.T) {
 	for _, name := range dpbp.PredictorBackends() {
 		cfg := dpbp.DefaultConfig()
 		cfg.MaxInsts = 30_000
-		cfg.BPred.Name = name
+		cfg.BPred = name
 		r1 := dpbp.Run(w, cfg)
 		r2 := dpbp.Run(w, cfg)
 		if !reflect.DeepEqual(r1, r2) {

@@ -168,12 +168,9 @@ func RunSMT(ctx context.Context, ws []*Workload, cfg MachineConfig) (*SMTResult,
 	return cpu.RunSMT(ctx, progs, cfg)
 }
 
-// PredictorSpec selects and sizes the direction-predictor backend of a
-// timing run (MachineConfig.BPred). The zero value is the paper's
-// gshare/PAs hybrid; see PredictorBackends for the available names.
-type PredictorSpec = bpred.Spec
-
-// Predictor-backend names for PredictorSpec.Name.
+// Predictor-backend names for MachineConfig.BPred, which names the
+// direction-predictor backend of a timing run. Empty means the paper's
+// gshare/PAs hybrid; every backend runs at its default size.
 const (
 	// BackendHybrid is the paper's gshare/PAs hybrid (the default).
 	BackendHybrid = bpred.BackendHybrid

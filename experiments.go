@@ -13,7 +13,7 @@ import (
 
 // ExperimentOptions selects benchmarks and budgets for the paper's
 // experiments. The zero value runs all twenty benchmarks with the default
-// instruction budgets and NumCPU parallelism.
+// instruction budgets and GOMAXPROCS parallelism.
 type ExperimentOptions = exp.Options
 
 // RunCache memoizes timing runs, profiling runs, and generated benchmark
@@ -155,20 +155,23 @@ func ProfileGuided(ctx context.Context, o ExperimentOptions) (*ProfileGuidedResu
 }
 
 // RunFigure7Set performs the four timing runs behind Figures 7-9 once, so
-// the three figures can be rendered from shared runs:
+// the three figures can be rendered from shared runs, each carrying the
+// run set's errors:
 //
 //	runs, runErrs, _ := dpbp.RunFigure7Set(ctx, opts)
 //	fmt.Print(dpbp.Text(&dpbp.Figure7Result{Runs: runs, Errors: runErrs}))
-//	fmt.Print(dpbp.Text(dpbp.Figure8FromRuns(runs)))
-//	fmt.Print(dpbp.Text(dpbp.Figure9FromRuns(runs)))
+//	fmt.Print(dpbp.Text(&dpbp.Figure8Result{Runs: runs, Errors: runErrs}))
+//	fmt.Print(dpbp.Text(&dpbp.Figure9Result{Runs: runs, Errors: runErrs}))
 func RunFigure7Set(ctx context.Context, o ExperimentOptions) ([]Figure7Runs, []RunError, error) {
 	return exp.RunFigure7Set(ctx, o)
 }
 
-// Figure8FromRuns builds Figure 8 from an existing run set.
+// Figure8FromRuns builds Figure 8 from an existing run set, with no
+// errors; a partial run set's errors go in Figure8Result.Errors.
 func Figure8FromRuns(runs []Figure7Runs) *Figure8Result { return exp.Figure8FromRuns(runs) }
 
-// Figure9FromRuns builds Figure 9 from an existing run set.
+// Figure9FromRuns builds Figure 9 from an existing run set, with no
+// errors; a partial run set's errors go in Figure9Result.Errors.
 func Figure9FromRuns(runs []Figure7Runs) *Figure9Result { return exp.Figure9FromRuns(runs) }
 
 // AblationResult holds the design-choice ablation study.

@@ -20,42 +20,14 @@ type Backend interface {
 	Reset()
 }
 
-// Backend names. The zero Spec canonicalizes to
-// BackendHybrid, the paper's Table 3 gshare/PAs hybrid.
+// Backend names. A run names its backend with one of these strings;
+// cpu.Config.Canonical maps the empty name to BackendHybrid, the paper's
+// Table 3 gshare/PAs hybrid.
 const (
 	BackendHybrid = "hybrid"
 	BackendTAGE   = "tage"
 	BackendH2P    = "h2p"
 )
-
-// Spec selects and sizes a direction-predictor backend. It is part of
-// cpu.Config, so it must stay comparable (the machine pool diffs specs
-// to decide between Reset and reconstruction) and plain data (the run
-// cache keys on the printed canonical config). Name chooses the backend;
-// the sizing sections are always canonicalized, even for backends that
-// ignore them, because the H2P section also drives the microthread
-// spawn gate under any backend.
-type Spec struct {
-	// Name is a backend name; empty means BackendHybrid.
-	Name string
-	// TAGE sizes the tage backend (used when Name == "tage").
-	TAGE tage.Config
-	// H2P sizes the h2p side predictor (used when Name == "h2p") and
-	// the H2P spawn-gate filter (used whenever cpu enables the gate).
-	H2P h2p.Config
-}
-
-// Canonical fills the zero value with defaults: an empty Name becomes
-// BackendHybrid and both sizing sections are canonicalized. Idempotent,
-// so canonical Specs compare equal iff they describe the same backend.
-func (s Spec) Canonical() Spec {
-	if s.Name == "" {
-		s.Name = BackendHybrid
-	}
-	s.TAGE = s.TAGE.Canonical()
-	s.H2P = s.H2P.Canonical()
-	return s
-}
 
 // BackendStats is the union of per-backend counters;
 // Predictor.BackendStats fills the section for the live backend and
@@ -71,18 +43,18 @@ type BackendStats struct {
 // Backends returns the backend names, sorted.
 func Backends() []string { return []string{BackendH2P, BackendHybrid, BackendTAGE} }
 
-// NewBackend builds the backend spec selects. The spec and config are
-// canonicalized first, so zero values yield the default hybrid.
-func NewBackend(spec Spec, cfg Config) (Backend, error) {
-	spec = spec.Canonical()
+// NewBackend builds the named backend. The hybrid (alone or under the
+// h2p side predictor) is sized by cfg, canonicalized first; tage and the
+// h2p side structures take their packages' DefaultConfig.
+func NewBackend(name string, cfg Config) (Backend, error) {
 	cfg = cfg.Canonical()
-	switch spec.Name {
+	switch name {
 	case BackendHybrid:
 		return NewHybrid(cfg.PHTEntries, cfg.SelectorEntries), nil
 	case BackendTAGE:
-		return tage.New(spec.TAGE), nil
+		return tage.New(tage.DefaultConfig()), nil
 	case BackendH2P:
-		return h2p.New(spec.H2P, NewHybrid(cfg.PHTEntries, cfg.SelectorEntries)), nil
+		return h2p.New(h2p.DefaultConfig(), NewHybrid(cfg.PHTEntries, cfg.SelectorEntries)), nil
 	}
-	return nil, fmt.Errorf("bpred: unknown backend %q (have %v)", spec.Name, Backends())
+	return nil, fmt.Errorf("bpred: unknown backend %q (have %v)", name, Backends())
 }

@@ -23,19 +23,6 @@ func TestBackendsRegistered(t *testing.T) {
 	}
 }
 
-func TestSpecCanonical(t *testing.T) {
-	c := (Spec{}).Canonical()
-	if c.Name != BackendHybrid {
-		t.Fatalf("zero Spec canonicalized to backend %q, want %q", c.Name, BackendHybrid)
-	}
-	if c.TAGE.Tables == 0 || c.H2P.FilterEntries == 0 {
-		t.Fatalf("sizing sections not canonicalized: %+v", c)
-	}
-	if again := c.Canonical(); again != c {
-		t.Fatalf("Canonical not idempotent: %+v vs %+v", c, again)
-	}
-}
-
 func TestConfigCanonical(t *testing.T) {
 	if got, want := (Config{}).Canonical(), DefaultConfig(); got != want {
 		t.Fatalf("zero Config canonicalized to %+v, want defaults %+v", got, want)
@@ -54,12 +41,12 @@ func TestConfigCanonical(t *testing.T) {
 }
 
 func TestNewBackendUnknownName(t *testing.T) {
-	_, err := NewBackend(Spec{Name: "no-such-backend"}, Config{})
+	_, err := NewBackend("no-such-backend", Config{})
 	if err == nil || !strings.Contains(err.Error(), "no-such-backend") {
 		t.Fatalf("unknown backend error = %v", err)
 	}
-	if _, err := NewFromSpec(Config{}, Spec{Name: "no-such-backend"}); err == nil {
-		t.Fatal("NewFromSpec accepted an unknown backend")
+	if _, err := NewNamed(Config{}, "no-such-backend"); err == nil {
+		t.Fatal("NewNamed accepted an unknown backend")
 	}
 }
 
@@ -119,7 +106,7 @@ func TestHybridBackendMatchesBareHybrid(t *testing.T) {
 		t.Fatalf("vacuous stream: %+v", want)
 	}
 
-	b, err := NewBackend(Spec{}, cfg)
+	b, err := NewBackend(BackendHybrid, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +126,7 @@ func TestHybridBackendMatchesBareHybrid(t *testing.T) {
 func TestBackendsPredictAndReset(t *testing.T) {
 	cfg := Config{PHTEntries: 1 << 10, SelectorEntries: 1 << 9}
 	for _, name := range Backends() {
-		spec := Spec{Name: name}
-		p, err := NewFromSpec(cfg, spec)
+		p, err := NewNamed(cfg, name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -157,7 +143,7 @@ func TestBackendsPredictAndReset(t *testing.T) {
 			t.Fatalf("%s: %d nonzero stats sections after 10k updates, want 1: %+v", name, live, s)
 		}
 		b.Reset()
-		fresh, err := NewBackend(spec, cfg)
+		fresh, err := NewBackend(name, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,16 +157,16 @@ func TestBackendsPredictAndReset(t *testing.T) {
 	}
 }
 
-// TestNewFromSpecBackendSelection checks the full Predictor wiring
+// TestNewNamedBackendSelection checks the full Predictor wiring
 // dispatches to the named backend.
-func TestNewFromSpecBackendSelection(t *testing.T) {
+func TestNewNamedBackendSelection(t *testing.T) {
 	cfg := Config{PHTEntries: 1 << 10, SelectorEntries: 1 << 9}
 	for name, want := range map[string]string{
 		BackendHybrid: "*bpred.Hybrid",
 		BackendTAGE:   "*tage.Predictor",
 		BackendH2P:    "*h2p.Predictor",
 	} {
-		p, err := NewFromSpec(cfg, Spec{Name: name})
+		p, err := NewNamed(cfg, name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

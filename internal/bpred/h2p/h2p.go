@@ -56,7 +56,8 @@ type Config struct {
 	SideConfidence int
 }
 
-// DefaultConfig returns the sizing used by the shootout experiment: a
+// DefaultConfig returns the sizing every run uses, for the h2p backend
+// and for the cpu's H2P spawn-gate filter alike: a
 // 2K-entry filter aged every 128 observations with threshold 4, and a
 // 4K-entry side table over 12 history bits overriding at confidence 2.
 func DefaultConfig() Config {
@@ -74,7 +75,7 @@ func DefaultConfig() Config {
 // Canonical fills zero-valued fields from DefaultConfig, clamping the
 // confidence into the representable 3-bit range. It is idempotent, so
 // canonicalized configs compare equal iff they describe the same
-// predictor — the property the run cache keys on.
+// predictor.
 func (c Config) Canonical() Config {
 	d := DefaultConfig()
 	if c.FilterEntries == 0 {

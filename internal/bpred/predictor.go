@@ -36,7 +36,7 @@ func DefaultConfig() Config {
 // Canonical fills zero-valued fields from DefaultConfig, per-field, so
 // a partially specified config (say, only BTBEntries) still gets the
 // Table 3 sizing for everything else instead of degenerate one-entry
-// tables. Idempotent; NewFromSpec and NewBackend apply it.
+// tables. Idempotent; NewNamed and NewBackend apply it.
 func (c Config) Canonical() Config {
 	d := DefaultConfig()
 	if c.PHTEntries == 0 {
@@ -101,21 +101,20 @@ type Predictor struct {
 
 // New builds a predictor with the default (hybrid) direction backend.
 func New(cfg Config) *Predictor {
-	p, err := NewFromSpec(cfg, Spec{})
+	p, err := NewNamed(cfg, BackendHybrid)
 	if err != nil {
-		// The zero Spec canonicalizes to the hybrid, which NewBackend
-		// always builds; this is unreachable.
+		// NewBackend always builds the hybrid; this is unreachable.
 		panic(err)
 	}
 	return p
 }
 
-// NewFromSpec builds a predictor with the direction backend spec
-// selects. It errors on an unknown backend name; callers that accept
-// external specs (CLI flags, JSON configs) should surface the error.
-func NewFromSpec(cfg Config, spec Spec) (*Predictor, error) {
+// NewNamed builds a predictor with the named direction backend. It
+// errors on an unknown backend name; callers that accept external names
+// (CLI flags, JSON configs) should surface the error.
+func NewNamed(cfg Config, backend string) (*Predictor, error) {
 	cfg = cfg.Canonical()
-	dir, err := NewBackend(spec, cfg)
+	dir, err := NewBackend(backend, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -64,8 +64,7 @@ func DefaultConfig() Config {
 
 // Canonical returns the configuration with every zero field replaced by
 // its default — exactly the configuration New builds. Two Configs that
-// canonicalize equal build bit-identical predictors, which makes
-// Canonical the right keying input for the run cache.
+// canonicalize equal build bit-identical predictors.
 func (c Config) Canonical() Config {
 	d := DefaultConfig()
 	if c.BimodalEntries == 0 {

@@ -131,13 +131,14 @@ type Config struct {
 	// Path Cache's difficulty training for these paths.
 	PrePromoted []uint64
 
-	// BPred selects and sizes the conditional-direction backend (the
-	// zero value canonicalizes to the gshare/PAs hybrid). The hybrid's
-	// tables and the target structures (BTB/RAS/target cache) have the
-	// Table 3 sizes of bpred.DefaultConfig.
-	BPred bpred.Spec
+	// BPred names the conditional-direction backend (bpred.Backends;
+	// empty canonicalizes to bpred.BackendHybrid, the gshare/PAs
+	// hybrid). bpred sizes every backend: the hybrid's tables and the
+	// target structures (BTB/RAS/target cache) have the Table 3 sizes of
+	// bpred.DefaultConfig, tage and h2p their packages' DefaultConfig.
+	BPred string
 	// H2PSpawnGate, in ModeMicrothread or ModePerfectPromoted, gates
-	// path promotion on an H2P filter (sized by BPred.H2P): a path
+	// path promotion on an H2P filter (h2p.DefaultConfig's): a path
 	// whose terminating branch the filter does not currently classify
 	// hard-to-predict is rejected at promotion time. It focuses
 	// microthread capacity on the branches concentrating mispredictions
@@ -262,9 +263,9 @@ func (c Config) Canonical() Config {
 	if c.N == 0 {
 		c.N = d.N
 	}
-	// Sub-configs fill field by field, never whole-struct on a single
-	// sentinel field: a partial pathcache.Config or bpred.Spec keeps its
-	// set fields and defaults the rest.
+	// The Path Cache config fills field by field, never whole-struct on
+	// a single sentinel field: a partial pathcache.Config keeps its set
+	// fields and defaults the rest.
 	if c.PathCache.Entries == 0 {
 		c.PathCache.Entries = d.PathCache.Entries
 	}
@@ -292,7 +293,9 @@ func (c Config) Canonical() Config {
 	if c.SpawnOverhead == 0 {
 		c.SpawnOverhead = d.SpawnOverhead
 	}
-	c.BPred = c.BPred.Canonical()
+	if c.BPred == "" {
+		c.BPred = bpred.BackendHybrid
+	}
 	if c.FetchWidth == 0 {
 		c.FetchWidth = d.FetchWidth
 	}

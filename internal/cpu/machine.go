@@ -172,7 +172,7 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		m.ports.reset()
 	}
 	if fresh || prev.BPred != cfg.BPred {
-		p, err := bpred.NewFromSpec(bpred.DefaultConfig(), cfg.BPred)
+		p, err := bpred.NewNamed(bpred.DefaultConfig(), cfg.BPred)
 		if err != nil {
 			// CLI and experiment layers validate backend names up front;
 			// reaching here means an internal caller bypassed them. The
@@ -188,8 +188,8 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 	switch {
 	case !gateOn:
 		m.h2pGate = nil
-	case m.h2pGate == nil || fresh || prev.BPred.H2P != cfg.BPred.H2P:
-		m.h2pGate = h2p.NewFilter(cfg.BPred.H2P)
+	case m.h2pGate == nil:
+		m.h2pGate = h2p.NewFilter(h2p.DefaultConfig())
 	default:
 		m.h2pGate.Reset()
 	}

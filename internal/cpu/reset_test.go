@@ -26,14 +26,10 @@ func resetTestConfigs() []Config {
 		mk(func(c *Config) { c.PCacheEntries = 16 }), // pcache resize
 		mk(func(c *Config) { c.Microcontexts = 4 }),  // ctxs resize
 		mk(func(c *Config) { c.PathCache.PlainLRU = true }),
-		mk(func(c *Config) { c.BPred.Name = "tage" }),        // backend swap
-		mk(func(c *Config) { c.BPred.Name = "h2p" }),         // backend swap
-		mk(func(c *Config) { c.BPred.TAGE.MaxHistory = 64 }), // spec resize
-		mk(func(c *Config) { c.H2PSpawnGate = true }),        // gate on
-		mk(func(c *Config) { // gate resize
-			c.H2PSpawnGate = true
-			c.BPred.H2P.H2PThreshold = 2
-		}),
+		mk(func(c *Config) { c.BPred = "tage" }),      // backend swap
+		mk(func(c *Config) { c.BPred = "h2p" }),       // backend swap
+		mk(func(c *Config) { c.H2PSpawnGate = true }), // gate on: filter built
+		mk(func(c *Config) { c.H2PSpawnGate = true }), // gate stays on: filter rewound
 		mk(func(c *Config) { // solo RunContext ignores the SMT block entirely
 			c.SMT = SMTConfig{
 				Contexts:        []WorkloadRef{{Bench: "gcc"}, {Bench: "ijpeg"}},

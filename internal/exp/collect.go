@@ -57,35 +57,22 @@ func Collect(ctx context.Context, name string, o Options) ([]results.Section, er
 		return one("smt", v, err)
 	case "all":
 		var out []results.Section
-		t1, err := Table1(ctx, o)
-		if err != nil {
-			return nil, err
+		for _, single := range []string{"table1", "table2", "perfect", "fig6"} {
+			sections, err := Collect(ctx, single, o)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, sections...)
 		}
-		out = append(out, results.Section{Key: "table1", Val: t1})
-		t2, err := Table2(ctx, o)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, results.Section{Key: "table2", Val: t2})
-		pf, err := Perfect(ctx, o)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, results.Section{Key: "perfect", Val: pf})
-		f6, err := Figure6(ctx, o)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, results.Section{Key: "figure6", Val: f6})
+		// Figures 7-9 share one run set, so they share its errors too.
 		runs, runErrs, err := RunFigure7Set(ctx, o)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out,
+		return append(out,
 			results.Section{Key: "figure7", Val: &Figure7Result{Runs: runs, Errors: runErrs}},
-			results.Section{Key: "figure8", Val: Figure8FromRuns(runs)},
-			results.Section{Key: "figure9", Val: Figure9FromRuns(runs)})
-		return out, nil
+			results.Section{Key: "figure8", Val: &Figure8Result{Runs: runs, Errors: runErrs}},
+			results.Section{Key: "figure9", Val: &Figure9Result{Runs: runs, Errors: runErrs}}), nil
 	default:
 		return nil, fmt.Errorf("unknown experiment %q", name)
 	}

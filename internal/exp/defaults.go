@@ -1,7 +1,5 @@
 package exp
 
-import "runtime"
-
 // Default instruction budgets, applied when the corresponding Options
 // field is zero. cmd/dpbp leaves its flags at zero so these are the
 // single source of truth.
@@ -9,8 +7,3 @@ const (
 	defaultTimingInsts  = 400_000
 	defaultProfileInsts = 1_000_000
 )
-
-// defaultParallelism honours GOMAXPROCS rather than raw NumCPU: the two
-// differ under CPU quotas (containers) and when the user caps the
-// runtime, and oversubscribing the scheduler just adds contention.
-func defaultParallelism() int { return runtime.GOMAXPROCS(0) }

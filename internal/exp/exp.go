@@ -13,6 +13,7 @@ package exp
 
 import (
 	"context"
+	"strconv"
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/cpu"
@@ -69,9 +70,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProfileInsts == 0 {
 		o.ProfileInsts = defaultProfileInsts
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = defaultParallelism()
 	}
 	return o
 }
@@ -143,8 +141,11 @@ func timedRun(ctx context.Context, o Options, prog *program.Program, cfg cpu.Con
 }
 
 // runName labels one timing run in trace output: benchmark, mode, and
-// the switches that distinguish the sweep variants.
+// the switches that distinguish the sweep variants. A path length other
+// than the default appears as "+n<N>", so Figure 6's three potential
+// runs of one benchmark get distinct names.
 func runName(prog *program.Program, cfg cpu.Config) string {
+	cfg = cfg.Canonical()
 	name := prog.Name + "/" + cfg.Mode.String()
 	if cfg.Mode == cpu.ModeMicrothread {
 		if !cfg.UsePredictions {
@@ -154,8 +155,11 @@ func runName(prog *program.Program, cfg cpu.Config) string {
 			name += "+prune"
 		}
 	}
-	if backend := cfg.BPred.Canonical().Name; backend != bpred.BackendHybrid {
-		name += "+" + backend
+	if cfg.N != cpu.DefaultConfig().N {
+		name += "+n" + strconv.Itoa(cfg.N)
+	}
+	if cfg.BPred != bpred.BackendHybrid {
+		name += "+" + cfg.BPred
 	}
 	if cfg.H2PSpawnGate {
 		name += "+h2p-gate"
@@ -202,28 +206,36 @@ func sweep(ctx context.Context, o Options, progs []*program.Program,
 	})
 }
 
-// runErrors converts a sweep's per-index failures into RunErrors named by
-// benchmark.
-func runErrors(progs []*program.Program, errs []error) []results.RunError {
-	var out []results.RunError
+// perBench generates the selected programs and runs row once per
+// program through sweep, starting no row once ctx has ended. It returns
+// the completed rows in benchmark order and one RunError, named by
+// benchmark, per row that failed. The row slice is never nil, so a
+// sweep with no completed row still renders an empty list.
+func perBench[T any](ctx context.Context, o Options,
+	row func(ctx context.Context, prog *program.Program) (T, error)) ([]T, []results.RunError, error) {
+	progs, err := o.programs()
+	if err != nil {
+		return nil, nil, err
+	}
+	rows := make([]T, len(progs))
+	errs := sweep(ctx, o, progs, func(ctx context.Context, i int, prog *program.Program) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var err error
+		rows[i], err = row(ctx, prog)
+		return err
+	})
+	done := make([]T, 0, len(progs))
+	var runErrs []results.RunError
 	for i, err := range errs {
 		if err != nil {
-			out = append(out, results.RunError{Bench: progs[i].Name, Err: err.Error()})
+			runErrs = append(runErrs, results.RunError{Bench: progs[i].Name, Err: err.Error()})
+		} else {
+			done = append(done, rows[i])
 		}
 	}
-	return out
-}
-
-// keepOK compacts rows, dropping every slot whose sweep entry failed, so
-// partial results carry only completed rows.
-func keepOK[T any](rows []T, errs []error) []T {
-	out := make([]T, 0, len(rows))
-	for i, r := range rows {
-		if errs[i] == nil {
-			out = append(out, r)
-		}
-	}
-	return out
+	return done, runErrs, nil
 }
 
 // timingConfig builds the common Figure 6/7 machine configuration.
@@ -233,7 +245,7 @@ func timingConfig(o Options, mode cpu.Mode, pruning, usePreds bool) cpu.Config {
 	cfg.Pruning = pruning
 	cfg.UsePredictions = usePreds
 	cfg.MaxInsts = o.TimingInsts
-	cfg.BPred.Name = o.BPred
+	cfg.BPred = o.BPred
 	return cfg
 }
 

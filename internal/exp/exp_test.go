@@ -3,10 +3,13 @@ package exp
 import (
 	"context"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"dpbp/internal/bpred"
+	"dpbp/internal/obs"
+	"dpbp/internal/results"
 	"dpbp/internal/runcache"
 	"dpbp/internal/synth"
 )
@@ -23,7 +26,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if len(o.Benchmarks) != 20 {
 		t.Errorf("default benchmarks = %d, want 20", len(o.Benchmarks))
 	}
-	if o.TimingInsts == 0 || o.ProfileInsts == 0 || o.Parallelism <= 0 {
+	if o.TimingInsts == 0 || o.ProfileInsts == 0 {
 		t.Errorf("defaults not filled: %+v", o)
 	}
 }
@@ -303,6 +306,68 @@ func TestCancelledContextPartial(t *testing.T) {
 	}
 	if len(r.Errors) != 2 {
 		t.Errorf("errors = %+v, want one per benchmark", r.Errors)
+	}
+}
+
+// TestAllPartialKeepsErrorsInEverySection holds every section of "all"
+// to one account of a failed benchmark: with li's runs panicking, each
+// of the seven sections keeps comp's row only and carries exactly one
+// RunError, for li. Figures 8 and 9 share Figure 7's run set, so they
+// must share its errors too.
+func TestAllPartialKeepsErrorsInEverySection(t *testing.T) {
+	testHookBeforeRun = func(bench string) {
+		if bench == "li" {
+			panic("seeded test panic")
+		}
+	}
+	defer func() { testHookBeforeRun = nil }()
+
+	o := Options{Benchmarks: []string{"comp", "li"}, TimingInsts: 20_000, ProfileInsts: 20_000, Cache: runcache.New()}
+	sections, err := Collect(ctx(), "all", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sections) != 7 {
+		t.Fatalf("%d sections, want 7", len(sections))
+	}
+	for _, s := range sections {
+		v := reflect.ValueOf(s.Val).Elem()
+		rows := v.FieldByName("Rows")
+		if !rows.IsValid() {
+			rows = v.FieldByName("Runs")
+		}
+		var benches []string
+		for i := 0; i < rows.Len(); i++ {
+			benches = append(benches, rows.Index(i).FieldByName("Bench").String())
+		}
+		if !reflect.DeepEqual(benches, []string{"comp"}) {
+			t.Errorf("%s: rows for %v, want [comp]", s.Key, benches)
+		}
+		errs := v.FieldByName("Errors").Interface().([]results.RunError)
+		if len(errs) != 1 || errs[0].Bench != "li" || !strings.Contains(errs[0].Err, "seeded test panic") {
+			t.Errorf("%s: errors %+v, want one for li", s.Key, errs)
+		}
+	}
+}
+
+// TestFigure6TraceNamesDistinct pins that a traced Figure 6 names each
+// of its runs apart: the baseline and one potential run per path
+// length, the lengths told apart by their "+n<N>" suffix.
+func TestFigure6TraceNamesDistinct(t *testing.T) {
+	o := quick("comp")
+	o.TimingInsts = 20_000
+	o.Trace = obs.NewCollector()
+	if _, err := Figure6(ctx(), o); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, r := range o.Trace.Runs() {
+		names = append(names, r.Name)
+	}
+	sort.Strings(names)
+	want := []string{"comp/baseline", "comp/potential", "comp/potential+n16", "comp/potential+n4"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("traced run names %v, want %v", names, want)
 	}
 }
 

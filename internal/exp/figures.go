@@ -14,15 +14,10 @@ import (
 // (T=.10, training interval 32, 8K MicroRAM), for n in {4, 10, 16}.
 func Figure6(ctx context.Context, o Options) (*results.Figure6Result, error) {
 	o = o.withDefaults()
-	progs, err := o.programs()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]results.Figure6Row, len(progs))
-	errs := sweep(ctx, o, progs, func(ctx context.Context, i int, prog *program.Program) error {
+	rows, runErrs, err := perBench(ctx, o, func(ctx context.Context, prog *program.Program) (results.Figure6Row, error) {
 		base, err := timedRun(ctx, o, prog, timingConfig(o, cpu.ModeBaseline, false, false))
 		if err != nil {
-			return err
+			return results.Figure6Row{}, err
 		}
 		row := results.Figure6Row{
 			Bench:       prog.Name,
@@ -34,18 +29,20 @@ func Figure6(ctx context.Context, o Options) (*results.Figure6Result, error) {
 			cfg.N = n
 			pot, err := timedRun(ctx, o, prog, cfg)
 			if err != nil {
-				return err
+				return results.Figure6Row{}, err
 			}
 			row.SpeedupByN[n] = pot.Speedup(base)
 		}
-		rows[i] = row
-		return nil
+		return row, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	res := &results.Figure6Result{
 		PathLengths: PathLengths,
-		Rows:        keepOK(rows, errs),
+		Rows:        rows,
 		Geomean:     map[int]float64{},
-		Errors:      runErrors(progs, errs),
+		Errors:      runErrs,
 	}
 	for _, n := range PathLengths {
 		var xs []float64
@@ -64,12 +61,7 @@ func Figure6(ctx context.Context, o Options) (*results.Figure6Result, error) {
 // reported in the returned error list.
 func RunFigure7Set(ctx context.Context, o Options) ([]results.Figure7Runs, []results.RunError, error) {
 	o = o.withDefaults()
-	progs, err := o.programs()
-	if err != nil {
-		return nil, nil, err
-	}
-	runs := make([]results.Figure7Runs, len(progs))
-	errs := sweep(ctx, o, progs, func(ctx context.Context, i int, prog *program.Program) error {
+	return perBench(ctx, o, func(ctx context.Context, prog *program.Program) (results.Figure7Runs, error) {
 		r := results.Figure7Runs{Bench: prog.Name}
 		type slot struct {
 			dst     **cpu.Result
@@ -85,14 +77,12 @@ func RunFigure7Set(ctx context.Context, o Options) ([]results.Figure7Runs, []res
 		} {
 			res, err := timedRun(ctx, o, prog, timingConfig(o, s.mode, s.pruning, s.preds))
 			if err != nil {
-				return err
+				return results.Figure7Runs{}, err
 			}
 			*s.dst = res
 		}
-		runs[i] = r
-		return nil
+		return r, nil
 	})
-	return keepOK(runs, errs), runErrors(progs, errs), nil
 }
 
 // Figure7 performs the runs for Figure 7: realistic speed-up with and
@@ -140,33 +130,27 @@ func Figure9FromRuns(runs []results.Figure7Runs) *results.Figure9Result {
 // branches over the aggressive baseline.
 func Perfect(ctx context.Context, o Options) (*results.PerfectResult, error) {
 	o = o.withDefaults()
-	progs, err := o.programs()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]results.PerfectRow, len(progs))
-	errs := sweep(ctx, o, progs, func(ctx context.Context, i int, prog *program.Program) error {
+	rows, runErrs, err := perBench(ctx, o, func(ctx context.Context, prog *program.Program) (results.PerfectRow, error) {
 		base, err := timedRun(ctx, o, prog, timingConfig(o, cpu.ModeBaseline, false, false))
 		if err != nil {
-			return err
+			return results.PerfectRow{}, err
 		}
 		perf, err := timedRun(ctx, o, prog, timingConfig(o, cpu.ModePerfectAll, false, false))
 		if err != nil {
-			return err
+			return results.PerfectRow{}, err
 		}
-		rows[i] = results.PerfectRow{
+		return results.PerfectRow{
 			Bench:              prog.Name,
 			BaselineIPC:        base.IPC(),
 			PerfectIPC:         perf.IPC(),
 			Speedup:            perf.Speedup(base),
 			BaselineMisprRatio: base.MispredictRate(),
-		}
-		return nil
+		}, nil
 	})
-	res := &results.PerfectResult{
-		Rows:   keepOK(rows, errs),
-		Errors: runErrors(progs, errs),
+	if err != nil {
+		return nil, err
 	}
+	res := &results.PerfectResult{Rows: rows, Errors: runErrs}
 	var xs []float64
 	for _, r := range res.Rows {
 		xs = append(xs, r.Speedup)

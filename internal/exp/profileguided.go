@@ -19,47 +19,38 @@ import (
 // guided promotion.
 func ProfileGuided(ctx context.Context, o Options) (*results.ProfileGuidedResult, error) {
 	o = o.withDefaults()
-	progs, err := o.programs()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]results.ProfileGuidedRow, len(progs))
-	errs := sweep(ctx, o, progs, func(ctx context.Context, i int, prog *program.Program) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	rows, runErrs, err := perBench(ctx, o, func(ctx context.Context, prog *program.Program) (results.ProfileGuidedRow, error) {
 		prof, err := profileRun(ctx, o, prog, pathprof.Config{Ns: []int{10}, MaxInsts: o.ProfileInsts})
 		if err != nil {
-			return err
+			return results.ProfileGuidedRow{}, err
 		}
 		ids := prof.DifficultPathIDs(10, 0.10, 8<<10)
 
 		base, err := timedRun(ctx, o, prog, timingConfig(o, cpu.ModeBaseline, false, false))
 		if err != nil {
-			return err
+			return results.ProfileGuidedRow{}, err
 		}
 		dyn, err := timedRun(ctx, o, prog, timingConfig(o, cpu.ModeMicrothread, true, true))
 		if err != nil {
-			return err
+			return results.ProfileGuidedRow{}, err
 		}
 		gcfg := timingConfig(o, cpu.ModeMicrothread, true, true)
 		gcfg.PrePromoted = ids
 		guided, err := timedRun(ctx, o, prog, gcfg)
 		if err != nil {
-			return err
+			return results.ProfileGuidedRow{}, err
 		}
 
-		rows[i] = results.ProfileGuidedRow{
+		return results.ProfileGuidedRow{
 			Bench:          prog.Name,
 			BaselineIPC:    base.IPC(),
 			DynamicSpeedup: dyn.Speedup(base),
 			GuidedSpeedup:  guided.Speedup(base),
 			GuidedPaths:    len(ids),
-		}
-		return nil
+		}, nil
 	})
-	return &results.ProfileGuidedResult{
-		Rows:   keepOK(rows, errs),
-		Errors: runErrors(progs, errs),
-	}, nil
+	if err != nil {
+		return nil, err
+	}
+	return &results.ProfileGuidedResult{Rows: rows, Errors: runErrs}, nil
 }

@@ -67,7 +67,7 @@ func Shootout(ctx context.Context, o Options) (*results.ShootoutResult, error) {
 			if c.micro {
 				cfg = timingConfig(o, cpu.ModeMicrothread, true, true)
 			}
-			cfg.BPred.Name = c.backend
+			cfg.BPred = c.backend
 			cfg.H2PSpawnGate = c.gate
 			r, err := timedRun(ctx, o, prog, cfg)
 			if err != nil {

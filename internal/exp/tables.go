@@ -52,27 +52,21 @@ func table1Cells(rows []pathprof.Table1Row) []results.Table1Cell {
 // Table1 runs the functional path profiler over the selected benchmarks.
 func Table1(ctx context.Context, o Options) (*results.Table1Result, error) {
 	o = o.withDefaults()
-	progs, err := o.programs()
+	rows, runErrs, err := perBench(ctx, o, func(ctx context.Context, prog *program.Program) (results.Table1Row, error) {
+		p, err := profileRun(ctx, o, prog, profileConfig(o))
+		if err != nil {
+			return results.Table1Row{}, err
+		}
+		return results.Table1Row{Bench: prog.Name, ByN: table1Cells(p.Table1(Thresholds))}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]results.Table1Row, len(progs))
-	errs := sweep(ctx, o, progs, func(ctx context.Context, i int, prog *program.Program) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		p, err := profileRun(ctx, o, prog, profileConfig(o))
-		if err != nil {
-			return err
-		}
-		rows[i] = results.Table1Row{Bench: prog.Name, ByN: table1Cells(p.Table1(Thresholds))}
-		return nil
-	})
 	return &results.Table1Result{
 		PathLengths: PathLengths,
 		Thresholds:  Thresholds,
-		Rows:        keepOK(rows, errs),
-		Errors:      runErrors(progs, errs),
+		Rows:        rows,
+		Errors:      runErrs,
 	}, nil
 }
 
@@ -98,26 +92,20 @@ func table2Blocks(rows []pathprof.Table2Row) []results.Table2Block {
 // Table2 runs the functional path profiler over the selected benchmarks.
 func Table2(ctx context.Context, o Options) (*results.Table2Result, error) {
 	o = o.withDefaults()
-	progs, err := o.programs()
+	rows, runErrs, err := perBench(ctx, o, func(ctx context.Context, prog *program.Program) (results.Table2Row, error) {
+		p, err := profileRun(ctx, o, prog, profileConfig(o))
+		if err != nil {
+			return results.Table2Row{}, err
+		}
+		return results.Table2Row{Bench: prog.Name, ByT: table2Blocks(p.Table2(Thresholds))}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]results.Table2Row, len(progs))
-	errs := sweep(ctx, o, progs, func(ctx context.Context, i int, prog *program.Program) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		p, err := profileRun(ctx, o, prog, profileConfig(o))
-		if err != nil {
-			return err
-		}
-		rows[i] = results.Table2Row{Bench: prog.Name, ByT: table2Blocks(p.Table2(Thresholds))}
-		return nil
-	})
 	return &results.Table2Result{
 		PathLengths: PathLengths,
 		Thresholds:  Thresholds,
-		Rows:        keepOK(rows, errs),
-		Errors:      runErrors(progs, errs),
+		Rows:        rows,
+		Errors:      runErrs,
 	}, nil
 }

@@ -79,9 +79,7 @@ func FuzzConfigCanonical(f *testing.F) {
 			FetchWidth:     int(geom >> 24 % 20),   //
 			MaxInsts:       4_000 + geom>>32%4_000, //
 		}
-		cfg.BPred.Name = backends[modeBits>>4%uint64(len(backends))]
-		cfg.BPred.TAGE.MaxHistory = int(geom >> 40 % 100)    // 0 = default
-		cfg.BPred.H2P.H2PThreshold = int(geom >> 48 % 12)    //
+		cfg.BPred = backends[modeBits>>4%uint64(len(backends))]
 		cfg.PathCache.TrainInterval = int(geom >> 56 % 16)   // 0 = default
 		cfg.PathCache.Threshold = float64(geom>>60%4) * 0.05 //
 

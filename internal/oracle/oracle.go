@@ -79,12 +79,12 @@ func Ablations() []NamedConfig {
 		{Name: "micro-tage", Config: cpu.Config{
 			Mode: cpu.ModeMicrothread, UsePredictions: true, Pruning: true,
 			AbortEnabled: true, RebuildOnViolation: true,
-			BPred: bpred.Spec{Name: bpred.BackendTAGE},
+			BPred: bpred.BackendTAGE,
 		}},
 		{Name: "micro-h2p-gate", Config: cpu.Config{
 			Mode: cpu.ModeMicrothread, UsePredictions: true, Pruning: true,
 			AbortEnabled: true, RebuildOnViolation: true,
-			BPred: bpred.Spec{Name: bpred.BackendH2P}, H2PSpawnGate: true,
+			BPred: bpred.BackendH2P, H2PSpawnGate: true,
 		}},
 	}
 }

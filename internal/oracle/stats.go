@@ -244,8 +244,7 @@ func checkPathCacheAlgebra(chk func(bool, string, ...any), ph *pathcache.Stats, 
 func checkBackendStats(chk func(bool, string, ...any), res *cpu.Result, cfg cpu.Config) {
 	bs := &res.Backend
 	ps := &res.PredStats
-	spec := cfg.BPred.Canonical()
-	switch spec.Name {
+	switch cfg.Canonical().BPred {
 	case bpred.BackendHybrid:
 		h := &bs.Hybrid
 		chk(h.Lookups == ps.CondPredicted && h.Updates == ps.CondPredicted,
@@ -276,8 +275,9 @@ func checkBackendStats(chk func(bool, string, ...any), res *cpu.Result, cfg cpu.
 		chk(t.Allocations+t.AllocFailed <= t.Mispredicts,
 			"tage allocations %d + failed %d > mispredicts %d", t.Allocations, t.AllocFailed, t.Mispredicts)
 		// sinceDecay advances once per update and wraps at the interval.
-		chk(t.UDecays == t.Updates/uint64(spec.TAGE.UDecayInterval),
-			"tage decays %d != updates %d / interval %d", t.UDecays, t.Updates, spec.TAGE.UDecayInterval)
+		interval := tage.DefaultConfig().UDecayInterval
+		chk(t.UDecays == t.Updates/uint64(interval),
+			"tage decays %d != updates %d / interval %d", t.UDecays, t.Updates, interval)
 		chk(bs.Hybrid == (bpred.HybridStats{}) && bs.H2P == (h2p.Stats{}),
 			"inactive backend sections nonzero under tage")
 	case bpred.BackendH2P:

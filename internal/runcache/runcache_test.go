@@ -238,7 +238,7 @@ func TestKeyOfCPUConfigCanonical(t *testing.T) {
 		"WindowSize":     func(c *cpu.Config) { c.WindowSize *= 2 },
 		"PrePromoted":    func(c *cpu.Config) { c.PrePromoted = []uint64{7} },
 		"UsePredictions": func(c *cpu.Config) { c.UsePredictions = !c.UsePredictions },
-		"BPred.Name":     func(c *cpu.Config) { c.BPred.Name = bpred.BackendTAGE },
+		"BPred":          func(c *cpu.Config) { c.BPred = bpred.BackendTAGE },
 		"H2PSpawnGate":   func(c *cpu.Config) { c.H2PSpawnGate = true },
 	}
 	for name, mutate := range mutations {
@@ -250,42 +250,26 @@ func TestKeyOfCPUConfigCanonical(t *testing.T) {
 	}
 }
 
-// TestKeyOfBPredSpecCanonical is the predictor-backend keying regression
-// test: two Specs meaning the same backend — one spelled out, one
-// relying on defaulting — must collide after Canonical, and every
-// distinguishing knob (the name, each sizing section) must change the
-// key. A miss here would make the run cache serve one backend's results
-// for another.
-func TestKeyOfBPredSpecCanonical(t *testing.T) {
+// TestKeyOfBPredCanonical is the predictor-backend keying regression
+// test: the empty backend name and the explicit hybrid mean the same
+// predictor and must collide after Canonical, and each other backend
+// must key distinctly. A miss here would make the run cache serve one
+// backend's results for another.
+func TestKeyOfBPredCanonical(t *testing.T) {
 	base := cpu.DefaultConfig()
 	spelled := cpu.DefaultConfig()
-	spelled.BPred = bpred.Spec{Name: bpred.BackendHybrid}
+	spelled.BPred = bpred.BackendHybrid
 	kBase := KeyOf("cpu", base.Canonical())
 	if k := KeyOf("cpu", spelled.Canonical()); k != kBase {
-		t.Fatalf("zero Spec and explicit hybrid Spec disagree:\n  %s\n  %s", kBase, k)
+		t.Fatalf("empty and explicit hybrid backend disagree:\n  %s\n  %s", kBase, k)
 	}
-	sized := cpu.DefaultConfig()
-	sized.BPred.TAGE = sized.BPred.TAGE.Canonical()
-	sized.BPred.H2P = sized.BPred.H2P.Canonical()
-	if k := KeyOf("cpu", sized.Canonical()); k != kBase {
-		t.Fatalf("default-sized sections changed the key:\n  %s\n  %s", kBase, k)
-	}
-
-	mutations := map[string]func(*bpred.Spec){
-		"Name=tage":          func(s *bpred.Spec) { s.Name = bpred.BackendTAGE },
-		"Name=h2p":           func(s *bpred.Spec) { s.Name = bpred.BackendH2P },
-		"TAGE.MaxHistory":    func(s *bpred.Spec) { s.TAGE.MaxHistory = 48 },
-		"TAGE.Tables":        func(s *bpred.Spec) { s.TAGE.Tables = 6 },
-		"H2P.H2PThreshold":   func(s *bpred.Spec) { s.H2P.H2PThreshold = 9 },
-		"H2P.SideConfidence": func(s *bpred.Spec) { s.H2P.SideConfidence = 3 },
-	}
-	seen := map[Key]string{kBase: "default"}
-	for name, mutate := range mutations {
+	seen := map[Key]string{kBase: bpred.BackendHybrid}
+	for _, name := range []string{bpred.BackendTAGE, bpred.BackendH2P} {
 		cfg := cpu.DefaultConfig()
-		mutate(&cfg.BPred)
+		cfg.BPred = name
 		k := KeyOf("cpu", cfg.Canonical())
 		if prev, dup := seen[k]; dup {
-			t.Errorf("Spec mutation %s collides with %s", name, prev)
+			t.Errorf("backend %s collides with %s", name, prev)
 		}
 		seen[k] = name
 	}

@@ -22,7 +22,9 @@ import (
 // Options tunes one fan-out.
 type Options struct {
 	// Parallelism bounds concurrently executing runs; <= 0 means
-	// runtime.NumCPU().
+	// runtime.GOMAXPROCS(0), which honours a user-capped runtime (the
+	// GOMAXPROCS variable or call) where runtime.NumCPU does not, so a
+	// sweep never oversubscribes the Go scheduler.
 	Parallelism int
 }
 
@@ -54,7 +56,7 @@ func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, 
 	}
 	par := opts.Parallelism
 	if par <= 0 {
-		par = runtime.NumCPU()
+		par = runtime.GOMAXPROCS(0)
 	}
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup

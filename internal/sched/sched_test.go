@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,6 +46,32 @@ func TestRunBoundsParallelism(t *testing.T) {
 	})
 	if p := peak.Load(); p > par {
 		t.Errorf("peak parallelism %d exceeds bound %d", p, par)
+	}
+}
+
+// TestRunDefaultParallelismIsGOMAXPROCS holds the zero Parallelism to
+// the runtime's GOMAXPROCS, not the host's CPU count: with GOMAXPROCS at
+// 1, no two runs may be in flight at once.
+func TestRunDefaultParallelismIsGOMAXPROCS(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("with one CPU, GOMAXPROCS and NumCPU agree")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var cur, peak atomic.Int64
+	var mu sync.Mutex
+	Run(context.Background(), 8, Options{}, func(_ context.Context, i int) error {
+		c := cur.Add(1)
+		mu.Lock()
+		if c > peak.Load() {
+			peak.Store(c)
+		}
+		mu.Unlock()
+		time.Sleep(2 * time.Millisecond)
+		cur.Add(-1)
+		return nil
+	})
+	if p := peak.Load(); p != 1 {
+		t.Errorf("peak parallelism %d with GOMAXPROCS 1, want 1", p)
 	}
 }
 

@@ -71,8 +71,10 @@ type Routine struct {
 	// the routine's path, and the spawn is aborted before a microcontext
 	// is allocated (the paper's 67% bucket).
 	PrefixTakens []isa.Addr
-	// MemDepSpeculative reports that construction terminated at a memory
-	// dependence and the routine speculates on memory beyond it.
+	// MemDepSpeculative reports that the routine contains a load; Build
+	// sets it for every such routine. Any load speculates that no
+	// primary-thread store between the spawn and the branch writes its
+	// address.
 	MemDepSpeculative bool
 	// DepChain is the longest dependence chain through the routine in
 	// instructions (Figure 8's metric).
