@@ -1,7 +1,7 @@
 package dpbp
 
 // One benchmark target per table and figure in the paper's evaluation,
-// plus ablation benches for the design choices DESIGN.md calls out and a
+// plus an ablation bench for the design choices DESIGN.md calls out and a
 // raw-simulator throughput bench. Each experiment bench runs the full
 // twenty-benchmark suite at a reduced instruction budget and reports the
 // headline metric the paper's artefact would be judged by; the dpbp
@@ -10,6 +10,7 @@ package dpbp
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"dpbp/internal/cpu"
@@ -199,79 +200,21 @@ func BenchmarkExpAll(b *testing.B) {
 	})
 }
 
-// ablationRun runs comp+vortex+go with a mutated mechanism config and
-// returns the geomean speed-up over baseline, in percent.
-func ablationRun(b *testing.B, mut func(*MachineConfig)) float64 {
-	b.Helper()
-	benches := []string{"comp", "vortex", "go"}
-	g := 1.0
-	for _, name := range benches {
-		p, err := synth.ProfileByName(name)
+// BenchmarkAblations runs the ablation study (DESIGN.md §5) on comp,
+// vortex and go at 150K instructions and reports every variant's geomean
+// speed-up over baseline, in percent, under the variant's row name.
+func BenchmarkAblations(b *testing.B) {
+	o := ExperimentOptions{Benchmarks: []string{"comp", "vortex", "go"}, TimingInsts: 150_000}
+	for i := 0; i < b.N; i++ {
+		r, err := Ablations(context.Background(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
-		prog := synth.Generate(p)
-		base := cpu.DefaultConfig()
-		base.Mode = cpu.ModeBaseline
-		base.MaxInsts = 150_000
-		rb := cpu.Run(prog, base)
-		cfg := cpu.DefaultConfig()
-		cfg.MaxInsts = 150_000
-		mut(&cfg)
-		r := cpu.Run(prog, cfg)
-		g *= r.Speedup(rb)
-	}
-	return 100 * (math.Pow(g, 1.0/float64(len(benches))) - 1)
-}
-
-// BenchmarkAblationAbortOff measures the mechanism with the Path_History
-// abort disabled (useless microthreads run to completion).
-func BenchmarkAblationAbortOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		on := ablationRun(b, func(c *MachineConfig) {})
-		off := ablationRun(b, func(c *MachineConfig) { c.AbortEnabled = false })
-		b.ReportMetric(on, "abort-on-speedup-pct")
-		b.ReportMetric(off, "abort-off-speedup-pct")
-	}
-}
-
-// BenchmarkAblationAllocateAlways measures the Path Cache without
-// allocate-on-mispredict.
-func BenchmarkAblationAllocateAlways(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		v := ablationRun(b, func(c *MachineConfig) { c.PathCache.AllocateAlways = true })
-		b.ReportMetric(v, "allocate-always-speedup-pct")
-	}
-}
-
-// BenchmarkAblationPlainLRU measures the Path Cache without the
-// difficulty-biased replacement.
-func BenchmarkAblationPlainLRU(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		v := ablationRun(b, func(c *MachineConfig) { c.PathCache.PlainLRU = true })
-		b.ReportMetric(v, "plain-lru-speedup-pct")
-	}
-}
-
-// BenchmarkAblationTrainInterval sweeps the Path Cache training interval.
-func BenchmarkAblationTrainInterval(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, ti := range []int{8, 32, 128} {
-			v := ablationRun(b, func(c *MachineConfig) { c.PathCache.TrainInterval = ti })
-			b.ReportMetric(v, "interval-speedup-pct")
-			_ = ti
+		for _, row := range r.Rows {
+			// ReportMetric rejects units containing whitespace.
+			unit := strings.Join(strings.Fields(row.Name), "-") + "-speedup-pct"
+			b.ReportMetric(100*(row.Speedup-1), unit)
 		}
-	}
-}
-
-// BenchmarkAblationPCacheSize compares the 128-entry Prediction Cache to
-// an effectively unbounded one (the paper's claim: 128 suffices).
-func BenchmarkAblationPCacheSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		small := ablationRun(b, func(c *MachineConfig) { c.PCacheEntries = 128 })
-		big := ablationRun(b, func(c *MachineConfig) { c.PCacheEntries = 64 << 10 })
-		b.ReportMetric(small, "pcache128-speedup-pct")
-		b.ReportMetric(big, "pcache-unbounded-speedup-pct")
 	}
 }
 

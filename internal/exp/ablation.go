@@ -38,59 +38,38 @@ func ablationConfigs() []struct {
 
 // Ablations runs every variant across the selected benchmarks,
 // quantifying the design choices DESIGN.md calls out as geomean speed-ups
-// over the shared baseline. A failed run drops only its benchmark from
-// its variant's geomean; failures are named "config/bench" ("baseline"
-// for the shared baseline runs) in the result's Errors.
+// over each benchmark's baseline. One row per benchmark holds its
+// baseline run and every variant, so a failed run drops its benchmark
+// from every variant's geomean and is named by benchmark in the result's
+// Errors.
 func Ablations(ctx context.Context, o Options) (*results.AblationResult, error) {
 	o = o.withDefaults()
-	progs, err := o.programs()
+	cfgs := ablationConfigs()
+	speeds, runErrs, err := perBench(ctx, o, func(ctx context.Context, prog *program.Program) ([]float64, error) {
+		base, err := timedRun(ctx, o, prog, "baseline", timingConfig(o, cpu.ModeBaseline, false, false))
+		if err != nil {
+			return nil, err
+		}
+		row := make([]float64, len(cfgs))
+		for ci, c := range cfgs {
+			cfg := timingConfig(o, cpu.ModeMicrothread, true, true)
+			c.mut(&cfg)
+			r, err := timedRun(ctx, o, prog, c.name, cfg)
+			if err != nil {
+				return nil, err
+			}
+			row[ci] = r.Speedup(base)
+		}
+		return row, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	cfgs := ablationConfigs()
-	res := &results.AblationResult{Rows: make([]results.AblationRow, len(cfgs))}
-
-	// Per-benchmark baselines, then each variant. A benchmark whose
-	// baseline failed has no denominator and is skipped by every variant.
-	bases := make([]*cpu.Result, len(progs))
-	baseErrs := sweep(ctx, o, progs, func(ctx context.Context, i int, prog *program.Program) error {
-		b, err := timedRun(ctx, o, prog, timingConfig(o, cpu.ModeBaseline, false, false))
-		if err != nil {
-			return err
-		}
-		bases[i] = b
-		return nil
-	})
-	for i, err := range baseErrs {
-		if err != nil {
-			res.Errors = append(res.Errors,
-				results.RunError{Bench: "baseline/" + progs[i].Name, Err: err.Error()})
-		}
-	}
-
+	res := &results.AblationResult{Rows: make([]results.AblationRow, len(cfgs)), Errors: runErrs}
 	for ci, c := range cfgs {
-		speeds := make([]float64, len(progs))
-		errs := sweep(ctx, o, progs, func(ctx context.Context, i int, prog *program.Program) error {
-			if bases[i] == nil {
-				return nil // baseline already reported; nothing to compare against
-			}
-			cfg := timingConfig(o, cpu.ModeMicrothread, true, true)
-			c.mut(&cfg)
-			r, err := timedRun(ctx, o, prog, cfg)
-			if err != nil {
-				return err
-			}
-			speeds[i] = r.Speedup(bases[i])
-			return nil
-		})
-		var xs []float64
-		for i := range progs {
-			if errs[i] == nil && bases[i] != nil {
-				xs = append(xs, speeds[i])
-			} else if errs[i] != nil {
-				res.Errors = append(res.Errors,
-					results.RunError{Bench: c.name + "/" + progs[i].Name, Err: errs[i].Error()})
-			}
+		xs := make([]float64, len(speeds))
+		for i, row := range speeds {
+			xs[i] = row[ci]
 		}
 		res.Rows[ci] = results.AblationRow{Name: c.name, Speedup: results.Geomean(xs)}
 	}

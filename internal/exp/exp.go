@@ -13,9 +13,7 @@ package exp
 
 import (
 	"context"
-	"strconv"
 
-	"dpbp/internal/bpred"
 	"dpbp/internal/cpu"
 	"dpbp/internal/obs"
 	"dpbp/internal/pathprof"
@@ -46,9 +44,10 @@ type Options struct {
 	// which every consumer in this package honours.
 	Cache *runcache.Cache
 	// Trace, when non-nil, attaches a lifecycle tracer to every timing
-	// run (named "<bench>/<mode>[+variant]", or "<mix>/<sharing>" for an
-	// SMT run). Traced runs bypass the cache: a cache hit would return
-	// statistics without replaying the events that reconcile with them.
+	// run, named "<bench>/<variant>" by the experiment that defines the
+	// variant, or "<mix>/<sharing>" for an SMT run. Traced runs bypass the
+	// cache: a cache hit would return statistics without replaying the
+	// events that reconcile with them.
 	Trace *obs.Collector
 	// BPred names the direction-predictor backend every timing run uses
 	// (see bpred.Backends; empty is the paper's hybrid). The shootout
@@ -74,15 +73,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// programs generates the selected benchmarks, failing fast on bad names.
-func (o Options) programs() ([]*program.Program, error) {
-	return o.programsFor(o.Benchmarks)
-}
-
-// programsFor generates the named benchmarks. With a cache, generation
-// is memoized by name (the generator is deterministic), so every run in
-// the cache's lifetime shares one immutable Program per name.
-func (o Options) programsFor(names []string) ([]*program.Program, error) {
+// programs generates the named benchmarks, failing fast on bad names.
+// With a cache, generation is memoized by name (the generator is
+// deterministic), so every run in the cache's lifetime shares one
+// immutable Program per name.
+func (o Options) programs(names []string) ([]*program.Program, error) {
 	progs := make([]*program.Program, len(names))
 	for i, name := range names {
 		p, err := synth.ProfileByName(name)
@@ -103,14 +98,10 @@ func (o Options) programsFor(names []string) ([]*program.Program, error) {
 	return progs, nil
 }
 
-func (o Options) schedOptions() sched.Options {
-	return sched.Options{Parallelism: o.Parallelism}
-}
-
-// testHookBeforeRun, when non-nil, runs at the top of every per-benchmark
-// sweep body. Tests use it to seed a panic in one benchmark and assert
-// the rest of the sweep survives.
-var testHookBeforeRun func(bench string)
+// testHookBeforeRun, when non-nil, runs at the start of every row that
+// rows starts, with the row's name. Tests use it to seed a panic or a
+// cancellation in one row and assert the rest of the sweep survives.
+var testHookBeforeRun func(name string)
 
 // machines recycles timing machines across runs and experiments; see
 // cpu.Pool. BenchmarkAblationSweepAllocs measures what this saves.
@@ -118,14 +109,16 @@ var machines cpu.Pool
 
 // timedRun executes one cancellable timing run, memoized through o.Cache
 // when one is set. The key names the program by benchmark name, which is
-// sound because every program this package runs comes from programsFor,
-// and programsFor memoizes one Program per name in the same cache. A
+// sound because every program this package runs comes from programs,
+// and programs memoizes one Program per name in the same cache. A
 // config carrying an OnBuild or OnRetire hook or a tracer is observable
 // (the hooks see every built routine or retired instruction, the tracer
-// every lifecycle event), so it always runs fresh and uncached.
-func timedRun(ctx context.Context, o Options, prog *program.Program, cfg cpu.Config) (*cpu.Result, error) {
+// every lifecycle event), so it always runs fresh and uncached. name is
+// the variant the caller's table gives the run; a traced run is named
+// "<bench>/<name>".
+func timedRun(ctx context.Context, o Options, prog *program.Program, name string, cfg cpu.Config) (*cpu.Result, error) {
 	if o.Trace != nil {
-		cfg.Obs = o.Trace.StartRun(runName(prog, cfg))
+		cfg.Obs = o.Trace.StartRun(prog.Name + "/" + name)
 	}
 	if o.Cache == nil || cfg.OnBuild != nil || cfg.OnRetire != nil || cfg.Obs != nil {
 		return pooledRun(ctx, prog, cfg)
@@ -138,33 +131,6 @@ func timedRun(ctx context.Context, o Options, prog *program.Program, cfg cpu.Con
 		return nil, err
 	}
 	return v.(*cpu.Result), nil
-}
-
-// runName labels one timing run in trace output: benchmark, mode, and
-// the switches that distinguish the sweep variants. A path length other
-// than the default appears as "+n<N>", so Figure 6's three potential
-// runs of one benchmark get distinct names.
-func runName(prog *program.Program, cfg cpu.Config) string {
-	cfg = cfg.Canonical()
-	name := prog.Name + "/" + cfg.Mode.String()
-	if cfg.Mode == cpu.ModeMicrothread {
-		if !cfg.UsePredictions {
-			name += "+overhead-only"
-		}
-		if cfg.Pruning {
-			name += "+prune"
-		}
-	}
-	if cfg.N != cpu.DefaultConfig().N {
-		name += "+n" + strconv.Itoa(cfg.N)
-	}
-	if cfg.BPred != bpred.BackendHybrid {
-		name += "+" + cfg.BPred
-	}
-	if cfg.H2PSpawnGate {
-		name += "+h2p-gate"
-	}
-	return name
 }
 
 // pooledRun executes one timing run on a pooled machine.
@@ -194,47 +160,48 @@ func profileRun(ctx context.Context, o Options, prog *program.Program, cfg pathp
 	return v.(*pathprof.Profile), nil
 }
 
-// sweep runs body for every program via the scheduler and returns one
-// error per program (nil on success), in program order.
-func sweep(ctx context.Context, o Options, progs []*program.Program,
-	body func(ctx context.Context, i int, prog *program.Program) error) []error {
-	return sched.Run(ctx, len(progs), o.schedOptions(), func(ctx context.Context, i int) error {
+// rows is the experiments' one fan-out: it runs row once per named unit
+// through sched, starting no row once ctx has ended. It returns the
+// completed rows in unit order and one RunError, named by the unit, per
+// row that failed. The row slice is never nil, so a sweep with no
+// completed row still renders an empty list.
+func rows[T any](ctx context.Context, o Options, names []string,
+	row func(ctx context.Context, i int) (T, error)) ([]T, []results.RunError) {
+	out := make([]T, len(names))
+	errs := sched.Run(ctx, len(names), sched.Options{Parallelism: o.Parallelism}, func(ctx context.Context, i int) error {
 		if h := testHookBeforeRun; h != nil {
-			h(progs[i].Name)
+			h(names[i])
 		}
-		return body(ctx, i, progs[i])
-	})
-}
-
-// perBench generates the selected programs and runs row once per
-// program through sweep, starting no row once ctx has ended. It returns
-// the completed rows in benchmark order and one RunError, named by
-// benchmark, per row that failed. The row slice is never nil, so a
-// sweep with no completed row still renders an empty list.
-func perBench[T any](ctx context.Context, o Options,
-	row func(ctx context.Context, prog *program.Program) (T, error)) ([]T, []results.RunError, error) {
-	progs, err := o.programs()
-	if err != nil {
-		return nil, nil, err
-	}
-	rows := make([]T, len(progs))
-	errs := sweep(ctx, o, progs, func(ctx context.Context, i int, prog *program.Program) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		var err error
-		rows[i], err = row(ctx, prog)
+		out[i], err = row(ctx, i)
 		return err
 	})
-	done := make([]T, 0, len(progs))
+	done := make([]T, 0, len(names))
 	var runErrs []results.RunError
 	for i, err := range errs {
 		if err != nil {
-			runErrs = append(runErrs, results.RunError{Bench: progs[i].Name, Err: err.Error()})
+			runErrs = append(runErrs, results.RunError{Bench: names[i], Err: err.Error()})
 		} else {
-			done = append(done, rows[i])
+			done = append(done, out[i])
 		}
 	}
+	return done, runErrs
+}
+
+// perBench generates the selected programs and runs rows over them, one
+// row per benchmark, named by benchmark.
+func perBench[T any](ctx context.Context, o Options,
+	row func(ctx context.Context, prog *program.Program) (T, error)) ([]T, []results.RunError, error) {
+	progs, err := o.programs(o.Benchmarks)
+	if err != nil {
+		return nil, nil, err
+	}
+	done, runErrs := rows(ctx, o, o.Benchmarks, func(ctx context.Context, i int) (T, error) {
+		return row(ctx, progs[i])
+	})
 	return done, runErrs, nil
 }
 

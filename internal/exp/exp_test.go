@@ -350,25 +350,108 @@ func TestAllPartialKeepsErrorsInEverySection(t *testing.T) {
 	}
 }
 
-// TestFigure6TraceNamesDistinct pins that a traced Figure 6 names each
-// of its runs apart: the baseline and one potential run per path
-// length, the lengths told apart by their "+n<N>" suffix.
-func TestFigure6TraceNamesDistinct(t *testing.T) {
-	o := quick("comp")
-	o.TimingInsts = 20_000
-	o.Trace = obs.NewCollector()
-	if _, err := Figure6(ctx(), o); err != nil {
-		t.Fatal(err)
+// TestTraceNamesDistinct pins that a traced experiment names each of
+// its runs apart, by the variant its own table defines: Figure 6's path
+// lengths by their "+n<N>" suffix, each ablation by its row name, and
+// the guided study's dynamic and guided runs.
+func TestTraceNamesDistinct(t *testing.T) {
+	ablations := []string{"comp/baseline"}
+	for _, c := range ablationConfigs() {
+		ablations = append(ablations, "comp/"+c.name)
 	}
-	var names []string
-	for _, r := range o.Trace.Runs() {
-		names = append(names, r.Name)
+	for _, tc := range []struct {
+		name string
+		run  func(context.Context, Options) error
+		want []string
+	}{
+		{"fig6", func(c context.Context, o Options) error { _, err := Figure6(c, o); return err },
+			[]string{"comp/baseline", "comp/potential", "comp/potential+n16", "comp/potential+n4"}},
+		{"ablations", func(c context.Context, o Options) error { _, err := Ablations(c, o); return err },
+			ablations},
+		{"guided", func(c context.Context, o Options) error { _, err := ProfileGuided(c, o); return err },
+			[]string{"comp/baseline", "comp/guided", "comp/microthread+prune"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := Options{Benchmarks: []string{"comp"}, TimingInsts: 20_000, ProfileInsts: 20_000}
+			o.Trace = obs.NewCollector()
+			if err := tc.run(ctx(), o); err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, r := range o.Trace.Runs() {
+				names = append(names, r.Name)
+			}
+			sort.Strings(names)
+			want := append([]string(nil), tc.want...)
+			sort.Strings(want)
+			if !reflect.DeepEqual(names, want) {
+				t.Errorf("traced run names %q, want %q", names, want)
+			}
+		})
 	}
-	sort.Strings(names)
-	want := []string{"comp/baseline", "comp/potential", "comp/potential+n16", "comp/potential+n4"}
-	if !reflect.DeepEqual(names, want) {
-		t.Errorf("traced run names %v, want %v", names, want)
+}
+
+// cancelOnSecondRow returns a context that is cancelled when the row
+// driver starts its second row, and clears the hook when t ends.
+func cancelOnSecondRow(t *testing.T) context.Context {
+	c, cancel := context.WithCancel(context.Background())
+	started := 0
+	testHookBeforeRun = func(string) {
+		if started++; started == 2 {
+			cancel()
+		}
 	}
+	t.Cleanup(func() {
+		testHookBeforeRun = nil
+		cancel()
+	})
+	return c
+}
+
+// TestPartialVariantSweepsAverageOneBenchmarkSet holds the per-variant
+// experiments to Figure 7's partial rule: a benchmark appears in every
+// column or in none. With li cancelled before it starts, the ablations
+// and the shootout report one error, for li, and every geomean equals a
+// complete run's over comp alone.
+func TestPartialVariantSweepsAverageOneBenchmarkSet(t *testing.T) {
+	o := Options{Benchmarks: []string{"comp", "li"}, TimingInsts: 20_000, Parallelism: 1}
+	compOnly := o
+	compOnly.Benchmarks = []string{"comp"}
+	wantErrs := []results.RunError{{Bench: "li", Err: context.Canceled.Error()}}
+
+	t.Run("ablations", func(t *testing.T) {
+		want, err := Ablations(ctx(), compOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Ablations(cancelOnSecondRow(t), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Errors, wantErrs) {
+			t.Errorf("errors %+v, want %+v", got.Errors, wantErrs)
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("rows %+v, want comp's %+v", got.Rows, want.Rows)
+		}
+	})
+	t.Run("shootout", func(t *testing.T) {
+		want, err := Shootout(ctx(), compOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Shootout(cancelOnSecondRow(t), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Errors, wantErrs) {
+			t.Errorf("errors %+v, want %+v", got.Errors, wantErrs)
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Geomean, want.Geomean) {
+			t.Errorf("rows %+v geomean %v, want comp's %+v geomean %v",
+				got.Rows, got.Geomean, want.Rows, want.Geomean)
+		}
+	})
 }
 
 // TestShootoutIgnoresBPred pins the shootout's contract with -bpred: every

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"strconv"
 
 	"dpbp/internal/cpu"
 	"dpbp/internal/program"
@@ -15,7 +16,7 @@ import (
 func Figure6(ctx context.Context, o Options) (*results.Figure6Result, error) {
 	o = o.withDefaults()
 	rows, runErrs, err := perBench(ctx, o, func(ctx context.Context, prog *program.Program) (results.Figure6Row, error) {
-		base, err := timedRun(ctx, o, prog, timingConfig(o, cpu.ModeBaseline, false, false))
+		base, err := timedRun(ctx, o, prog, "baseline", timingConfig(o, cpu.ModeBaseline, false, false))
 		if err != nil {
 			return results.Figure6Row{}, err
 		}
@@ -25,9 +26,14 @@ func Figure6(ctx context.Context, o Options) (*results.Figure6Result, error) {
 			SpeedupByN:  map[int]float64{},
 		}
 		for _, n := range PathLengths {
+			// A path length other than the default is named "+n<N>".
 			cfg := timingConfig(o, cpu.ModePerfectPromoted, false, false)
+			name := "potential"
+			if n != cfg.N {
+				name += "+n" + strconv.Itoa(n)
+			}
 			cfg.N = n
-			pot, err := timedRun(ctx, o, prog, cfg)
+			pot, err := timedRun(ctx, o, prog, name, cfg)
 			if err != nil {
 				return results.Figure6Row{}, err
 			}
@@ -65,17 +71,18 @@ func RunFigure7Set(ctx context.Context, o Options) ([]results.Figure7Runs, []res
 		r := results.Figure7Runs{Bench: prog.Name}
 		type slot struct {
 			dst     **cpu.Result
+			name    string
 			mode    cpu.Mode
 			pruning bool
 			preds   bool
 		}
 		for _, s := range []slot{
-			{&r.Base, cpu.ModeBaseline, false, false},
-			{&r.NoPrune, cpu.ModeMicrothread, false, true},
-			{&r.Prune, cpu.ModeMicrothread, true, true},
-			{&r.Overhead, cpu.ModeMicrothread, false, false},
+			{&r.Base, "baseline", cpu.ModeBaseline, false, false},
+			{&r.NoPrune, "microthread", cpu.ModeMicrothread, false, true},
+			{&r.Prune, "microthread+prune", cpu.ModeMicrothread, true, true},
+			{&r.Overhead, "microthread+overhead-only", cpu.ModeMicrothread, false, false},
 		} {
-			res, err := timedRun(ctx, o, prog, timingConfig(o, s.mode, s.pruning, s.preds))
+			res, err := timedRun(ctx, o, prog, s.name, timingConfig(o, s.mode, s.pruning, s.preds))
 			if err != nil {
 				return results.Figure7Runs{}, err
 			}
@@ -131,11 +138,11 @@ func Figure9FromRuns(runs []results.Figure7Runs) *results.Figure9Result {
 func Perfect(ctx context.Context, o Options) (*results.PerfectResult, error) {
 	o = o.withDefaults()
 	rows, runErrs, err := perBench(ctx, o, func(ctx context.Context, prog *program.Program) (results.PerfectRow, error) {
-		base, err := timedRun(ctx, o, prog, timingConfig(o, cpu.ModeBaseline, false, false))
+		base, err := timedRun(ctx, o, prog, "baseline", timingConfig(o, cpu.ModeBaseline, false, false))
 		if err != nil {
 			return results.PerfectRow{}, err
 		}
-		perf, err := timedRun(ctx, o, prog, timingConfig(o, cpu.ModePerfectAll, false, false))
+		perf, err := timedRun(ctx, o, prog, "perfect", timingConfig(o, cpu.ModePerfectAll, false, false))
 		if err != nil {
 			return results.PerfectRow{}, err
 		}

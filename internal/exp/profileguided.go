@@ -26,17 +26,17 @@ func ProfileGuided(ctx context.Context, o Options) (*results.ProfileGuidedResult
 		}
 		ids := prof.DifficultPathIDs(10, 0.10, 8<<10)
 
-		base, err := timedRun(ctx, o, prog, timingConfig(o, cpu.ModeBaseline, false, false))
+		base, err := timedRun(ctx, o, prog, "baseline", timingConfig(o, cpu.ModeBaseline, false, false))
 		if err != nil {
 			return results.ProfileGuidedRow{}, err
 		}
-		dyn, err := timedRun(ctx, o, prog, timingConfig(o, cpu.ModeMicrothread, true, true))
+		dyn, err := timedRun(ctx, o, prog, "microthread+prune", timingConfig(o, cpu.ModeMicrothread, true, true))
 		if err != nil {
 			return results.ProfileGuidedRow{}, err
 		}
 		gcfg := timingConfig(o, cpu.ModeMicrothread, true, true)
 		gcfg.PrePromoted = ids
-		guided, err := timedRun(ctx, o, prog, gcfg)
+		guided, err := timedRun(ctx, o, prog, "guided", gcfg)
 		if err != nil {
 			return results.ProfileGuidedRow{}, err
 		}

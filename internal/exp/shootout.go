@@ -35,77 +35,51 @@ var shootoutContenders = []struct {
 // hybrid, TAGE, and H2P-side backends, the microthread mechanism over
 // the hybrid and TAGE backends, and the H2P-gated microthread variant,
 // reporting IPC, speedup over the hybrid baseline, and misprediction
-// rate. A failed run costs only its (config, benchmark) cell, recorded
-// in Errors as "config/bench".
+// rate. One row per benchmark holds every contender's run, the
+// reference first, so a failed run drops its benchmark from every
+// column and is named by benchmark in Errors.
 func Shootout(ctx context.Context, o Options) (*results.ShootoutResult, error) {
 	o = o.withDefaults()
-	progs, err := o.programs()
-	if err != nil {
-		return nil, err
-	}
 	cfgs := shootoutContenders
-	res := &results.ShootoutResult{
-		Configs: make([]string, len(cfgs)),
-		Rows:    make([]results.ShootoutRow, len(progs)),
-	}
-	for ci, c := range cfgs {
-		res.Configs[ci] = c.name
-	}
-	for i, prog := range progs {
-		res.Rows[i] = results.ShootoutRow{
-			Bench: prog.Name,
-			Cells: make([]results.ShootoutCell, len(cfgs)),
-		}
-	}
-
-	// Reference runs first: they are every row's denominator.
-	refs := make([]*cpu.Result, len(progs))
-	run := func(ci int) func(ctx context.Context, i int, prog *program.Program) error {
-		return func(ctx context.Context, i int, prog *program.Program) error {
-			c := cfgs[ci]
+	rows, runErrs, err := perBench(ctx, o, func(ctx context.Context, prog *program.Program) (results.ShootoutRow, error) {
+		row := results.ShootoutRow{Bench: prog.Name, Cells: make([]results.ShootoutCell, len(cfgs))}
+		var ref *cpu.Result
+		for ci, c := range cfgs {
 			cfg := timingConfig(o, cpu.ModeBaseline, false, false)
 			if c.micro {
 				cfg = timingConfig(o, cpu.ModeMicrothread, true, true)
 			}
 			cfg.BPred = c.backend
 			cfg.H2PSpawnGate = c.gate
-			r, err := timedRun(ctx, o, prog, cfg)
+			r, err := timedRun(ctx, o, prog, c.name, cfg)
 			if err != nil {
-				return err
+				return results.ShootoutRow{}, err
 			}
-			cell := &res.Rows[i].Cells[ci]
-			cell.IPC = r.IPC()
-			cell.MispredictPct = 100 * r.MispredictRate()
 			if ci == 0 {
-				refs[i] = r
-				cell.Speedup = 1
-			} else if refs[i] != nil {
-				cell.Speedup = r.Speedup(refs[i])
+				ref = r
 			}
-			return nil
-		}
-	}
-	record := func(ci int, errs []error) {
-		for i, err := range errs {
-			if err != nil {
-				res.Errors = append(res.Errors, results.RunError{
-					Bench: cfgs[ci].name + "/" + progs[i].Name, Err: err.Error(),
-				})
+			row.Cells[ci] = results.ShootoutCell{
+				IPC:           r.IPC(),
+				Speedup:       r.Speedup(ref),
+				MispredictPct: 100 * r.MispredictRate(),
 			}
 		}
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	record(0, sweep(ctx, o, progs, run(0)))
-	for ci := 1; ci < len(cfgs); ci++ {
-		record(ci, sweep(ctx, o, progs, run(ci)))
+	res := &results.ShootoutResult{
+		Configs: make([]string, len(cfgs)),
+		Rows:    rows,
+		Geomean: make([]float64, len(cfgs)),
+		Errors:  runErrs,
 	}
-
-	res.Geomean = make([]float64, len(cfgs))
-	for ci := range cfgs {
-		var xs []float64
-		for i := range progs {
-			if s := res.Rows[i].Cells[ci].Speedup; s > 0 {
-				xs = append(xs, s)
-			}
+	for ci, c := range cfgs {
+		res.Configs[ci] = c.name
+		xs := make([]float64, len(rows))
+		for i, r := range rows {
+			xs[i] = r.Cells[ci].Speedup
 		}
 		res.Geomean[ci] = results.Geomean(xs)
 	}

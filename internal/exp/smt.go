@@ -7,7 +7,6 @@ import (
 
 	"dpbp/internal/cpu"
 	"dpbp/internal/results"
-	"dpbp/internal/sched"
 	"dpbp/internal/synth"
 )
 
@@ -81,8 +80,9 @@ func coveragePct(r *cpu.Result) float64 {
 // contended-spawn traffic against the machine-wide microcontext budget.
 // Options.SMT, when enabled, overrides the mix list, fetch policy, and
 // the shared variant's flags. SMT runs are not cached: the study runs
-// each (mix, sharing) unit once. A failed mix costs only its rows,
-// recorded in Errors as "mix/sharing".
+// each (mix, sharing) unit once, as one row named "mix/sharing". A
+// failed unit costs only its own variant of its mix, recorded in Errors
+// under the unit's name.
 func SMT(ctx context.Context, o Options) (*results.SMTResult, error) {
 	o = o.withDefaults()
 	mixes := defaultSMTMixes()
@@ -100,51 +100,57 @@ func SMT(ctx context.Context, o Options) (*results.SMTResult, error) {
 		FetchPolicy: policy.String(),
 		Mixes:       make([]results.SMTMix, len(mixes)),
 	}
-	type unit struct{ mix, variant int }
-	var units []unit
+	// Units run mix-major: unit ui is variant ui%len(variants) of mix
+	// ui/len(variants).
+	var units []string
 	for mi, names := range mixes {
 		res.Mixes[mi] = results.SMTMix{
 			Name:     strings.Join(names, "+"),
-			Variants: make([]results.SMTVariant, len(variants)),
+			Variants: make([]results.SMTVariant, 0, len(variants)),
 		}
-		for vi := range variants {
-			units = append(units, unit{mi, vi})
+		for _, v := range variants {
+			units = append(units, res.Mixes[mi].Name+"/"+sharingName(v))
 		}
 	}
 
-	errs := sched.Run(ctx, len(units), o.schedOptions(), func(ctx context.Context, ui int) error {
-		u := units[ui]
-		names := mixes[u.mix]
-		progs, err := o.programsFor(names)
+	type mixVariant struct {
+		mix int
+		v   results.SMTVariant
+	}
+	done, runErrs := rows(ctx, o, units, func(ctx context.Context, ui int) (mixVariant, error) {
+		mi, vi := ui/len(variants), ui%len(variants)
+		names := mixes[mi]
+		progs, err := o.programs(names)
 		if err != nil {
-			return err
+			return mixVariant{}, err
 		}
 		cfg := timingConfig(o, cpu.ModeMicrothread, true, true)
-		cfg.SMT = variants[u.variant]
+		cfg.SMT = variants[vi]
 		cfg.SMT.FetchPolicy = policy
 		cfg.SMT.Contexts = make([]cpu.WorkloadRef, len(names))
 		for i, name := range names {
 			cfg.SMT.Contexts[i] = cpu.WorkloadRef{Bench: name}
 		}
 		if o.Trace != nil {
-			cfg.Obs = o.Trace.StartRun(res.Mixes[u.mix].Name + "/" + sharingName(variants[u.variant]))
+			cfg.Obs = o.Trace.StartRun(units[ui])
 		}
 		run, err := cpu.RunSMT(ctx, progs, cfg)
 		if err != nil {
-			return err
+			return mixVariant{}, err
 		}
 
-		v := &res.Mixes[u.mix].Variants[u.variant]
-		v.Sharing = sharingName(variants[u.variant])
-		v.MachineIPC = run.IPC()
-		v.Cycles = run.Cycles
-		v.Contexts = make([]results.SMTContextRow, len(run.Contexts))
+		v := results.SMTVariant{
+			Sharing:    sharingName(variants[vi]),
+			MachineIPC: run.IPC(),
+			Cycles:     run.Cycles,
+			Contexts:   make([]results.SMTContextRow, len(run.Contexts)),
+		}
 		for i, c := range run.Contexts {
 			soloCfg := cfg
 			soloCfg.SMT = cpu.SMTConfig{}
-			solo, err := timedRun(ctx, o, progs[i], soloCfg)
+			solo, err := timedRun(ctx, o, progs[i], "microthread+prune", soloCfg)
 			if err != nil {
-				return err
+				return mixVariant{}, err
 			}
 			row := results.SMTContextRow{
 				Bench:           names[i],
@@ -160,28 +166,12 @@ func SMT(ctx context.Context, o Options) (*results.SMTResult, error) {
 			}
 			v.Contexts[i] = row
 		}
-		return nil
+		return mixVariant{mi, v}, nil
 	})
-	for ui, err := range errs {
-		if err != nil {
-			u := units[ui]
-			res.Errors = append(res.Errors, results.RunError{
-				Bench: res.Mixes[u.mix].Name + "/" + sharingName(variants[u.variant]),
-				Err:   err.Error(),
-			})
-		}
+	for _, r := range done {
+		res.Mixes[r.mix].Variants = append(res.Mixes[r.mix].Variants, r.v)
 	}
-	// Drop variants whose unit failed so partial results carry only
-	// completed rows (a zero-valued variant has no Sharing label).
-	for mi := range res.Mixes {
-		kept := res.Mixes[mi].Variants[:0]
-		for _, v := range res.Mixes[mi].Variants {
-			if v.Sharing != "" {
-				kept = append(kept, v)
-			}
-		}
-		res.Mixes[mi].Variants = kept
-	}
+	res.Errors = runErrs
 	return res, nil
 }
 

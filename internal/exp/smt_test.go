@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dpbp/internal/cpu"
@@ -130,6 +131,32 @@ func TestSMTRunsTraced(t *testing.T) {
 		if !ctx1[name] {
 			t.Errorf("no context-1 events traced for SMT run %s", name)
 		}
+	}
+}
+
+// TestSMTFailedUnitLeavesOnlyItsVariant pins the SMT study's partial
+// rule: a failed (mix, sharing) unit is named "mix/sharing" in Errors
+// and drops only its own variant, so the mix keeps its other variant.
+func TestSMTFailedUnitLeavesOnlyItsVariant(t *testing.T) {
+	testHookBeforeRun = func(name string) {
+		if name == "comp+li/shared-pathcache" {
+			panic("seeded test panic")
+		}
+	}
+	defer func() { testHookBeforeRun = nil }()
+
+	o := tinySMTOpts()
+	o.SMT, _ = ParseSMTSpec("comp+li")
+	res, err := SMT(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Errors) != 1 || res.Errors[0].Bench != "comp+li/shared-pathcache" ||
+		!strings.Contains(res.Errors[0].Err, "seeded test panic") {
+		t.Errorf("errors %+v, want one for comp+li/shared-pathcache", res.Errors)
+	}
+	if len(res.Mixes) != 1 || len(res.Mixes[0].Variants) != 1 || res.Mixes[0].Variants[0].Sharing != "private" {
+		t.Errorf("mixes %+v, want comp+li with its private variant only", res.Mixes)
 	}
 }
 

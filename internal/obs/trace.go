@@ -19,7 +19,9 @@ type Collector struct {
 
 // RunTrace is one named run's tracer.
 type RunTrace struct {
-	// Name labels the run in trace viewers, e.g. "gcc/microthread+prune".
+	// Name labels the run in trace viewers: a benchmark and the variant
+	// its experiment names ("gcc/abort off"), or an SMT mix and its
+	// sharing ("gcc+ijpeg/private").
 	Name   string
 	Tracer *Tracer
 }

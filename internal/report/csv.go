@@ -244,9 +244,6 @@ func csvShootout(w *csv.Writer, s *results.ShootoutResult) error {
 	}
 	for _, r := range s.Rows {
 		for ci, c := range r.Cells {
-			if c.IPC == 0 {
-				continue // failed run: accounted for in the ERROR records
-			}
 			rec := []string{r.Bench, s.Configs[ci], ftoa(c.IPC), ftoa(c.Speedup), ftoa(c.MispredictPct)}
 			if err := w.Write(rec); err != nil {
 				return err

@@ -383,17 +383,9 @@ func textShootout(s *results.ShootoutResult) string {
 	}
 	fmt.Fprintln(w)
 	for _, r := range s.Rows {
-		if r.Cells[0].IPC == 0 {
-			fmt.Fprintf(w, "%s\t-", r.Bench)
-		} else {
-			fmt.Fprintf(w, "%s\t%.3f", r.Bench, r.Cells[0].IPC)
-		}
+		fmt.Fprintf(w, "%s\t%.3f", r.Bench, r.Cells[0].IPC)
 		for _, c := range r.Cells[1:] {
-			if c.Speedup == 0 {
-				fmt.Fprint(w, "\t-")
-			} else {
-				fmt.Fprintf(w, "\t%s", pct(c.Speedup))
-			}
+			fmt.Fprintf(w, "\t%s", pct(c.Speedup))
 		}
 		fmt.Fprintln(w)
 	}
@@ -414,11 +406,7 @@ func textShootout(s *results.ShootoutResult) string {
 	for _, r := range s.Rows {
 		fmt.Fprintf(w, "%s", r.Bench)
 		for _, c := range r.Cells {
-			if c.IPC == 0 {
-				fmt.Fprint(w, "\t-")
-			} else {
-				fmt.Fprintf(w, "\t%.2f", c.MispredictPct)
-			}
+			fmt.Fprintf(w, "\t%.2f", c.MispredictPct)
 		}
 		fmt.Fprintln(w)
 	}

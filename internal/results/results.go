@@ -27,7 +27,8 @@ type Section struct {
 // non-empty error list are partial: the surviving rows are complete and
 // correct, and every missing benchmark is accounted for here.
 type RunError struct {
-	// Bench names the benchmark (for ablations, "config/bench").
+	// Bench names the benchmark, or for the SMT study the failed
+	// "mix/sharing" unit.
 	Bench string `json:"bench"`
 	// Err is the failure rendered as text.
 	Err string `json:"error"`
@@ -191,15 +192,13 @@ type ShootoutResult struct {
 	Configs []string      `json:"configs"`
 	Rows    []ShootoutRow `json:"rows"`
 	// Geomean holds the per-config geometric-mean speedup over the
-	// reference, parallel to Configs, across benchmarks where both the
-	// config and the reference completed.
+	// reference, parallel to Configs, across the completed rows.
 	Geomean []float64  `json:"geomean"`
 	Errors  []RunError `json:"errors,omitempty"`
 }
 
 // ShootoutRow is one benchmark's line; Cells is parallel to
-// ShootoutResult.Configs. A cell with IPC 0 means that config's run
-// failed for this benchmark (accounted for in Errors).
+// ShootoutResult.Configs.
 type ShootoutRow struct {
 	Bench string         `json:"bench"`
 	Cells []ShootoutCell `json:"cells"`
@@ -209,7 +208,7 @@ type ShootoutRow struct {
 type ShootoutCell struct {
 	IPC float64 `json:"ipc"`
 	// Speedup is IPC relative to the reference config's IPC for the
-	// same benchmark (0 when the reference failed).
+	// same benchmark.
 	Speedup float64 `json:"speedup"`
 	// MispredictPct is the machine-level terminating-branch
 	// misprediction rate, in percent.
@@ -273,8 +272,8 @@ type SMTContextRow struct {
 }
 
 // AblationResult quantifies the design choices DESIGN.md calls out, each
-// as a geomean speed-up over the shared baseline across the selected
-// benchmarks.
+// as a geomean speed-up over the baseline across the benchmarks whose
+// runs all completed; a benchmark with a failed run leaves every row.
 type AblationResult struct {
 	Rows   []AblationRow `json:"rows"`
 	Errors []RunError    `json:"errors,omitempty"`
