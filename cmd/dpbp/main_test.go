@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -191,6 +192,80 @@ func TestRunAllPartialEveryFormat(t *testing.T) {
 	if len(sections) != 7 || !reflect.DeepEqual(withError, sections) {
 		t.Errorf("csv: sections %v, ERROR records after %v; want one after each of 7", sections, withError)
 	}
+}
+
+// TestRunNoCompletedBenchmarkPrintsNoGeomean checks every experiment
+// that averages its rows, with a deadline that passed before any run
+// started: no format may present an average of zero rows as measured.
+// Text has no Geomean line and no +0.0% cell, CSV has only section
+// markers, headers and ERROR records, and JSON has no geomean key and
+// only empty rows and runs.
+func TestRunNoCompletedBenchmarkPrintsNoGeomean(t *testing.T) {
+	expired, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+	for _, name := range []string{"all", "fig6", "guided", "ablations", "shootout"} {
+		t.Run(name, func(t *testing.T) {
+			render := func(format string) string {
+				var b bytes.Buffer
+				if err := run(expired, &b, name, format, tiny()); err != nil {
+					t.Fatalf("run(%s, %q) = %v", name, format, err)
+				}
+				return b.String()
+			}
+
+			text := render("text")
+			if strings.Contains(text, "Geomean") || strings.Contains(text, "+0.0%") {
+				t.Errorf("text prints an average of no rows:\n%s", text)
+			}
+
+			header := true
+			for _, line := range strings.Split(render("csv"), "\n") {
+				switch {
+				case line == "":
+				case strings.HasPrefix(line, "# "):
+					header = true
+				case header:
+					header = false
+				case !strings.HasPrefix(line, "ERROR,"):
+					t.Errorf("csv data record %q", line)
+				}
+			}
+
+			var doc any
+			if err := json.Unmarshal([]byte(render("json")), &doc); err != nil {
+				t.Fatalf("invalid JSON: %v", err)
+			}
+			if at := measuredJSON(doc, name); at != "" {
+				t.Errorf("json carries %s", at)
+			}
+		})
+	}
+}
+
+// measuredJSON returns the path of the first geomean key or non-empty
+// rows or runs list in a decoded JSON document, or "" if it has none.
+func measuredJSON(v any, at string) string {
+	switch v := v.(type) {
+	case map[string]any:
+		for k, x := range v {
+			if strings.HasPrefix(k, "geomean") {
+				return at + "." + k
+			}
+			if list, ok := x.([]any); ok && (k == "rows" || k == "runs") && len(list) > 0 {
+				return at + "." + k + " with entries"
+			}
+			if s := measuredJSON(x, at+"."+k); s != "" {
+				return s
+			}
+		}
+	case []any:
+		for i, x := range v {
+			if s := measuredJSON(x, fmt.Sprintf("%s[%d]", at, i)); s != "" {
+				return s
+			}
+		}
+	}
+	return ""
 }
 
 func TestRunObsTraceWritesChromeJSON(t *testing.T) {

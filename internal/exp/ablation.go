@@ -41,7 +41,7 @@ func ablationConfigs() []struct {
 // over each benchmark's baseline. One row per benchmark holds its
 // baseline run and every variant, so a failed run drops its benchmark
 // from every variant's geomean and is named by benchmark in the result's
-// Errors.
+// Errors. With no completed benchmark there is no geomean, so no row.
 func Ablations(ctx context.Context, o Options) (*results.AblationResult, error) {
 	o = o.withDefaults()
 	cfgs := ablationConfigs()
@@ -65,13 +65,16 @@ func Ablations(ctx context.Context, o Options) (*results.AblationResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	res := &results.AblationResult{Rows: make([]results.AblationRow, len(cfgs)), Errors: runErrs}
+	res := &results.AblationResult{Rows: make([]results.AblationRow, 0, len(cfgs)), Errors: runErrs}
+	if len(speeds) == 0 {
+		return res, nil
+	}
 	for ci, c := range cfgs {
 		xs := make([]float64, len(speeds))
 		for i, row := range speeds {
 			xs[i] = row[ci]
 		}
-		res.Rows[ci] = results.AblationRow{Name: c.name, Speedup: results.Geomean(xs)}
+		res.Rows = append(res.Rows, results.AblationRow{Name: c.name, Speedup: results.Geomean(xs)})
 	}
 	return res, nil
 }

@@ -44,12 +44,11 @@ func Figure6(ctx context.Context, o Options) (*results.Figure6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &results.Figure6Result{
-		PathLengths: PathLengths,
-		Rows:        rows,
-		Geomean:     map[int]float64{},
-		Errors:      runErrs,
+	res := &results.Figure6Result{PathLengths: PathLengths, Rows: rows, Errors: runErrs}
+	if len(rows) == 0 {
+		return res, nil
 	}
+	res.Geomean = map[int]float64{}
 	for _, n := range PathLengths {
 		var xs []float64
 		for _, r := range res.Rows {

@@ -69,14 +69,15 @@ func Shootout(ctx context.Context, o Options) (*results.ShootoutResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &results.ShootoutResult{
-		Configs: make([]string, len(cfgs)),
-		Rows:    rows,
-		Geomean: make([]float64, len(cfgs)),
-		Errors:  runErrs,
-	}
+	res := &results.ShootoutResult{Configs: make([]string, len(cfgs)), Rows: rows, Errors: runErrs}
 	for ci, c := range cfgs {
 		res.Configs[ci] = c.name
+	}
+	if len(rows) == 0 {
+		return res, nil
+	}
+	res.Geomean = make([]float64, len(cfgs))
+	for ci := range cfgs {
 		xs := make([]float64, len(rows))
 		for i, r := range rows {
 			xs[i] = r.Cells[ci].Speedup

@@ -145,13 +145,15 @@ func (t *Tracker) ID(term isa.Addr) ID {
 // the oldest taken branch is not part of the scope.
 func (t *Tracker) Scope(term isa.Addr) int {
 	total := 0
-	for i := 0; i < t.cnt; i++ {
-		start := t.ring[(t.head+i)%t.n].Target
-		var end isa.Addr
-		if i+1 < t.cnt {
-			end = t.ring[(t.head+i+1)%t.n].PC
-		} else {
-			end = term
+	i := t.head
+	for k := 0; k < t.cnt; k++ {
+		start := t.ring[i].Target
+		if i++; i == t.n {
+			i = 0
+		}
+		end := term
+		if k+1 < t.cnt {
+			end = t.ring[i].PC
 		}
 		if end >= start {
 			total += int(end-start) + 1

@@ -7,30 +7,60 @@ import (
 	"dpbp/internal/isa"
 )
 
-// TestTrackerIncrementalMatchesRecompute audits the incremental rolling
-// hash against the definitional recomputation: after every Observe, for
-// several path lengths (including ones where the total rotation 3n
-// exceeds 64 and wraps), ID(term) must equal Hash over the materialised
-// history. This pins the O(1) eviction identity
+// TestTrackerIncrementalMatchesRecompute audits the tracker's O(1) and
+// ring-walking answers against their definitions over the materialised
+// history. After every Observe, for every path length up to 64 (the
+// total rotation 3n exceeds 64 and wraps from n = 22 on), ID(term) must
+// equal Hash over Branches() and Scope(term) must equal scopeOf over it.
+// Addresses drawn from 256 make about half the fall-through regions run
+// backward and some span one instruction, and a Reset mid-stream
+// restarts the ring at a head the first half had moved. This pins the
+// eviction identity
 // fold(x2..xk, t) = fold(x1..xk, t) XOR rotl(mix(x1), 3n mod 64)
-// that replaced the O(n) recomputation.
+// that replaced the O(n) recomputation, and Scope's wrapping index.
 func TestTrackerIncrementalMatchesRecompute(t *testing.T) {
 	terms := []isa.Addr{0, 1, 977, 1 << 20}
-	for _, n := range []int{1, 4, 10, 16, 21, 22, 64} {
+	for n := 1; n <= 64; n++ {
 		rng := rand.New(rand.NewSource(int64(n)))
 		tr := NewTracker(n)
 		for i := 0; i < 300; i++ {
+			if i == 150+n%7 {
+				tr.Reset()
+			}
 			tr.Observe(TakenBranch{
-				PC:     isa.Addr(rng.Intn(1 << 16)),
-				Target: isa.Addr(rng.Intn(1 << 16)),
+				PC:     isa.Addr(rng.Intn(1 << 8)),
+				Target: isa.Addr(rng.Intn(1 << 8)),
 			})
 			term := terms[i%len(terms)]
-			if got, want := tr.ID(term), Hash(tr.Branches(), term); got != want {
+			hist := tr.Branches()
+			if got, want := tr.ID(term), Hash(hist, term); got != want {
 				t.Fatalf("n=%d after %d observes, term %d: incremental ID %x != recomputed %x",
+					n, i+1, term, got, want)
+			}
+			if got, want := tr.Scope(term), scopeOf(hist, term); got != want {
+				t.Fatalf("n=%d after %d observes, term %d: Scope %d != recomputed %d",
 					n, i+1, term, got, want)
 			}
 		}
 	}
+}
+
+// scopeOf is Scope's definition over a history, oldest first: each taken
+// branch's fall-through region runs from its target to the next taken
+// branch, the last one to term, both ends included, and a region that
+// would run backward counts nothing.
+func scopeOf(hist []TakenBranch, term isa.Addr) int {
+	total := 0
+	for i, b := range hist {
+		end := term
+		if i+1 < len(hist) {
+			end = hist[i+1].PC
+		}
+		if end >= b.Target {
+			total += int(end-b.Target) + 1
+		}
+	}
+	return total
 }
 
 // TestTrackerResetClearsRollingHash audits Reset mid-stream: a reset

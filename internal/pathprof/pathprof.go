@@ -15,16 +15,17 @@ import (
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/emu"
-	"dpbp/internal/isa"
 	"dpbp/internal/path"
 	"dpbp/internal/program"
 )
 
-// pathStats aggregates one unique path.
-type pathStats struct {
+// pathEntry counts one unique path. Every counted path has occurred at
+// least once, so an entry whose occurrences is 0 is an empty slot of the
+// run's path table.
+type pathEntry struct {
+	id          path.ID
 	occurrences uint64
 	mispredicts uint64
-	scope       int // fixed per path; recorded on first occurrence
 }
 
 // branchStats aggregates one static branch.
@@ -35,8 +36,12 @@ type branchStats struct {
 
 // NProfile holds per-n aggregates.
 type NProfile struct {
-	N     int
-	paths map[path.ID]*pathStats
+	N int
+	// paths holds one entry per unique path, in table slot order.
+	paths []pathEntry
+	// scopeSum is the sum of every unique path's scope, which is fixed
+	// per path and recorded on its first occurrence.
+	scopeSum uint64
 }
 
 // Profile is the result of one profiling run.
@@ -50,8 +55,9 @@ type Profile struct {
 	Mispredicts uint64
 	// ByN holds the per-path aggregates for each requested path length.
 	ByN []*NProfile
-	// branches holds per-static-branch aggregates.
-	branches map[isa.Addr]*branchStats
+	// branches holds one entry per static terminating branch executed,
+	// in address order.
+	branches []branchStats
 }
 
 // Config controls a profiling run.
@@ -87,13 +93,13 @@ func (c Config) Canonical() Config {
 // against a fresh functional run.
 func Run(prog *program.Program, cfg Config) *Profile {
 	cfg = cfg.Canonical()
-	p := &Profile{
-		Benchmark: prog.Name,
-		branches:  make(map[isa.Addr]*branchStats),
-	}
+	p := &Profile{Benchmark: prog.Name}
+	branches := make([]branchStats, len(prog.Code)) // indexed by PC
+	tables := make([]pathTable, len(cfg.Ns))
 	trackers := make([]*path.Tracker, len(cfg.Ns))
 	for i, n := range cfg.Ns {
-		p.ByN = append(p.ByN, &NProfile{N: n, paths: make(map[path.ID]*pathStats)})
+		p.ByN = append(p.ByN, &NProfile{N: n})
+		tables[i].slots = make([]pathEntry, pathTableMinCap)
 		trackers[i] = path.NewTracker(n)
 	}
 	pred := bpred.New(bpred.DefaultConfig())
@@ -103,32 +109,18 @@ func Run(prog *program.Program, cfg Config) *Profile {
 		}
 		miss := pred.Update(r.PC, r.Inst, pred.Predict(r.PC, r.Inst), r.Taken, r.NextPC)
 		if r.Inst.IsTerminatingBranch() {
+			var m uint64
+			if miss {
+				m = 1
+			}
 			p.Branches++
-			if miss {
-				p.Mispredicts++
-			}
-			bs := p.branches[r.PC]
-			if bs == nil {
-				bs = &branchStats{}
-				p.branches[r.PC] = bs
-			}
+			p.Mispredicts += m
+			bs := &branches[r.PC]
 			bs.executions++
-			if miss {
-				bs.mispredicts++
-			}
+			bs.mispredicts += m
 			for i, tr := range trackers {
-				if !tr.Full() {
-					continue
-				}
-				id := tr.ID(r.PC)
-				ps := p.ByN[i].paths[id]
-				if ps == nil {
-					ps = &pathStats{scope: tr.Scope(r.PC)}
-					p.ByN[i].paths[id] = ps
-				}
-				ps.occurrences++
-				if miss {
-					ps.mispredicts++
+				if tr.Full() && tables[i].add(tr.ID(r.PC), m) {
+					p.ByN[i].scopeSum += uint64(tr.Scope(r.PC))
 				}
 			}
 		}
@@ -139,7 +131,90 @@ func Run(prog *program.Program, cfg Config) *Profile {
 		}
 		return true
 	})
+	for i, np := range p.ByN {
+		np.paths = compact(tables[i].slots)
+	}
+	p.branches = compact(branches)
 	return p
+}
+
+// pathTableMinCap is a path table's initial slot count. It must be a
+// power of two; growth doubles it.
+const pathTableMinCap = 1 << 10
+
+// pathTable counts one path length's paths during a run. It is an
+// insert-only open-addressed table of inline entries, probed linearly
+// and doubled before it passes 3/4 full. Run copies out its live
+// entries when the run ends, so a profile never keeps a sparse table.
+type pathTable struct {
+	slots []pathEntry // power-of-two length
+	live  int
+}
+
+// home returns the preferred slot of id. path.IDs are already shift-XOR
+// hashes, but the Fibonacci multiply spreads their low bits for the mask.
+func (t *pathTable) home(id path.ID) uint64 {
+	return (uint64(id) * 0x9E3779B97F4A7C15) >> 32 & uint64(len(t.slots)-1)
+}
+
+// add counts one occurrence of id, mispredicted when miss is 1, and
+// reports whether id is new.
+func (t *pathTable) add(id path.ID, miss uint64) bool {
+	mask := uint64(len(t.slots) - 1)
+	for i := t.home(id); ; i = (i + 1) & mask {
+		e := &t.slots[i]
+		if e.occurrences == 0 {
+			if (t.live+1)*4 > len(t.slots)*3 {
+				t.grow()
+				return t.add(id, miss)
+			}
+			*e = pathEntry{id: id, occurrences: 1, mispredicts: miss}
+			t.live++
+			return true
+		}
+		if e.id == id {
+			e.occurrences++
+			e.mispredicts += miss
+			return false
+		}
+	}
+}
+
+// grow rehashes the live entries into a table twice the size.
+func (t *pathTable) grow() {
+	old := t.slots
+	t.slots = make([]pathEntry, 2*len(old))
+	mask := uint64(len(t.slots) - 1)
+	for _, e := range old {
+		if e.occurrences == 0 {
+			continue
+		}
+		i := t.home(e.id)
+		for t.slots[i].occurrences != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = e
+	}
+}
+
+// compact returns the elements of s that are not the zero value (a live
+// path entry or an executed branch), in order, in a slice of exactly
+// that length and capacity.
+func compact[T comparable](s []T) []T {
+	var zero T
+	n := 0
+	for _, x := range s {
+		if x != zero {
+			n++
+		}
+	}
+	out := make([]T, 0, n)
+	for _, x := range s {
+		if x != zero {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // Table1Row is one benchmark's slice of Table 1 for a single n.
@@ -156,17 +231,15 @@ func (p *Profile) Table1(thresholds []float64) []Table1Row {
 	rows := make([]Table1Row, 0, len(p.ByN))
 	for _, np := range p.ByN {
 		row := Table1Row{N: np.N, UniquePaths: len(np.paths), DifficultAt: map[float64]int{}}
-		var scopeSum float64
-		for _, ps := range np.paths {
-			scopeSum += float64(ps.scope)
+		for _, e := range np.paths {
 			for _, T := range thresholds {
-				if difficult(ps.mispredicts, ps.occurrences, T) {
+				if difficult(e.mispredicts, e.occurrences, T) {
 					row.DifficultAt[T]++
 				}
 			}
 		}
 		if len(np.paths) > 0 {
-			row.AvgScope = scopeSum / float64(len(np.paths))
+			row.AvgScope = float64(np.scopeSum) / float64(len(np.paths))
 		}
 		rows = append(rows, row)
 	}
@@ -205,10 +278,10 @@ func (p *Profile) Table2(thresholds []float64) []Table2Row {
 
 		for _, np := range p.ByN {
 			var miss, exe uint64
-			for _, ps := range np.paths {
-				if difficult(ps.mispredicts, ps.occurrences, T) {
-					miss += ps.mispredicts
-					exe += ps.occurrences
+			for _, e := range np.paths {
+				if difficult(e.mispredicts, e.occurrences, T) {
+					miss += e.mispredicts
+					exe += e.occurrences
 				}
 			}
 			row.ByN[np.N] = p.coverage(miss, exe)
@@ -250,9 +323,9 @@ func (p *Profile) DifficultPathIDs(n int, T float64, limit int) []uint64 {
 		miss uint64
 	}
 	var all []scored
-	for id, ps := range np.paths {
-		if difficult(ps.mispredicts, ps.occurrences, T) {
-			all = append(all, scored{id, ps.mispredicts})
+	for _, e := range np.paths {
+		if difficult(e.mispredicts, e.occurrences, T) {
+			all = append(all, scored{e.id, e.mispredicts})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {

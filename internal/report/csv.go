@@ -197,8 +197,10 @@ func csvPerfect(w *csv.Writer, p *results.PerfectResult) error {
 			return err
 		}
 	}
-	if err := w.Write([]string{"geomean", "", "", ftoa(p.GeomeanSpeedup), ""}); err != nil {
-		return err
+	if len(p.Rows) > 0 {
+		if err := w.Write([]string{"geomean", "", "", ftoa(p.GeomeanSpeedup), ""}); err != nil {
+			return err
+		}
 	}
 	return csvErrors(w, p.Errors)
 }

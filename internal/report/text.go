@@ -213,11 +213,13 @@ func textFigure6(f *results.Figure6Result) string {
 		}
 		fmt.Fprintln(w)
 	}
-	fmt.Fprint(w, "Geomean\t")
-	for _, n := range f.PathLengths {
-		fmt.Fprintf(w, "\t%s", pct(f.Geomean[n]))
+	if len(f.Geomean) > 0 {
+		fmt.Fprint(w, "Geomean\t")
+		for _, n := range f.PathLengths {
+			fmt.Fprintf(w, "\t%s", pct(f.Geomean[n]))
+		}
+		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w)
 	flushTable(w)
 
 	// The chart picks the middle path length (n=10 with the paper's
@@ -248,7 +250,9 @@ func textFigure7(f *results.Figure7Result) string {
 		pr = append(pr, r.Prune.Speedup(r.Base))
 		ov = append(ov, r.Overhead.Speedup(r.Base))
 	}
-	fmt.Fprintf(w, "Geomean\t\t%s\t%s\t%s\n", pct(results.Geomean(np)), pct(results.Geomean(pr)), pct(results.Geomean(ov)))
+	if len(f.Runs) > 0 {
+		fmt.Fprintf(w, "Geomean\t\t%s\t%s\t%s\n", pct(results.Geomean(np)), pct(results.Geomean(pr)), pct(results.Geomean(ov)))
+	}
 	flushTable(w)
 
 	labels := make([]string, len(f.Runs))
@@ -348,7 +352,9 @@ func textPerfect(p *results.PerfectResult) string {
 		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.2fx\t%.2f\n",
 			r.Bench, r.BaselineIPC, r.PerfectIPC, r.Speedup, 100*r.BaselineMisprRatio)
 	}
-	fmt.Fprintf(w, "Geomean\t\t\t%.2fx\t\n", p.GeomeanSpeedup)
+	if len(p.Rows) > 0 {
+		fmt.Fprintf(w, "Geomean\t\t\t%.2fx\t\n", p.GeomeanSpeedup)
+	}
 	flushTable(w)
 	textErrors(&b, p.Errors)
 	return b.String()
@@ -367,7 +373,9 @@ func textProfileGuided(p *results.ProfileGuidedResult) string {
 		dyn = append(dyn, r.DynamicSpeedup)
 		gui = append(gui, r.GuidedSpeedup)
 	}
-	fmt.Fprintf(w, "Geomean\t\t%s\t%s\t\n", pct(results.Geomean(dyn)), pct(results.Geomean(gui)))
+	if len(p.Rows) > 0 {
+		fmt.Fprintf(w, "Geomean\t\t%s\t%s\t\n", pct(results.Geomean(dyn)), pct(results.Geomean(gui)))
+	}
 	flushTable(w)
 	textErrors(&b, p.Errors)
 	return b.String()
@@ -389,11 +397,13 @@ func textShootout(s *results.ShootoutResult) string {
 		}
 		fmt.Fprintln(w)
 	}
-	fmt.Fprint(w, "Geomean\t")
-	for _, g := range s.Geomean[1:] {
-		fmt.Fprintf(w, "\t%s", pct(g))
+	if len(s.Geomean) > 0 {
+		fmt.Fprint(w, "Geomean\t")
+		for _, g := range s.Geomean[1:] {
+			fmt.Fprintf(w, "\t%s", pct(g))
+		}
+		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w)
 	flushTable(w)
 
 	fmt.Fprintln(&b, "\nMachine-level misprediction rate (%)")

@@ -100,8 +100,8 @@ type Figure6Result struct {
 	PathLengths []int        `json:"path_lengths"`
 	Rows        []Figure6Row `json:"rows"`
 	// Geomean holds the geometric-mean speedup per path length, over
-	// the benchmarks that completed.
-	Geomean map[int]float64 `json:"geomean"`
+	// the benchmarks that completed; it is empty when none did.
+	Geomean map[int]float64 `json:"geomean,omitempty"`
 	Errors  []RunError      `json:"errors,omitempty"`
 }
 
@@ -150,8 +150,8 @@ type Figure9Result struct {
 type PerfectResult struct {
 	Rows []PerfectRow `json:"rows"`
 	// GeomeanSpeedup across completed benchmarks (the paper reports
-	// ~2x).
-	GeomeanSpeedup float64    `json:"geomean_speedup"`
+	// ~2x); 0 when none completed.
+	GeomeanSpeedup float64    `json:"geomean_speedup,omitempty"`
 	Errors         []RunError `json:"errors,omitempty"`
 }
 
@@ -192,8 +192,9 @@ type ShootoutResult struct {
 	Configs []string      `json:"configs"`
 	Rows    []ShootoutRow `json:"rows"`
 	// Geomean holds the per-config geometric-mean speedup over the
-	// reference, parallel to Configs, across the completed rows.
-	Geomean []float64  `json:"geomean"`
+	// reference, parallel to Configs, across the completed rows; it is
+	// empty when no row completed.
+	Geomean []float64  `json:"geomean,omitempty"`
 	Errors  []RunError `json:"errors,omitempty"`
 }
 
@@ -273,7 +274,8 @@ type SMTContextRow struct {
 
 // AblationResult quantifies the design choices DESIGN.md calls out, each
 // as a geomean speed-up over the baseline across the benchmarks whose
-// runs all completed; a benchmark with a failed run leaves every row.
+// runs all completed; a benchmark with a failed run leaves every row,
+// and with no completed benchmark there are no rows.
 type AblationResult struct {
 	Rows   []AblationRow `json:"rows"`
 	Errors []RunError    `json:"errors,omitempty"`
