@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dpbp"
 	"dpbp/internal/exp"
@@ -191,6 +192,27 @@ func TestRunAllPartialEveryFormat(t *testing.T) {
 	}
 	if len(sections) != 7 || !reflect.DeepEqual(withError, sections) {
 		t.Errorf("csv: sections %v, ERROR records after %v; want one after each of 7", sections, withError)
+	}
+}
+
+// TestRunTable1ProfileHonoursDeadline is the -timeout contract for
+// profiling runs: a profile budget that takes seconds under a 100 ms
+// deadline must end in a partial result that names the benchmark, not a
+// complete table printed long after the deadline.
+func TestRunTable1ProfileHonoursDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	opts := tiny()
+	opts.Benchmarks = []string{"gcc"}
+	opts.ProfileInsts = 50_000_000
+	opts.Cache = dpbp.NewRunCache()
+	var b bytes.Buffer
+	if err := run(ctx, &b, "table1", "", opts); err != nil {
+		t.Fatalf("run(table1) = %v", err)
+	}
+	out := b.String()
+	if !strings.Contains(out, "PARTIAL RESULT") || !strings.Contains(out, "gcc: context deadline exceeded") {
+		t.Errorf("a profile past its deadline printed no partial result for gcc:\n%s", out)
 	}
 }
 

@@ -775,10 +775,10 @@ func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMis
 		var vconf, aconf bool
 		if cfg.Pruning {
 			if _, ok := in.Writes(); ok {
-				vconf = m.vp.TrainConfident(rec.PC, rec.DstVal, rec.Seq)
+				vconf = m.vp.TrainConfident(rec.PC, rec.DstVal)
 			}
 			if in.IsLoad() {
-				aconf = m.ap.TrainConfident(rec.PC, rec.SrcVal[0], rec.Seq)
+				aconf = m.ap.TrainConfident(rec.PC, rec.SrcVal[0])
 			}
 		}
 		m.prb.Push(rec, vconf, aconf)

@@ -144,15 +144,16 @@ func pooledRun(ctx context.Context, prog *program.Program, cfg cpu.Config) (*cpu
 	return r, nil
 }
 
-// profileRun executes one functional profiling run, memoized through
-// o.Cache when one is set and keyed by benchmark name like timedRun.
+// profileRun executes one cancellable functional profiling run, memoized
+// through o.Cache when one is set and keyed by benchmark name like
+// timedRun.
 func profileRun(ctx context.Context, o Options, prog *program.Program, cfg pathprof.Config) (*pathprof.Profile, error) {
 	if o.Cache == nil {
-		return pathprof.Run(prog, cfg), nil
+		return pathprof.RunContext(ctx, prog, cfg)
 	}
 	key := runcache.KeyOf("pathprof", prog.Name, cfg.Canonical())
 	v, err := o.Cache.Do(ctx, key, func() (any, error) {
-		return pathprof.Run(prog, cfg), nil
+		return pathprof.RunContext(ctx, prog, cfg)
 	})
 	if err != nil {
 		return nil, err

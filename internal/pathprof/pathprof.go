@@ -10,6 +10,7 @@
 package pathprof
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -28,16 +29,27 @@ type pathEntry struct {
 	mispredicts uint64
 }
 
+// mispredicted reports whether the path's terminating branch ever
+// mispredicted: whether any threshold T >= 0 can call the path difficult.
+func (e pathEntry) mispredicted() bool { return e.mispredicts > 0 }
+
 // branchStats aggregates one static branch.
 type branchStats struct {
 	executions  uint64
 	mispredicts uint64
 }
 
+func (b branchStats) executed() bool { return b.executions > 0 }
+
 // NProfile holds per-n aggregates.
 type NProfile struct {
 	N int
-	// paths holds one entry per unique path, in table slot order.
+	// unique is the number of unique paths the run counted.
+	unique int
+	// paths holds one entry per unique path that mispredicted at least
+	// once, in table slot order. A path that never mispredicted is
+	// difficult at no threshold T >= 0, so it survives only in unique and
+	// scopeSum.
 	paths []pathEntry
 	// scopeSum is the sum of every unique path's scope, which is fixed
 	// per path and recorded on its first occurrence.
@@ -92,6 +104,19 @@ func (c Config) Canonical() Config {
 // Run profiles prog under cfg, simulating the Table 3 baseline predictor
 // against a fresh functional run.
 func Run(prog *program.Program, cfg Config) *Profile {
+	p, _ := RunContext(context.Background(), prog, cfg) // Background is never cancelled
+	return p
+}
+
+// ctxCheckInterval is how many instructions pass between context polls,
+// as in the timing core: often enough that cancellation lands within
+// microseconds, rarely enough to vanish in the run's cost.
+const ctxCheckInterval = 4096
+
+// RunContext is Run that stops when ctx ends: it polls ctx before the
+// first instruction and every ctxCheckInterval instructions after, and
+// returns no profile and the context's error once ctx has ended.
+func RunContext(ctx context.Context, prog *program.Program, cfg Config) (*Profile, error) {
 	cfg = cfg.Canonical()
 	p := &Profile{Benchmark: prog.Name}
 	branches := make([]branchStats, len(prog.Code)) // indexed by PC
@@ -103,9 +128,20 @@ func Run(prog *program.Program, cfg Config) *Profile {
 		trackers[i] = path.NewTracker(n)
 	}
 	pred := bpred.New(bpred.DefaultConfig())
-	p.Insts = emu.New(prog).Run(cfg.MaxInsts, func(r *emu.Record) bool {
+	em := emu.New(prog)
+	var r emu.Record
+	for p.Insts < cfg.MaxInsts {
+		if p.Insts%ctxCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		if !em.Step(&r) {
+			break
+		}
+		p.Insts++
 		if !r.Inst.IsBranch() {
-			return true
+			continue
 		}
 		miss := pred.Update(r.PC, r.Inst, pred.Predict(r.PC, r.Inst), r.Taken, r.NextPC)
 		if r.Inst.IsTerminatingBranch() {
@@ -129,13 +165,13 @@ func Run(prog *program.Program, cfg Config) *Profile {
 				tr.Observe(path.TakenBranch{PC: r.PC, Target: r.NextPC, Seq: r.Seq})
 			}
 		}
-		return true
-	})
-	for i, np := range p.ByN {
-		np.paths = compact(tables[i].slots)
 	}
-	p.branches = compact(branches)
-	return p
+	for i, np := range p.ByN {
+		np.unique = tables[i].live
+		np.paths = compact(tables[i].slots, pathEntry.mispredicted)
+	}
+	p.branches = compact(branches, branchStats.executed)
+	return p, nil
 }
 
 // pathTableMinCap is a path table's initial slot count. It must be a
@@ -144,8 +180,11 @@ const pathTableMinCap = 1 << 10
 
 // pathTable counts one path length's paths during a run. It is an
 // insert-only open-addressed table of inline entries, probed linearly
-// and doubled before it passes 3/4 full. Run copies out its live
-// entries when the run ends, so a profile never keeps a sparse table.
+// and doubled before it passes 3/4 full. It counts every path, because a
+// path that has not mispredicted yet may mispredict later, and its rate
+// then needs every occurrence from its first. Run copies out the entries
+// that mispredicted when the run ends, so a profile never keeps a sparse
+// table.
 type pathTable struct {
 	slots []pathEntry // power-of-two length
 	live  int
@@ -197,20 +236,18 @@ func (t *pathTable) grow() {
 	}
 }
 
-// compact returns the elements of s that are not the zero value (a live
-// path entry or an executed branch), in order, in a slice of exactly
-// that length and capacity.
-func compact[T comparable](s []T) []T {
-	var zero T
+// compact returns the elements of s that keep reports true for, in
+// order, in a slice of exactly that length and capacity.
+func compact[T any](s []T, keep func(T) bool) []T {
 	n := 0
 	for _, x := range s {
-		if x != zero {
+		if keep(x) {
 			n++
 		}
 	}
 	out := make([]T, 0, n)
 	for _, x := range s {
-		if x != zero {
+		if keep(x) {
 			out = append(out, x)
 		}
 	}
@@ -226,11 +263,15 @@ type Table1Row struct {
 }
 
 // Table1 computes unique-path counts, average scope, and difficult-path
-// counts at each threshold.
+// counts at each threshold. It panics on a threshold below 0 (see
+// checkThreshold).
 func (p *Profile) Table1(thresholds []float64) []Table1Row {
+	for _, T := range thresholds {
+		checkThreshold(T)
+	}
 	rows := make([]Table1Row, 0, len(p.ByN))
 	for _, np := range p.ByN {
-		row := Table1Row{N: np.N, UniquePaths: len(np.paths), DifficultAt: map[float64]int{}}
+		row := Table1Row{N: np.N, UniquePaths: np.unique, DifficultAt: map[float64]int{}}
 		for _, e := range np.paths {
 			for _, T := range thresholds {
 				if difficult(e.mispredicts, e.occurrences, T) {
@@ -238,8 +279,8 @@ func (p *Profile) Table1(thresholds []float64) []Table1Row {
 				}
 			}
 		}
-		if len(np.paths) > 0 {
-			row.AvgScope = float64(np.scopeSum) / float64(len(np.paths))
+		if np.unique > 0 {
+			row.AvgScope = float64(np.scopeSum) / float64(np.unique)
 		}
 		rows = append(rows, row)
 	}
@@ -261,10 +302,12 @@ type Table2Row struct {
 }
 
 // Table2 computes misprediction/execution coverage for difficult branches
-// and difficult paths at each threshold.
+// and difficult paths at each threshold. It panics on a threshold below 0
+// (see checkThreshold).
 func (p *Profile) Table2(thresholds []float64) []Table2Row {
 	rows := make([]Table2Row, 0, len(thresholds))
 	for _, T := range thresholds {
+		checkThreshold(T)
 		row := Table2Row{T: T, ByN: map[int]Coverage{}}
 
 		var bMiss, bExe uint64
@@ -306,8 +349,10 @@ func (p *Profile) coverage(miss, exe uint64) Coverage {
 // length n at threshold T, ordered by descending misprediction count and
 // truncated to limit (0 means no limit). It feeds the profile-guided
 // promotion mode: the timing machine can pre-promote these paths instead
-// of discovering them through Path Cache training.
+// of discovering them through Path Cache training. It panics on a
+// threshold below 0 (see checkThreshold).
 func (p *Profile) DifficultPathIDs(n int, T float64, limit int) []uint64 {
+	checkThreshold(T)
 	var np *NProfile
 	for _, cand := range p.ByN {
 		if cand.N == n {
@@ -356,6 +401,15 @@ func (p *Profile) MispredictRate() float64 {
 // UniqueBranches returns the number of static terminating branches
 // executed.
 func (p *Profile) UniqueBranches() int { return len(p.branches) }
+
+// checkThreshold panics on a threshold below 0. A profile keeps only the
+// paths that mispredicted, and a path that never did has rate 0, which is
+// above no T >= 0; only a negative T would call it difficult.
+func checkThreshold(T float64) {
+	if T < 0 {
+		panic(fmt.Sprintf("pathprof: threshold %v is below 0, and a profile keeps no path that never mispredicted", T))
+	}
+}
 
 // difficult implements the paper's definition: misprediction rate
 // strictly greater than T. Paths must have been seen at least once.

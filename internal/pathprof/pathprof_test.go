@@ -1,6 +1,8 @@
 package pathprof
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -370,9 +372,11 @@ func (r *refProfile) difficultPathIDs(n int, T float64, limit int) []uint64 {
 // the static-branch count and the ordered difficult-path lists. The
 // budgets and path lengths span tables that never grow (n = 1) and ones
 // that double several times (n = 16 at 400K instructions), and the
-// repeated n = 10 checks that two tables of one length stay apart.
+// repeated n = 10 checks that two tables of one length stay apart. The
+// reference keeps every path, so T = 0, the lowest threshold at which a
+// profile may drop the paths that never mispredicted, checks that rule.
 func TestFlatProfileMatchesMapReference(t *testing.T) {
-	thresholds := []float64{.05, .10, .15}
+	thresholds := []float64{0, .05, .10, .15}
 	for _, bench := range []string{"comp", "gcc", "go", "li", "crafty_2k", "twolf_2k"} {
 		sp, err := synth.ProfileByName(bench)
 		if err != nil {
@@ -422,19 +426,39 @@ func TestFlatProfileMatchesMapReference(t *testing.T) {
 }
 
 // TestRunRetainsOnlyLiveEntries pins the retained profile's size: when
-// Run returns, each path length's entries and the branch entries are
-// slices of exactly their live entries, with no empty slot and no spare
-// capacity left from the open-addressed tables they were counted in.
+// Run returns, each path length keeps exactly the paths that
+// mispredicted, as many as the map-based reference counts, and the branch
+// entries are exactly the executed branches. Each is a slice with no
+// spare capacity left from the open-addressed tables it was counted in.
 func TestRunRetainsOnlyLiveEntries(t *testing.T) {
-	p := profileOf(t, "gcc", 300_000)
-	for _, np := range p.ByN {
+	sp, err := synth.ProfileByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := synth.Generate(sp)
+	cfg := DefaultConfig()
+	cfg.MaxInsts = 300_000
+	p, ref := Run(prog, cfg), refRun(prog, cfg)
+	for i, np := range p.ByN {
 		if len(np.paths) == 0 || len(np.paths) != cap(np.paths) {
 			t.Errorf("n=%d: %d path entries in a slice of capacity %d", np.N, len(np.paths), cap(np.paths))
 		}
 		for _, e := range np.paths {
-			if e.occurrences == 0 {
-				t.Fatalf("n=%d: retained an empty path entry", np.N)
+			if e.mispredicts == 0 {
+				t.Fatalf("n=%d: retained a path that never mispredicted", np.N)
 			}
+		}
+		want := 0
+		for _, ps := range ref.paths[i] {
+			if ps.mispredicts > 0 {
+				want++
+			}
+		}
+		if len(np.paths) != want {
+			t.Errorf("n=%d: retained %d paths, reference has %d that mispredicted", np.N, len(np.paths), want)
+		}
+		if len(np.paths) >= np.unique {
+			t.Errorf("n=%d: retained %d of %d unique paths; every one mispredicted", np.N, len(np.paths), np.unique)
 		}
 	}
 	if len(p.branches) == 0 || len(p.branches) != cap(p.branches) {
@@ -444,5 +468,84 @@ func TestRunRetainsOnlyLiveEntries(t *testing.T) {
 		if b.executions == 0 {
 			t.Fatal("retained a branch that never executed")
 		}
+	}
+}
+
+// TestNegativeThresholdPanics pins the one query the retention rule
+// cannot answer: below T = 0 a path that never mispredicted would be
+// difficult, and the profile no longer holds it.
+func TestNegativeThresholdPanics(t *testing.T) {
+	p := profileOf(t, "comp", 50_000)
+	for name, query := range map[string]func(){
+		"Table1":           func() { p.Table1([]float64{.10, -.01}) },
+		"Table2":           func() { p.Table2([]float64{.10, -.01}) },
+		"DifficultPathIDs": func() { p.DifficultPathIDs(10, -.01, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with T = -.01 did not panic", name)
+				}
+			}()
+			query()
+		}()
+	}
+}
+
+// pollCtx is a context whose Err turns non-nil on its (k+1)th call, so a
+// test can end a run after a chosen number of polls without a clock.
+type pollCtx struct {
+	context.Context
+	k, polls int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls > c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunContextStopsOnPoll checks that RunContext polls its context
+// every ctxCheckInterval instructions and returns the context's error at
+// the first poll that reports one.
+func TestRunContextStopsOnPoll(t *testing.T) {
+	sp, err := synth.ProfileByName("comp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := synth.Generate(sp)
+	cfg := Config{MaxInsts: 100_000}
+
+	never := &pollCtx{Context: context.Background(), k: math.MaxInt}
+	if p, err := RunContext(never, prog, cfg); err != nil || p.Insts != cfg.MaxInsts {
+		t.Fatalf("RunContext under a live context = %v; want a full %d-instruction profile", err, cfg.MaxInsts)
+	}
+	if want := int(cfg.MaxInsts/ctxCheckInterval) + 1; never.polls != want {
+		t.Errorf("%d polls over %d instructions, want %d", never.polls, cfg.MaxInsts, want)
+	}
+
+	for _, k := range []int{1, 3} {
+		ctx := &pollCtx{Context: context.Background(), k: k}
+		p, err := RunContext(ctx, prog, Config{MaxInsts: 10_000_000})
+		if !errors.Is(err, context.Canceled) || p != nil {
+			t.Errorf("k=%d: RunContext = %v, %v; want no profile and context.Canceled", k, p, err)
+		}
+		if ctx.polls != k+1 {
+			t.Errorf("k=%d: %d polls; the run should stop at poll %d", k, ctx.polls, k+1)
+		}
+	}
+}
+
+// TestRunContextCancelledBeforeFirstInstruction runs an empty program,
+// on which the emulator's first step panics, under a context that has
+// already ended: RunContext must return the error without stepping.
+func TestRunContextCancelledBeforeFirstInstruction(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p, err := RunContext(ctx, &program.Program{Name: "empty"}, Config{MaxInsts: 100})
+	if !errors.Is(err, context.Canceled) || p != nil {
+		t.Errorf("RunContext = %v, %v; want no profile and context.Canceled", p, err)
 	}
 }

@@ -32,16 +32,15 @@ func DefaultConfig() Config {
 	return Config{Entries: 16 << 10, ConfMax: 7, ConfThreshold: 4}
 }
 
+// entry is one table slot. Ahead-distance bookkeeping in microthreads is
+// done by the builder, so an entry stores only the value state; conf is
+// an int32 so that it packs beside valid in a 32-byte entry.
 type entry struct {
 	tag    isa.Addr
 	last   isa.Word
 	stride isa.Word
-	conf   int
+	conf   int32
 	valid  bool
-	// trainedSeq is the retirement sequence number of the last training
-	// instance; ahead-distance bookkeeping in microthreads is done by
-	// the builder, so the predictor itself only stores the value state.
-	trainedSeq uint64
 }
 
 // Predictor is a last-value/stride predictor with confidence.
@@ -70,19 +69,18 @@ func (p *Predictor) at(pc isa.Addr) *entry {
 	return &p.entries[uint64(pc)&p.mask]
 }
 
-// Train observes the retired value produced by the instruction at pc. seq
-// is its retirement sequence number.
-func (p *Predictor) Train(pc isa.Addr, value isa.Word, seq uint64) {
+// Train observes the retired value produced by the instruction at pc.
+func (p *Predictor) Train(pc isa.Addr, value isa.Word) {
 	p.Trains++
 	e := p.at(pc)
 	if !e.valid || e.tag != pc {
-		*e = entry{tag: pc, last: value, valid: true, trainedSeq: seq}
+		*e = entry{tag: pc, last: value, valid: true}
 		return
 	}
 	predicted := e.last + e.stride
 	if predicted == value {
 		p.Hits++
-		if e.conf < p.cfg.ConfMax {
+		if int(e.conf) < p.cfg.ConfMax {
 			e.conf++
 		}
 	} else {
@@ -96,23 +94,22 @@ func (p *Predictor) Train(pc isa.Addr, value isa.Word, seq uint64) {
 		}
 	}
 	e.last = value
-	e.trainedSeq = seq
 }
 
 // TrainConfident trains on a retired value and reports whether the entry
 // is confident afterwards. It is exactly Train followed by Confident with
 // a single table access; the retirement loop calls it per instruction.
-func (p *Predictor) TrainConfident(pc isa.Addr, value isa.Word, seq uint64) bool {
-	p.Train(pc, value, seq)
+func (p *Predictor) TrainConfident(pc isa.Addr, value isa.Word) bool {
+	p.Train(pc, value)
 	e := p.at(pc)
-	return e.valid && e.tag == pc && e.conf >= p.cfg.ConfThreshold
+	return e.valid && e.tag == pc && int(e.conf) >= p.cfg.ConfThreshold
 }
 
 // Confident reports whether the instruction at pc currently has a
 // confident (prunable) prediction.
 func (p *Predictor) Confident(pc isa.Addr) bool {
 	e := p.at(pc)
-	return e.valid && e.tag == pc && e.conf >= p.cfg.ConfThreshold
+	return e.valid && e.tag == pc && int(e.conf) >= p.cfg.ConfThreshold
 }
 
 // Predict returns the predicted value for the instance `ahead` occurrences
@@ -125,7 +122,7 @@ func (p *Predictor) Predict(pc isa.Addr, ahead int) (isa.Word, bool) {
 	if !e.valid || e.tag != pc {
 		return 0, false
 	}
-	if e.conf >= p.cfg.ConfThreshold {
+	if int(e.conf) >= p.cfg.ConfThreshold {
 		p.Confidents++
 	}
 	return e.last + e.stride*isa.Word(ahead), true
@@ -138,7 +135,7 @@ func (p *Predictor) Confidence(pc isa.Addr) int {
 	if !e.valid || e.tag != pc {
 		return 0
 	}
-	return e.conf
+	return int(e.conf)
 }
 
 // HitRate returns the fraction of training instances whose value was

@@ -14,7 +14,7 @@ func TestConstantValue(t *testing.T) {
 	p := New(cfgSmall())
 	pc := isa.Addr(10)
 	for i := 0; i < 10; i++ {
-		p.Train(pc, 42, uint64(i))
+		p.Train(pc, 42)
 	}
 	if !p.Confident(pc) {
 		t.Fatal("constant value not confident after 10 trainings")
@@ -31,7 +31,7 @@ func TestStrideValue(t *testing.T) {
 	p := New(cfgSmall())
 	pc := isa.Addr(11)
 	for i := 0; i < 12; i++ {
-		p.Train(pc, isa.Word(100+i*8), uint64(i))
+		p.Train(pc, isa.Word(100+i*8))
 	}
 	if !p.Confident(pc) {
 		t.Fatal("stride sequence not confident")
@@ -48,7 +48,7 @@ func TestRandomNotConfident(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pc := isa.Addr(12)
 	for i := 0; i < 200; i++ {
-		p.Train(pc, isa.Word(rng.Int63()), uint64(i))
+		p.Train(pc, isa.Word(rng.Int63()))
 	}
 	if p.Confident(pc) {
 		t.Error("random values became confident")
@@ -62,12 +62,12 @@ func TestStrideChangeResetsConfidence(t *testing.T) {
 	p := New(cfgSmall())
 	pc := isa.Addr(13)
 	for i := 0; i < 10; i++ {
-		p.Train(pc, isa.Word(i*4), uint64(i))
+		p.Train(pc, isa.Word(i*4))
 	}
 	if !p.Confident(pc) {
 		t.Fatal("precondition: confident")
 	}
-	p.Train(pc, 1000, 10) // stride break
+	p.Train(pc, 1000) // stride break
 	if p.Confident(pc) {
 		t.Error("confidence survived a stride break")
 	}
@@ -93,12 +93,12 @@ func TestTagConflictEvicts(t *testing.T) {
 	p := New(Config{Entries: 16, ConfMax: 7, ConfThreshold: 4})
 	a, b := isa.Addr(1), isa.Addr(17) // same slot, different tags
 	for i := 0; i < 8; i++ {
-		p.Train(a, 5, uint64(i))
+		p.Train(a, 5)
 	}
 	if !p.Confident(a) {
 		t.Fatal("precondition")
 	}
-	p.Train(b, 7, 100)
+	p.Train(b, 7)
 	if p.Confident(a) {
 		t.Error("evicted entry still confident")
 	}
@@ -114,7 +114,7 @@ func TestConfidenceSaturates(t *testing.T) {
 	p := New(cfgSmall())
 	pc := isa.Addr(14)
 	for i := 0; i < 100; i++ {
-		p.Train(pc, 9, uint64(i))
+		p.Train(pc, 9)
 	}
 	if c := p.Confidence(pc); c != 7 {
 		t.Errorf("confidence = %d, want saturation at 7", c)
@@ -129,7 +129,7 @@ func TestStridePropertyQuick(t *testing.T) {
 		pc := isa.Addr(pcRaw)
 		k := int(kRaw%8) + 1
 		for i := 0; i < 10; i++ {
-			p.Train(pc, isa.Word(start)+isa.Word(stride)*isa.Word(i), uint64(i))
+			p.Train(pc, isa.Word(start)+isa.Word(stride)*isa.Word(i))
 		}
 		if !p.Confident(pc) {
 			return false
@@ -145,9 +145,9 @@ func TestStridePropertyQuick(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	p := New(cfgSmall())
-	p.Train(5, 1, 0)
-	p.Train(5, 1, 1)
-	p.Train(5, 1, 2)
+	p.Train(5, 1)
+	p.Train(5, 1)
+	p.Train(5, 1)
 	if p.Trains != 3 {
 		t.Errorf("Trains = %d", p.Trains)
 	}
