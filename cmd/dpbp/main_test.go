@@ -51,11 +51,25 @@ func TestRunUnknownFormat(t *testing.T) {
 	}
 }
 
+// TestRunBadBenchmark: an unknown benchmark and one listed twice both
+// fail the run with an error naming it.
 func TestRunBadBenchmark(t *testing.T) {
-	opts := tiny()
-	opts.Benchmarks = []string{"nope"}
-	if err := run(context.Background(), &bytes.Buffer{}, "table1", "", opts); err == nil {
-		t.Error("bad benchmark accepted")
+	cases := []struct {
+		bench []string
+		bad   string
+	}{
+		{[]string{"nope"}, "nope"},
+		{[]string{"comp", "comp", "li"}, "comp"},
+	}
+	for _, c := range cases {
+		opts := tiny()
+		opts.Benchmarks = c.bench
+		for _, exp := range []string{"table1", "fig7"} {
+			err := run(context.Background(), &bytes.Buffer{}, exp, "", opts)
+			if want := fmt.Sprintf("%q", c.bad); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("-exp %s -bench %v: err = %v, want one naming %s", exp, c.bench, err, want)
+			}
+		}
 	}
 }
 

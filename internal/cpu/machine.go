@@ -54,8 +54,8 @@ type Machine struct {
 	uenv uthread.Env
 
 	builderFreeAt uint64
-	promoted      pathMap // ModePerfectPromoted's promoted set
-	prePromoted   pathMap // profile-guided unconditional promotions
+	promoted      map[path.ID]struct{} // ModePerfectPromoted's promoted set
+	prePromoted   map[path.ID]struct{} // profile-guided unconditional promotions
 
 	// Spawn-throttle feedback state.
 	throttled      bool
@@ -87,9 +87,6 @@ type Machine struct {
 	retMask  uint64
 	lastRet  uint64
 	retCount int
-
-	// isBr[pc] caches Code[pc].IsBranch() for the fetch loop.
-	isBr []bool
 
 	// Front-end state.
 	fc           uint64
@@ -151,6 +148,8 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		m.builder = uthread.NewBuilder(uthread.DefaultBuildConfig(cfg.Pruning))
 		m.fus = newCalendar(funcUnits)
 		m.ports = newCalendar(l1Ports)
+		m.promoted = make(map[path.ID]struct{})
+		m.prePromoted = make(map[path.ID]struct{})
 		m.uenv = uthread.Env{
 			ReadReg: func(r isa.Reg) isa.Word { return m.em.Reg(r) },
 			LoadMem: func(a isa.Addr) isa.Word { return m.em.Mem.Load(a) },
@@ -221,13 +220,15 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		m.predCache.Reset()
 	}
 
-	m.promoted.clear()
-	m.prePromoted.clear()
+	// clear keeps the maps' storage, so a warm machine does not regrow
+	// them for the next run's promotions.
+	clear(m.promoted)
+	clear(m.prePromoted)
 	m.builderFreeAt = 0
 	for _, id := range cfg.PrePromoted {
-		m.prePromoted.add(path.ID(id))
+		m.prePromoted[path.ID(id)] = struct{}{}
 		if cfg.Mode == ModePerfectPromoted {
-			m.promoted.add(path.ID(id))
+			m.promoted[path.ID(id)] = struct{}{}
 		}
 	}
 
@@ -264,13 +265,6 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		clear(m.retRing)
 	}
 	m.retMask = uint64(ringLen - 1)
-	if len(m.isBr) < len(prog.Code) {
-		m.isBr = make([]bool, len(prog.Code))
-	}
-	m.isBr = m.isBr[:len(prog.Code)]
-	for a, in := range prog.Code {
-		m.isBr[a] = in.IsBranch()
-	}
 	m.lastRet = 0
 	m.retCount = 0
 
@@ -354,7 +348,7 @@ func (m *Machine) beginRun(rs *runState) {
 // loop over stepOne, which is what keeps solo runs and 1-context SMT
 // runs bit-identical to the pre-SMT machine.
 func (m *Machine) stepOne(rs *runState) bool {
-	fc := m.fetchCycleFor(rs.pc, m.isBr[rs.pc], rs.seq)
+	fc := m.fetchCycleFor(rs.pc, m.prog.Code[rs.pc].IsBranch(), rs.seq)
 	if m.obs != nil {
 		// Stamp subsequent events (including the Path Cache's, which
 		// has no clock of its own) with this instruction's fetch cycle
@@ -656,7 +650,7 @@ func (m *Machine) handleBranch(rec *emu.Record, fc, resolve uint64, termID path.
 	case ModePerfectAll:
 		next = rec.NextPC
 	case ModePerfectPromoted:
-		if m.promoted.has(termID) {
+		if _, ok := m.promoted[termID]; ok {
 			next = rec.NextPC
 		}
 	case ModeMicrothread:
@@ -802,7 +796,7 @@ func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMis
 	// training entirely. Scope is computed here, not in execute: the
 	// tracker has not Observed this branch yet, so the value is the same,
 	// and the build paths are the only consumers.
-	if m.prePromoted.has(termID) {
+	if _, ok := m.prePromoted[termID]; ok {
 		if cfg.Mode == ModeMicrothread && m.uram.Lookup(termID) == nil {
 			m.buildRoutine(rec, retC, termID, m.tracker.Scope(rec.PC), false)
 		}
@@ -813,7 +807,7 @@ func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMis
 	switch {
 	case ev.Demote:
 		if cfg.Mode == ModePerfectPromoted {
-			m.promoted.delete(termID)
+			delete(m.promoted, termID)
 		} else {
 			m.uram.Remove(termID)
 		}
@@ -828,8 +822,8 @@ func (m *Machine) retireSide(rec *emu.Record, retC uint64, termID path.ID, hwMis
 			return
 		}
 		if cfg.Mode == ModePerfectPromoted {
-			if m.promoted.len() < cfg.MicroRAMEntries {
-				m.promoted.add(termID)
+			if len(m.promoted) < cfg.MicroRAMEntries {
+				m.promoted[termID] = struct{}{}
 				m.pathCache.SetPromoted(termID, true)
 			} else {
 				m.pathCache.SetPromoted(termID, false)

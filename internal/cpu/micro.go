@@ -30,10 +30,10 @@ type mctx struct {
 	// watch holds the routine's loaded addresses; its backing array is
 	// reused across spawns. Routines load a handful of words, so a linear
 	// search of a flat slice is the cheapest lookup.
-	watch    []isa.Addr
-	issues   []issueRec
-	delivery uint64
-	wrote    bool // a Prediction Cache entry was written for this spawn
+	watch []isa.Addr
+	// issues holds one record per routine instruction; the last one's
+	// done is the cycle the prediction is delivered.
+	issues []issueRec
 }
 
 // trySpawns attempts to spawn every routine whose spawn point is the
@@ -43,10 +43,10 @@ type mctx struct {
 //
 //dpbp:speculative
 func (m *Machine) trySpawns(pc isa.Addr, seq uint64, fc uint64) {
-	if !m.uram.HasSpawn(pc) {
-		return // dense probe; skips the map lookup on the common path
-	}
 	cands := m.uram.SpawnCandidates(pc)
+	if len(cands) == 0 {
+		return
+	}
 	if m.throttled {
 		m.res.Micro.SkippedByThrottle += uint64(len(cands))
 		return
@@ -222,7 +222,6 @@ func (m *Machine) spawn(ci int, r *uthread.Routine, seq, fc uint64) {
 		targetSeq: targetSeq,
 		watch:     watch,
 		issues:    issues,
-		delivery:  complete,
 	}
 	m.activate(ci)
 
@@ -235,7 +234,6 @@ func (m *Machine) spawn(ci int, r *uthread.Routine, seq, fc uint64) {
 			Target: fr.Target,
 			Ready:  complete,
 		})
-		ctx.wrote = true
 		if m.obs != nil {
 			m.obs.Emit(obs.KindPCacheWrite, uint64(r.PathID), targetSeq, complete)
 		}
@@ -356,7 +354,7 @@ func (m *Machine) abortContext(ci int, fc uint64) {
 			}
 		}
 	}
-	if ctx.wrote && ctx.delivery > fc {
+	if m.cfg.UsePredictions && ctx.issues[len(ctx.issues)-1].done > fc {
 		m.predCache.Remove(m.ctxID, ctx.r.PathID, ctx.targetSeq)
 	}
 	m.deactivate(ci)

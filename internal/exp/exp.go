@@ -13,6 +13,8 @@ package exp
 
 import (
 	"context"
+	"fmt"
+	"slices"
 
 	"dpbp/internal/cpu"
 	"dpbp/internal/obs"
@@ -193,9 +195,16 @@ func rows[T any](ctx context.Context, o Options, names []string,
 }
 
 // perBench generates the selected programs and runs rows over them, one
-// row per benchmark, named by benchmark.
+// row per benchmark, named by benchmark. A name listed twice is refused
+// like an unknown one: its rows would count twice in every geomean, and
+// a RunError could not say which copy failed.
 func perBench[T any](ctx context.Context, o Options,
 	row func(ctx context.Context, prog *program.Program) (T, error)) ([]T, []results.RunError, error) {
+	for i, name := range o.Benchmarks {
+		if slices.Contains(o.Benchmarks[:i], name) {
+			return nil, nil, fmt.Errorf("exp: benchmark %q listed twice", name)
+		}
+	}
 	progs, err := o.programs(o.Benchmarks)
 	if err != nil {
 		return nil, nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -31,18 +32,25 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// TestBadBenchmarkName: an unknown name and a name listed twice are both
+// refused before any run, with an error that names the culprit. A
+// repeated name would otherwise count twice in every geomean.
 func TestBadBenchmarkName(t *testing.T) {
-	if _, err := Table1(ctx(), quick("nope")); err == nil {
-		t.Error("Table1 accepted unknown benchmark")
-	}
-	if _, err := Figure6(ctx(), quick("nope")); err == nil {
-		t.Error("Figure6 accepted unknown benchmark")
-	}
-	if _, _, err := RunFigure7Set(ctx(), quick("nope")); err == nil {
-		t.Error("RunFigure7Set accepted unknown benchmark")
-	}
-	if _, err := Perfect(ctx(), quick("nope")); err == nil {
-		t.Error("Perfect accepted unknown benchmark")
+	for _, names := range [][]string{{"nope"}, {"comp", "comp"}} {
+		bad := names[len(names)-1]
+		check := func(section string, err error) {
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+				t.Errorf("%s(%v) = %v, want an error naming %q", section, names, err, bad)
+			}
+		}
+		_, err := Table1(ctx(), quick(names...))
+		check("Table1", err)
+		_, err = Figure6(ctx(), quick(names...))
+		check("Figure6", err)
+		_, _, err = RunFigure7Set(ctx(), quick(names...))
+		check("RunFigure7Set", err)
+		_, err = Perfect(ctx(), quick(names...))
+		check("Perfect", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package uthread
 
 import (
+	"slices"
 	"sort"
 
 	"dpbp/internal/isa"
@@ -15,13 +16,12 @@ import (
 type MicroRAM struct {
 	cap      int //dpbp:reset-skip capacity, fixed at construction
 	routines map[path.ID]*Routine
-	bySpawn  map[isa.Addr][]*Routine
-	rebuild  map[path.ID]bool
-	// spawnCnt counts routines per spawn PC, so the fetch loop's
-	// per-instruction spawn probe is an array read instead of a map
-	// lookup. Install grows it to cover each routine's spawn PC; Reset
-	// zeroes it and keeps the length for the next run.
-	spawnCnt []uint16
+	// bySpawn[pc] lists the routines that spawn at pc, so the fetch
+	// loop's per-instruction probe is one slice read. Install grows it
+	// to cover each routine's spawn PC; Reset empties every list and
+	// keeps the length for the next run.
+	bySpawn [][]*Routine
+	rebuild map[path.ID]bool
 
 	// Stats.
 	Installs uint64
@@ -37,14 +37,8 @@ func NewMicroRAM(capacity int) *MicroRAM {
 	return &MicroRAM{
 		cap:      capacity,
 		routines: make(map[path.ID]*Routine),
-		bySpawn:  make(map[isa.Addr][]*Routine),
 		rebuild:  make(map[path.ID]bool),
 	}
-}
-
-// HasSpawn reports whether any routine spawns at pc, with one array read.
-func (m *MicroRAM) HasSpawn(pc isa.Addr) bool {
-	return int(pc) < len(m.spawnCnt) && m.spawnCnt[pc] > 0
 }
 
 // Len returns the number of stored routines.
@@ -63,11 +57,10 @@ func (m *MicroRAM) Install(r *Routine) bool {
 		return false
 	}
 	m.routines[r.PathID] = r
-	m.bySpawn[r.SpawnPC] = append(m.bySpawn[r.SpawnPC], r)
-	if n := int(r.SpawnPC) + 1; n > len(m.spawnCnt) {
-		m.spawnCnt = append(m.spawnCnt, make([]uint16, n-len(m.spawnCnt))...)
+	if n := int(r.SpawnPC) + 1; n > len(m.bySpawn) {
+		m.bySpawn = append(m.bySpawn, make([][]*Routine, n-len(m.bySpawn))...)
 	}
-	m.spawnCnt[r.SpawnPC]++
+	m.bySpawn[r.SpawnPC] = append(m.bySpawn[r.SpawnPC], r)
 	delete(m.rebuild, r.PathID)
 	m.Installs++
 	return true
@@ -76,9 +69,15 @@ func (m *MicroRAM) Install(r *Routine) bool {
 // Lookup returns the routine for a path, or nil.
 func (m *MicroRAM) Lookup(id path.ID) *Routine { return m.routines[id] }
 
-// SpawnCandidates returns the routines whose spawn point is pc. The
-// returned slice is owned by the MicroRAM; callers must not modify it.
-func (m *MicroRAM) SpawnCandidates(pc isa.Addr) []*Routine { return m.bySpawn[pc] }
+// SpawnCandidates returns the routines whose spawn point is pc, or nil
+// when none does. The returned slice is owned by the MicroRAM; callers
+// must not modify it.
+func (m *MicroRAM) SpawnCandidates(pc isa.Addr) []*Routine {
+	if int(pc) >= len(m.bySpawn) {
+		return nil
+	}
+	return m.bySpawn[pc]
+}
 
 // Remove deletes the routine for a path (demotion).
 func (m *MicroRAM) Remove(id path.ID) {
@@ -92,19 +91,12 @@ func (m *MicroRAM) Remove(id path.ID) {
 	m.Removals++
 }
 
+// removeSpawnIndex drops r from its spawn list. slices.Delete zeroes the
+// vacated tail slot, so the list's spare capacity keeps no routine alive.
 func (m *MicroRAM) removeSpawnIndex(r *Routine) {
-	m.spawnCnt[r.SpawnPC]--
 	list := m.bySpawn[r.SpawnPC]
-	for i, x := range list {
-		if x == r {
-			list = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(m.bySpawn, r.SpawnPC)
-	} else {
-		m.bySpawn[r.SpawnPC] = list
+	if i := slices.Index(list, r); i >= 0 {
+		m.bySpawn[r.SpawnPC] = slices.Delete(list, i, i+1)
 	}
 }
 

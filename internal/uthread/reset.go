@@ -9,13 +9,13 @@ func (p *PRB) Reset() {
 	p.at = 0
 }
 
-// Reset removes every routine and zeroes the statistics, keeping the map
-// and spawn-index allocations for reuse.
+// Reset removes every routine and zeroes the statistics, keeping the
+// maps' storage and the spawn index's length for reuse. Each spawn list
+// becomes nil rather than [:0], so the last run's routines are garbage.
 func (m *MicroRAM) Reset() {
 	clear(m.routines)
 	clear(m.bySpawn)
 	clear(m.rebuild)
-	clear(m.spawnCnt)
 	m.Installs = 0
 	m.Refusals = 0
 	m.Removals = 0
