@@ -465,7 +465,7 @@ func (m *Machine) fetchCycleFor(pc isa.Addr, isBr bool, i uint64) uint64 {
 			m.advanceCycle()
 			continue
 		}
-		line := m.l1i.Line(pc)
+		line := m.l1i.Line(m.space(pc))
 		if !containsLine(m.linesThis, line) {
 			if len(m.linesThis) >= icacheLinesPerCycle {
 				m.advanceCycle()
@@ -476,7 +476,7 @@ func (m *Machine) fetchCycleFor(pc isa.Addr, isBr bool, i uint64) uint64 {
 			// "a very efficient trace cache"); only discontinuous
 			// fetches pay the miss penalty.
 			sequential := m.haveLine && line == m.lastLine+1
-			if !m.l1i.Access(pc) && !sequential {
+			if !m.l1i.Access(m.space(pc)) && !sequential {
 				m.fc += icacheMissPenalty
 				m.resetFetch()
 				m.alignFetch()
@@ -493,6 +493,14 @@ func (m *Machine) fetchCycleFor(pc isa.Addr, isBr bool, i uint64) uint64 {
 	}
 	return m.fc
 }
+
+// space returns the address the shared memory hierarchy and L1 I-cache
+// see for this context's address a: the context index in the top byte.
+// Every primary context has its own emulator and memory, and every
+// program uses the same data base, so without it one context would hit
+// lines its co-runner loaded for other data. The XOR keeps the map one to
+// one, and context 0 — every solo run — sees its addresses unchanged.
+func (m *Machine) space(a isa.Addr) isa.Addr { return a ^ isa.Addr(m.ctxID)<<56 }
 
 // windowOcc approximates out-of-order window occupancy at fetch cycle fc:
 // how many retirement-ring slots still hold retire cycles beyond fc, i.e.
@@ -568,10 +576,10 @@ func (m *Machine) execute(rec *emu.Record, fc uint64) {
 	switch {
 	case in.IsLoad():
 		issue := earliest2(m.fus, m.ports, ready)
-		complete = issue + uint64(m.msys.LoadLatency(rec.EA, issue))
+		complete = issue + uint64(m.msys.LoadLatency(m.space(rec.EA), issue))
 	case in.IsStore():
 		issue := m.fus.earliest(ready)
-		complete = issue + uint64(m.msys.StoreLatency(rec.EA, issue))
+		complete = issue + uint64(m.msys.StoreLatency(m.space(rec.EA), issue))
 	default:
 		issue := m.fus.earliest(ready)
 		complete = issue + uint64(isa.Latency(in.Op))

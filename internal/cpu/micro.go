@@ -203,7 +203,7 @@ func (m *Machine) spawn(ci int, r *uthread.Routine, seq, fc uint64) {
 		ir := issueRec{isLoad: s.Load}
 		if s.Load {
 			ir.cycle = earliest2(m.fus, m.ports, ready)
-			ir.done = ir.cycle + uint64(m.msys.LoadLatency(fr.LoadedEAs[loadIdx], ir.cycle))
+			ir.done = ir.cycle + uint64(m.msys.LoadLatency(m.space(fr.LoadedEAs[loadIdx]), ir.cycle))
 			loadIdx++
 		} else {
 			ir.cycle = m.fus.earliest(ready)

@@ -21,7 +21,8 @@ func tinySMTOpts() Options {
 
 // TestSMTExperimentSmoke runs the canned study at a tiny budget and pins
 // the result shape: every mix carries both sharing variants, every
-// variant both contexts, and the solo references are populated.
+// variant both contexts, and the solo references are populated. No
+// context may run faster than its solo reference.
 func TestSMTExperimentSmoke(t *testing.T) {
 	res, err := SMT(context.Background(), tinySMTOpts())
 	if err != nil {
@@ -53,6 +54,12 @@ func TestSMTExperimentSmoke(t *testing.T) {
 			for _, c := range v.Contexts {
 				if c.IPC <= 0 || c.SoloIPC <= 0 {
 					t.Errorf("mix %s/%s ctx %s: ipc %v solo %v", m.Name, v.Sharing, c.Bench, c.IPC, c.SoloIPC)
+				}
+				// A co-runner only takes shared resources away. A context
+				// faster than alone was hitting its co-runner's cache
+				// lines or store-buffer entries.
+				if c.IPC > c.SoloIPC {
+					t.Errorf("mix %s/%s ctx %s: ipc %v above its solo %v", m.Name, v.Sharing, c.Bench, c.IPC, c.SoloIPC)
 				}
 				if c.CoRunnerDenied > c.AttemptedSpawns {
 					t.Errorf("mix %s/%s ctx %s: denied %d > attempted %d",
