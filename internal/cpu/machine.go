@@ -97,13 +97,14 @@ type Machine struct {
 	lastLine     uint64
 	haveLine     bool
 
-	// SMT identity. ctxID tags obs events and Prediction Cache entries
-	// with the owning primary context; smt, when non-nil, is the SMT
-	// run's machine-wide microcontext budget that spawns compete for.
-	// fcStride/fcPhase pin this thread's fetch cycles onto its
-	// round-robin slot lattice (cycle ≡ fcPhase mod fcStride); a stride
-	// of 0 or 1 disables the lattice. Reset zeroes all four — solo runs
-	// never see them — and RunSMT assigns them after Reset.
+	// SMT identity. ctxID tags obs events, Prediction Cache entries and
+	// the addresses sent to the shared caches (space) with the owning
+	// primary context; smt, when non-nil, is the SMT run's machine-wide
+	// microcontext budget that spawns compete for. fcStride/fcPhase pin
+	// this thread's fetch cycles onto its round-robin slot lattice
+	// (cycle ≡ fcPhase mod fcStride); a stride of 0 or 1 disables the
+	// lattice. Reset zeroes all four — solo runs never see them — and
+	// RunSMT assigns them after Reset.
 	ctxID    uint8
 	smt      *smtShared
 	fcStride uint64

@@ -13,7 +13,8 @@ import (
 // retirement ring, path tracker, front-end state) — time-share one
 // machine's execution resources. The always-shared back end is the
 // functional-unit and L1-port calendars, the data-memory hierarchy, and
-// the L1 I-cache; the Path Cache, Prediction Cache, MicroRAM, and branch
+// the L1 I-cache, which see each context's addresses in its own space
+// (Machine.space); the Path Cache, Prediction Cache, MicroRAM, and branch
 // predictor are shared or private per SMTConfig. Microcontexts are a
 // machine-wide budget all primaries' spawns compete for.
 //
