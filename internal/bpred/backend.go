@@ -20,9 +20,9 @@ type Backend interface {
 	Reset()
 }
 
-// Backend names. A run names its backend with one of these strings;
-// cpu.Config.Canonical maps the empty name to BackendHybrid, the paper's
-// Table 3 gshare/PAs hybrid.
+// Backend names. A run names its backend with one of these strings; an
+// empty cpu.Config.BPred means BackendHybrid, the paper's Table 3
+// gshare/PAs hybrid.
 const (
 	BackendHybrid = "hybrid"
 	BackendTAGE   = "tage"
@@ -44,10 +44,9 @@ type BackendStats struct {
 func Backends() []string { return []string{BackendH2P, BackendHybrid, BackendTAGE} }
 
 // NewBackend builds the named backend. The hybrid (alone or under the
-// h2p side predictor) is sized by cfg, canonicalized first; tage and the
-// h2p side structures take their packages' DefaultConfig.
+// h2p side predictor) is sized by cfg; tage and the h2p side structures
+// take their packages' DefaultConfig.
 func NewBackend(name string, cfg Config) (Backend, error) {
-	cfg = cfg.Canonical()
 	switch name {
 	case BackendHybrid:
 		return NewHybrid(cfg.PHTEntries, cfg.SelectorEntries), nil

@@ -23,29 +23,12 @@ func TestBackendsRegistered(t *testing.T) {
 	}
 }
 
-func TestConfigCanonical(t *testing.T) {
-	if got, want := (Config{}).Canonical(), DefaultConfig(); got != want {
-		t.Fatalf("zero Config canonicalized to %+v, want defaults %+v", got, want)
-	}
-	// A partial config must keep its set field and default the rest —
-	// the latent bug this guards against built 1-entry tables for every
-	// unset field.
-	partial := Config{BTBEntries: 512}
-	c := partial.Canonical()
-	if c.BTBEntries != 512 || c.PHTEntries != DefaultConfig().PHTEntries {
-		t.Fatalf("partial Config canonicalized to %+v", c)
-	}
-	if again := c.Canonical(); again != c {
-		t.Fatal("Canonical not idempotent")
-	}
-}
-
 func TestNewBackendUnknownName(t *testing.T) {
-	_, err := NewBackend("no-such-backend", Config{})
+	_, err := NewBackend("no-such-backend", DefaultConfig())
 	if err == nil || !strings.Contains(err.Error(), "no-such-backend") {
 		t.Fatalf("unknown backend error = %v", err)
 	}
-	if _, err := NewNamed(Config{}, "no-such-backend"); err == nil {
+	if _, err := NewNamed(DefaultConfig(), "no-such-backend"); err == nil {
 		t.Fatal("NewNamed accepted an unknown backend")
 	}
 }
@@ -73,7 +56,7 @@ func stream(predict func(isa.Addr) bool, update func(isa.Addr, bool), n int, see
 // The default backend must be that same Hybrid: driven through the
 // Backend interface it ends in the same state, counts included.
 func TestHybridBackendMatchesBareHybrid(t *testing.T) {
-	cfg := Config{PHTEntries: 1 << 10, SelectorEntries: 1 << 9}.Canonical()
+	cfg := Config{PHTEntries: 1 << 10, SelectorEntries: 1 << 9}
 	h := NewHybrid(cfg.PHTEntries, cfg.SelectorEntries)
 	var want HybridStats
 	predict := func(pc isa.Addr) bool {

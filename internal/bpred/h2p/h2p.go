@@ -31,9 +31,8 @@ package h2p
 
 import "dpbp/internal/isa"
 
-// Config sizes the filter and the side predictor. The zero value of any
-// field means "use the default" (see Canonical), following the same
-// convention as the cpu and mem configs.
+// Config sizes the filter and the side predictor. New and NewFilter take
+// it complete.
 type Config struct {
 	// FilterEntries is the number of direct-mapped filter slots
 	// (rounded up to a power of two).
@@ -70,39 +69,6 @@ func DefaultConfig() Config {
 		SideHistBits:   12,
 		SideConfidence: 2,
 	}
-}
-
-// Canonical fills zero-valued fields from DefaultConfig, clamping the
-// confidence into the representable 3-bit range. It is idempotent, so
-// canonicalized configs compare equal iff they describe the same
-// predictor.
-func (c Config) Canonical() Config {
-	d := DefaultConfig()
-	if c.FilterEntries == 0 {
-		c.FilterEntries = d.FilterEntries
-	}
-	if c.FilterTagBits == 0 {
-		c.FilterTagBits = d.FilterTagBits
-	}
-	if c.H2PThreshold == 0 {
-		c.H2PThreshold = d.H2PThreshold
-	}
-	if c.FilterWindow == 0 {
-		c.FilterWindow = d.FilterWindow
-	}
-	if c.SideEntries == 0 {
-		c.SideEntries = d.SideEntries
-	}
-	if c.SideHistBits == 0 {
-		c.SideHistBits = d.SideHistBits
-	}
-	if c.SideConfidence == 0 {
-		c.SideConfidence = d.SideConfidence
-	}
-	if c.SideConfidence > 4 {
-		c.SideConfidence = 4
-	}
-	return c
 }
 
 // Stats counts side-predictor activity. Overrides splits exactly into
@@ -157,9 +123,8 @@ type Filter struct {
 	window  uint16   //dpbp:reset-skip config fixed at construction
 }
 
-// NewFilter builds a filter from the (canonicalized) config.
+// NewFilter builds a filter from the complete cfg.
 func NewFilter(cfg Config) *Filter {
-	cfg = cfg.Canonical()
 	n := pow2AtLeast(cfg.FilterEntries)
 	f := &Filter{
 		entries: make([]filterEntry, n),
@@ -238,10 +203,8 @@ type Predictor struct {
 	Stats Stats
 }
 
-// New builds a side predictor wrapping base. The config is
-// canonicalized first, so a zero Config yields the default sizing.
+// New builds a side predictor wrapping base from the complete cfg.
 func New(cfg Config, base Base) *Predictor {
-	cfg = cfg.Canonical()
 	n := pow2AtLeast(cfg.SideEntries)
 	return &Predictor{
 		cfg:      cfg,

@@ -16,25 +16,9 @@ func (b *fixedBase) Predict(isa.Addr) bool { return true }
 func (b *fixedBase) Update(isa.Addr, bool) { b.updates++ }
 func (b *fixedBase) Reset()                { b.updates = 0 }
 
-func TestCanonical(t *testing.T) {
-	if got, want := (Config{}).Canonical(), DefaultConfig(); got != want {
-		t.Fatalf("zero config canonicalized to %+v, want defaults %+v", got, want)
-	}
-	partial := Config{H2PThreshold: 2, SideHistBits: 6}
-	c := partial.Canonical()
-	if c.FilterEntries != DefaultConfig().FilterEntries || c.H2PThreshold != 2 || c.SideHistBits != 6 {
-		t.Fatalf("partial config canonicalized to %+v", c)
-	}
-	if again := c.Canonical(); again != c {
-		t.Fatalf("Canonical not idempotent: %+v vs %+v", c, again)
-	}
-	if clamped := (Config{SideConfidence: 9}).Canonical(); clamped.SideConfidence != 4 {
-		t.Fatalf("SideConfidence 9 clamped to %d, want 4", clamped.SideConfidence)
-	}
-}
-
 func TestFilterClassification(t *testing.T) {
-	cfg := Config{FilterEntries: 64, H2PThreshold: 3, FilterWindow: 32}
+	cfg := DefaultConfig()
+	cfg.FilterEntries, cfg.H2PThreshold, cfg.FilterWindow = 64, 3, 32
 	f := NewFilter(cfg)
 	pc := isa.Addr(0x1040)
 	if f.IsH2P(pc) {
@@ -65,7 +49,8 @@ func TestFilterClassification(t *testing.T) {
 }
 
 func TestFilterTagEviction(t *testing.T) {
-	cfg := Config{FilterEntries: 64, FilterTagBits: 8, H2PThreshold: 2}
+	cfg := DefaultConfig()
+	cfg.FilterEntries, cfg.FilterTagBits, cfg.H2PThreshold = 64, 8, 2
 	f := NewFilter(cfg)
 	a := isa.Addr(0x40)
 	// Find a PC that shares a's slot but not its tag.
@@ -96,7 +81,7 @@ func TestFilterTagEviction(t *testing.T) {
 // override accuracy must beat the base's 50%.
 func TestSideOverridesLearnedPattern(t *testing.T) {
 	base := &fixedBase{}
-	p := New(Config{FilterEntries: 64, H2PThreshold: 4, FilterWindow: 64,
+	p := New(Config{FilterEntries: 64, FilterTagBits: 10, H2PThreshold: 4, FilterWindow: 64,
 		SideEntries: 256, SideHistBits: 8, SideConfidence: 2}, base)
 	pc := isa.Addr(0x80)
 	const steps = 2000
@@ -128,7 +113,7 @@ func TestSideOverridesLearnedPattern(t *testing.T) {
 
 func TestStatsAlgebra(t *testing.T) {
 	base := &fixedBase{}
-	p := New(Config{FilterEntries: 64, H2PThreshold: 2, FilterWindow: 64,
+	p := New(Config{FilterEntries: 64, FilterTagBits: 10, H2PThreshold: 2, FilterWindow: 64,
 		SideEntries: 64, SideHistBits: 6, SideConfidence: 1}, base)
 	rng := uint64(12345)
 	for i := 0; i < 5000; i++ {
@@ -154,7 +139,7 @@ func TestStatsAlgebra(t *testing.T) {
 }
 
 func TestResetMatchesFresh(t *testing.T) {
-	cfg := Config{FilterEntries: 64, H2PThreshold: 2, FilterWindow: 32,
+	cfg := Config{FilterEntries: 64, FilterTagBits: 10, H2PThreshold: 2, FilterWindow: 32,
 		SideEntries: 64, SideHistBits: 6, SideConfidence: 1}
 	run := func(p *Predictor, seed uint64) []bool {
 		rng := seed

@@ -6,55 +6,30 @@ import (
 	"dpbp/internal/isa"
 )
 
-// Config sizes the predictor per Table 3 of the paper.
+// The Table 3 target structures, which nothing varies, are constants,
+// not Config fields.
+const (
+	btbEntries         = 4 << 10  // branch target buffer
+	rasDepth           = 32       // call/return stack
+	targetCacheEntries = 64 << 10 // indirect target cache
+)
+
+// Config sizes the hybrid direction predictor per Table 3 of the paper.
+// NewNamed and NewBackend take it complete.
 type Config struct {
 	// PHTEntries sizes each hybrid component (gshare and PAs).
 	PHTEntries int
 	// SelectorEntries sizes the hybrid selector.
 	SelectorEntries int
-	// BTBEntries sizes the branch target buffer.
-	BTBEntries int
-	// RASDepth sizes the call/return stack.
-	RASDepth int
-	// TargetCacheEntries sizes the indirect target cache.
-	TargetCacheEntries int
 }
 
-// DefaultConfig returns the Table 3 baseline: 128K-entry gshare/PAs hybrid,
-// 64K-entry selector, 4K-entry BTB, 32-entry call/return stack, 64K-entry
-// target cache.
+// DefaultConfig returns the Table 3 baseline: 128K-entry gshare/PAs
+// hybrid and 64K-entry selector.
 func DefaultConfig() Config {
 	return Config{
-		PHTEntries:         128 << 10,
-		SelectorEntries:    64 << 10,
-		BTBEntries:         4 << 10,
-		RASDepth:           32,
-		TargetCacheEntries: 64 << 10,
+		PHTEntries:      128 << 10,
+		SelectorEntries: 64 << 10,
 	}
-}
-
-// Canonical fills zero-valued fields from DefaultConfig, per-field, so
-// a partially specified config (say, only BTBEntries) still gets the
-// Table 3 sizing for everything else instead of degenerate one-entry
-// tables. Idempotent; NewNamed and NewBackend apply it.
-func (c Config) Canonical() Config {
-	d := DefaultConfig()
-	if c.PHTEntries == 0 {
-		c.PHTEntries = d.PHTEntries
-	}
-	if c.SelectorEntries == 0 {
-		c.SelectorEntries = d.SelectorEntries
-	}
-	if c.BTBEntries == 0 {
-		c.BTBEntries = d.BTBEntries
-	}
-	if c.RASDepth == 0 {
-		c.RASDepth = d.RASDepth
-	}
-	if c.TargetCacheEntries == 0 {
-		c.TargetCacheEntries = d.TargetCacheEntries
-	}
-	return c
 }
 
 // Prediction is the front end's guess for one branch.
@@ -113,16 +88,15 @@ func New(cfg Config) *Predictor {
 // errors on an unknown backend name; callers that accept external names
 // (CLI flags, JSON configs) should surface the error.
 func NewNamed(cfg Config, backend string) (*Predictor, error) {
-	cfg = cfg.Canonical()
 	dir, err := NewBackend(backend, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Predictor{
 		Dir:    dir,
-		BTB:    NewBTB(cfg.BTBEntries),
-		RAS:    NewRAS(cfg.RASDepth),
-		TCache: NewTargetCache(cfg.TargetCacheEntries),
+		BTB:    NewBTB(btbEntries),
+		RAS:    NewRAS(rasDepth),
+		TCache: NewTargetCache(targetCacheEntries),
 	}, nil
 }
 

@@ -28,8 +28,8 @@ import (
 	"dpbp/internal/isa"
 )
 
-// Config sizes the predictor. Zero fields take DefaultConfig values via
-// Canonical.
+// Config sizes the predictor. New takes it complete; DefaultConfig is
+// the sizing every run uses.
 type Config struct {
 	// BimodalEntries sizes the base bimodal table.
 	BimodalEntries int
@@ -41,7 +41,8 @@ type Config struct {
 	TagBits int
 	// MinHistory is the shortest tagged table's history length.
 	MinHistory int
-	// MaxHistory is the longest tagged table's history length.
+	// MaxHistory is the longest tagged table's history length (at least
+	// MinHistory).
 	MaxHistory int
 	// UDecayInterval is the number of updates between usefulness decays.
 	UDecayInterval int
@@ -60,38 +61,6 @@ func DefaultConfig() Config {
 		MaxHistory:     128,
 		UDecayInterval: 64 << 10,
 	}
-}
-
-// Canonical returns the configuration with every zero field replaced by
-// its default — exactly the configuration New builds. Two Configs that
-// canonicalize equal build bit-identical predictors.
-func (c Config) Canonical() Config {
-	d := DefaultConfig()
-	if c.BimodalEntries == 0 {
-		c.BimodalEntries = d.BimodalEntries
-	}
-	if c.Tables == 0 {
-		c.Tables = d.Tables
-	}
-	if c.TableEntries == 0 {
-		c.TableEntries = d.TableEntries
-	}
-	if c.TagBits < 2 {
-		c.TagBits = d.TagBits
-	}
-	if c.MinHistory == 0 {
-		c.MinHistory = d.MinHistory
-	}
-	if c.MaxHistory == 0 {
-		c.MaxHistory = d.MaxHistory
-	}
-	if c.MaxHistory < c.MinHistory {
-		c.MaxHistory = c.MinHistory
-	}
-	if c.UDecayInterval == 0 {
-		c.UDecayInterval = d.UDecayInterval
-	}
-	return c
 }
 
 // Stats counts predictor activity for one run.
@@ -275,9 +244,8 @@ type Predictor struct {
 	Stats Stats
 }
 
-// New builds a predictor from cfg (zero fields defaulted via Canonical).
+// New builds a predictor from the complete cfg.
 func New(cfg Config) *Predictor {
-	cfg = cfg.Canonical()
 	bn := pow2AtLeast(cfg.BimodalEntries)
 	tn := pow2AtLeast(cfg.TableEntries)
 	lens := histLengths(cfg)

@@ -74,21 +74,6 @@ func TestHistLengthsGeometric(t *testing.T) {
 	}
 }
 
-// TestCanonical checks zero-field defaulting and idempotence.
-func TestCanonical(t *testing.T) {
-	if got, want := (Config{}).Canonical(), DefaultConfig(); got != want {
-		t.Fatalf("zero config canonicalized to %+v, want defaults %+v", got, want)
-	}
-	partial := Config{Tables: 3, MaxHistory: 40}
-	c := partial.Canonical()
-	if c.BimodalEntries != DefaultConfig().BimodalEntries || c.Tables != 3 || c.MaxHistory != 40 {
-		t.Fatalf("partial config canonicalized to %+v", c)
-	}
-	if again := c.Canonical(); again != c {
-		t.Fatalf("Canonical not idempotent: %+v vs %+v", c, again)
-	}
-}
-
 // trainLoop feeds a deterministic branch stream through the predictor:
 // a few strongly biased PCs plus one history-dependent branch.
 func trainLoop(p *Predictor, steps int, seed uint64) []bool {
@@ -118,7 +103,7 @@ func trainLoop(p *Predictor, steps int, seed uint64) []bool {
 // one PC, the other still falls through to the bimodal provider.
 func TestTagAliasing(t *testing.T) {
 	cfg := Config{BimodalEntries: 64, Tables: 2, TableEntries: 64,
-		TagBits: 8, MinHistory: 4, MaxHistory: 8}
+		TagBits: 8, MinHistory: 4, MaxHistory: 8, UDecayInterval: 64 << 10}
 	p := New(cfg)
 
 	// Two PCs that collide in every tagged table index but have
@@ -235,7 +220,7 @@ func TestStatsAlgebra(t *testing.T) {
 // predictable) must end up nearly perfectly predicted.
 func TestLearnsHistoryPattern(t *testing.T) {
 	p := New(Config{BimodalEntries: 256, Tables: 4, TableEntries: 256,
-		TagBits: 9, MinHistory: 2, MaxHistory: 16})
+		TagBits: 9, MinHistory: 2, MaxHistory: 16, UDecayInterval: 64 << 10})
 	pc := isa.Addr(0x40)
 	correct := 0
 	const steps = 4000

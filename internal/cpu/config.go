@@ -133,9 +133,8 @@ type Config struct {
 
 	// BPred names the conditional-direction backend (bpred.Backends;
 	// empty canonicalizes to bpred.BackendHybrid, the gshare/PAs
-	// hybrid). bpred sizes every backend: the hybrid's tables and the
-	// target structures (BTB/RAS/target cache) have the Table 3 sizes of
-	// bpred.DefaultConfig, tage and h2p their packages' DefaultConfig.
+	// hybrid). bpred sizes every backend and the target structures
+	// (BTB/RAS/target cache) that all backends share.
 	BPred string
 	// H2PSpawnGate, in ModeMicrothread or ModePerfectPromoted, gates
 	// path promotion on an H2P filter (h2p.DefaultConfig's): a path
@@ -191,11 +190,9 @@ type Config struct {
 }
 
 // The Table 3 parameters no experiment varies are constants, not Config
-// fields. The memory hierarchy (mem.DefaultConfig), the value and
-// address predictors (vpred.DefaultConfig), the hybrid's tables and the
-// target structures (bpred.DefaultConfig) and the 64-entry MCB
-// (uthread.DefaultBuildConfig) are their packages' defaults; the rest
-// are these.
+// fields. The memory hierarchy, the value and address predictors, the
+// branch predictor and the 64-entry MCB are sized by their own packages
+// (mem, vpred, bpred and uthread); the rest are these.
 const (
 	// prbEntries sizes the Post-Retirement Buffer.
 	prbEntries = 512

@@ -11,18 +11,26 @@ import (
 	"dpbp/internal/isa"
 )
 
-// Config sizes the hierarchy. Zero values take Table 3 defaults.
+// The Table 3 hierarchy parameters, which nothing varies, are
+// constants, not Config fields.
+const (
+	l1SizeWords = 8 << 10 // 64KB
+	l1Ways      = 2
+	l1Latency   = 3
+	l2SizeWords = 128 << 10 // 1MB
+	l2Ways      = 8
+	l2Latency   = 6
+	lineWords   = 8
+	dramLatency = 100
+	busCycles   = 2 // core-to-memory bus occupancy per transfer
+)
+
+// Config sizes the DRAM banks and the store buffer, the parts of the
+// hierarchy the tests vary. New takes it complete.
 type Config struct {
-	L1SizeWords int // 64KB = 8K words
-	L1Ways      int
-	L1Latency   int
-	L2SizeWords int // 1MB = 128K words
-	L2Ways      int
-	L2Latency   int
-	LineWords   int
-	DRAMLatency int
-	DRAMBanks   int
-	BusCycles   int // core-to-memory bus occupancy per transfer
+	// DRAMBanks is the number of DRAM banks, each queueing its own
+	// misses.
+	DRAMBanks int
 
 	// StoreBufferEntries sizes the store/write-combining buffer
 	// (Table 3: 32 entries). Loads that hit a buffered store forward at
@@ -33,20 +41,10 @@ type Config struct {
 	StoreDrainCycles int
 }
 
-// DefaultConfig returns the Table 3 hierarchy.
+// DefaultConfig returns the Table 3 banks and store buffer.
 func DefaultConfig() Config {
 	return Config{
-		L1SizeWords: 8 << 10,
-		L1Ways:      2,
-		L1Latency:   3,
-		L2SizeWords: 128 << 10,
-		L2Ways:      8,
-		L2Latency:   6,
-		LineWords:   8,
-		DRAMLatency: 100,
-		DRAMBanks:   32,
-		BusCycles:   2,
-
+		DRAMBanks:          32,
 		StoreBufferEntries: 32,
 		StoreDrainCycles:   64,
 	}
@@ -74,56 +72,12 @@ type System struct {
 	SBForwards uint64
 }
 
-// Canonical returns the configuration with every zero field replaced by
-// its Table 3 default — exactly the configuration New builds.
-func (cfg Config) Canonical() Config {
-	d := DefaultConfig()
-	if cfg.L1SizeWords == 0 {
-		cfg.L1SizeWords = d.L1SizeWords
-	}
-	if cfg.L1Ways == 0 {
-		cfg.L1Ways = d.L1Ways
-	}
-	if cfg.L1Latency == 0 {
-		cfg.L1Latency = d.L1Latency
-	}
-	if cfg.L2SizeWords == 0 {
-		cfg.L2SizeWords = d.L2SizeWords
-	}
-	if cfg.L2Ways == 0 {
-		cfg.L2Ways = d.L2Ways
-	}
-	if cfg.L2Latency == 0 {
-		cfg.L2Latency = d.L2Latency
-	}
-	if cfg.LineWords == 0 {
-		cfg.LineWords = d.LineWords
-	}
-	if cfg.DRAMLatency == 0 {
-		cfg.DRAMLatency = d.DRAMLatency
-	}
-	if cfg.DRAMBanks == 0 {
-		cfg.DRAMBanks = d.DRAMBanks
-	}
-	if cfg.BusCycles == 0 {
-		cfg.BusCycles = d.BusCycles
-	}
-	if cfg.StoreBufferEntries == 0 {
-		cfg.StoreBufferEntries = d.StoreBufferEntries
-	}
-	if cfg.StoreDrainCycles == 0 {
-		cfg.StoreDrainCycles = d.StoreDrainCycles
-	}
-	return cfg
-}
-
-// New builds a memory system from cfg (zero fields defaulted).
+// New builds a memory system from the complete cfg.
 func New(cfg Config) *System {
-	cfg = cfg.Canonical()
 	return &System{
 		cfg:      cfg,
-		L1:       cache.New(cache.Config{SizeWords: cfg.L1SizeWords, Ways: cfg.L1Ways, LineWords: cfg.LineWords}),
-		L2:       cache.New(cache.Config{SizeWords: cfg.L2SizeWords, Ways: cfg.L2Ways, LineWords: cfg.LineWords}),
+		L1:       cache.New(cache.Config{SizeWords: l1SizeWords, Ways: l1Ways, LineWords: lineWords}),
+		L2:       cache.New(cache.Config{SizeWords: l2SizeWords, Ways: l2Ways, LineWords: lineWords}),
 		bankFree: make([]uint64, cfg.DRAMBanks),
 		sbAddr:   make([]isa.Addr, cfg.StoreBufferEntries),
 		sbUntil:  make([]uint64, cfg.StoreBufferEntries),
@@ -147,13 +101,13 @@ func (s *System) LoadLatency(addr isa.Addr, now uint64) int {
 	s.Loads++
 	if s.forwardable(addr, now) {
 		s.SBForwards++
-		return s.cfg.L1Latency
+		return l1Latency
 	}
 	if s.L1.Access(addr) {
 		s.L1Hits++
-		return s.cfg.L1Latency
+		return l1Latency
 	}
-	lat := s.cfg.L1Latency + s.cfg.L2Latency
+	lat := l1Latency + l2Latency
 	if s.L2.Access(addr) {
 		s.L2Hits++
 		return lat
@@ -165,8 +119,8 @@ func (s *System) LoadLatency(addr isa.Addr, now uint64) int {
 		lat += int(s.bankFree[bank] - start)
 		start = s.bankFree[bank]
 	}
-	lat += s.cfg.BusCycles + s.cfg.DRAMLatency
-	s.bankFree[bank] = start + uint64(s.cfg.DRAMLatency)
+	lat += busCycles + dramLatency
+	s.bankFree[bank] = start + dramLatency
 	return lat
 }
 

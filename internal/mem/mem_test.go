@@ -7,7 +7,7 @@ import (
 )
 
 func TestLatencyLadder(t *testing.T) {
-	s := New(Config{})
+	s := New(DefaultConfig())
 	// Cold: L1 miss, L2 miss -> DRAM.
 	cold := s.LoadLatency(0x1000, 0)
 	if cold < 100 {
@@ -24,7 +24,7 @@ func TestLatencyLadder(t *testing.T) {
 }
 
 func TestL2HitLatency(t *testing.T) {
-	s := New(Config{})
+	s := New(DefaultConfig())
 	s.LoadLatency(0x2000, 0)   // fills L1+L2
 	s.StoreLatency(0x2000, 10) // invalidates L1, keeps L2
 	// Past the store buffer's drain window, the load pays the L2 round
@@ -39,7 +39,7 @@ func TestL2HitLatency(t *testing.T) {
 }
 
 func TestDRAMBankContention(t *testing.T) {
-	s := New(Config{DRAMBanks: 1})
+	s := New(Config{DRAMBanks: 1, StoreBufferEntries: 32, StoreDrainCycles: 64})
 	a := s.LoadLatency(0x10000, 0)
 	// Second miss to a different line, same (only) bank, issued at the
 	// same cycle: must queue behind the first.
@@ -50,7 +50,7 @@ func TestDRAMBankContention(t *testing.T) {
 }
 
 func TestStoreInvalidatesL1Only(t *testing.T) {
-	s := New(Config{})
+	s := New(DefaultConfig())
 	s.LoadLatency(0x3000, 0)
 	if lat := s.StoreLatency(0x3000, 1); lat != 1 {
 		t.Errorf("store latency %d, want 1", lat)
@@ -65,7 +65,7 @@ func TestStoreInvalidatesL1Only(t *testing.T) {
 
 func TestCapacityMissesAtScale(t *testing.T) {
 	// A stream far larger than L1 must produce L1 misses.
-	s := New(Config{})
+	s := New(DefaultConfig())
 	for a := 0; a < 64<<10; a += 8 {
 		s.LoadLatency(isa.Addr(0x100000+a), uint64(a))
 	}
@@ -75,7 +75,7 @@ func TestCapacityMissesAtScale(t *testing.T) {
 }
 
 func TestStoreBufferForwarding(t *testing.T) {
-	s := New(Config{})
+	s := New(DefaultConfig())
 	s.LoadLatency(0x5000, 0) // warm both levels
 	s.StoreLatency(0x5000, 10)
 	// Within the drain window, the load forwards at L1 latency even
@@ -93,7 +93,7 @@ func TestStoreBufferForwarding(t *testing.T) {
 }
 
 func TestStoreBufferCapacityWraps(t *testing.T) {
-	s := New(Config{StoreBufferEntries: 2, StoreDrainCycles: 1000})
+	s := New(Config{DRAMBanks: 32, StoreBufferEntries: 2, StoreDrainCycles: 1000})
 	s.StoreLatency(1, 0)
 	s.StoreLatency(2, 0)
 	s.StoreLatency(3, 0) // evicts the store to 1
@@ -106,7 +106,7 @@ func TestStoreBufferCapacityWraps(t *testing.T) {
 }
 
 func TestStoreBufferExactAddressOnly(t *testing.T) {
-	s := New(Config{})
+	s := New(DefaultConfig())
 	s.StoreLatency(0x6000, 0)
 	if s.forwardable(0x6001, 1) {
 		t.Error("forwarding matched a different word")

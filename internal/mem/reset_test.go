@@ -11,7 +11,7 @@ import (
 // the store buffer), a reset system must report latencies and
 // statistics identical to a newly built one over the same access trace.
 func TestResetMatchesFreshSystem(t *testing.T) {
-	cfg := Config{DRAMBanks: 4, StoreBufferEntries: 4}
+	cfg := Config{DRAMBanks: 4, StoreBufferEntries: 4, StoreDrainCycles: 64}
 	used := New(cfg)
 
 	// Dirty every component: cache fills, bank contention, buffered
