@@ -6,7 +6,7 @@
 //
 // Flags:
 //
-//	-bench comp,gcc,...   benchmarks to run (default: all twenty)
+//	-bench comp,gcc,...   benchmarks to run (default: all twenty; -exp smt takes -smt instead)
 //	-bpred NAME           direction-predictor backend (hybrid, h2p, tage; default hybrid)
 //	-smt SPEC             SMT mix override for -exp smt (bench+bench[:policy][:flags])
 //	-format text|json|csv output format (default text)
@@ -14,10 +14,10 @@
 //	-profinsts N          profiling-run instruction budget (0 = library default)
 //	-j N                  parallel benchmark runs (0 = GOMAXPROCS)
 //	-timeout D            whole-invocation time budget (e.g. 90s; 0 = none)
-//	-trace FILE           write a Chrome trace-event JSON of every timing run
+//	-trace FILE           write a Chrome trace-event JSON of every timing run (created before any run)
 //	-metrics              append a metrics section (unified counters/histograms)
 //	-cpuprofile FILE      write a CPU profile of the whole invocation
-//	-memprofile FILE      write a heap profile at exit
+//	-memprofile FILE      write a heap profile at exit (created before any run)
 //
 // Instruction budgets left at zero use the library defaults, so the
 // numbers live in one place (internal/exp). When -timeout expires the
@@ -55,12 +55,15 @@
 // canned mix list with one spec — benchmarks joined by "+", then an
 // optional fetch policy (rr, icount) and shared-structure flags
 // (pathcache, pcache, uram, pred, all), colon-separated:
-// "gcc+ijpeg:icount:pathcache,uram". Like shootout, smt is not part of
+// "gcc+ijpeg:icount:pathcache,uram". -smt is the only way to pick the
+// mix: -exp smt with -bench exits 1. Like shootout, smt is not part of
 // "all".
 package main
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -78,7 +81,7 @@ import (
 
 func main() {
 	expName := flag.String("exp", "all", "experiment: table1, table2, fig6, fig7, fig8, fig9, perfect, guided, ablations, shootout, smt, all")
-	bench := flag.String("bench", "", "comma-separated benchmark names (default: all)")
+	bench := flag.String("bench", "", "comma-separated benchmark names (default: all; -exp smt takes -smt instead)")
 	bpredName := flag.String("bpred", "", "direction-predictor backend: "+strings.Join(dpbp.PredictorBackends(), ", ")+" (default hybrid)")
 	smtSpec := flag.String("smt", "", "SMT mix override for -exp smt: bench+bench[:policy][:flags]")
 	format := flag.String("format", "", "output format: text, json, csv (default text)")
@@ -86,10 +89,10 @@ func main() {
 	profInsts := flag.Uint64("profinsts", 0, "profiling-run instruction budget (0 = library default)")
 	jobs := flag.Int("j", 0, "parallel benchmark runs (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "whole-invocation time budget; expired sweeps emit partial results (0 = none)")
-	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of every timing run to this file")
+	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of every timing run to this file (created before any run)")
 	metrics := flag.Bool("metrics", false, "append a metrics section (unified counters and histograms)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file (created before any run)")
 	flag.Parse()
 
 	os.Exit(mainExit(*expName, *bench, *bpredName, *smtSpec, *format, *insts, *profInsts, *jobs,
@@ -110,39 +113,44 @@ type obsOpts struct {
 func (o obsOpts) enabled() bool { return o.traceFile != "" || o.metrics }
 
 // mainExit is main minus os.Exit, so profile writers run via defer before
-// the process terminates.
+// the process terminates. Both profile files are opened before any
+// experiment runs, so a bad path fails the invocation before it prints
+// anything, and a profile that cannot be written at exit sets status 1.
 func mainExit(expName, bench, bpredName, smtSpec, format string, insts, profInsts uint64, jobs int,
-	timeout time.Duration, oo obsOpts, cpuProfile, memProfile string) int {
+	timeout time.Duration, oo obsOpts, cpuProfile, memProfile string) (code int) {
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dpbp:", err)
 			return 1
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		// pprof drops the file's write errors; the buffer keeps the first
+		// for Flush to return. The same holds for the heap profile.
+		bw := bufio.NewWriter(f)
+		if err := pprof.StartCPUProfile(bw); err != nil {
 			fmt.Fprintln(os.Stderr, "dpbp:", err)
 			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
+			if err := errors.Join(bw.Flush(), f.Close()); err != nil {
 				fmt.Fprintln(os.Stderr, "dpbp:", err)
+				code = 1
 			}
 		}()
 	}
 	if memProfile != "" {
+		f, err := os.Create(memProfile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dpbp:", err)
+			return 1
+		}
 		defer func() {
-			f, err := os.Create(memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dpbp:", err)
-				return
-			}
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			bw := bufio.NewWriter(f)
+			if err := errors.Join(pprof.WriteHeapProfile(bw), bw.Flush(), f.Close()); err != nil {
 				fmt.Fprintln(os.Stderr, "dpbp:", err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "dpbp:", err)
+				code = 1
 			}
 		}()
 	}
@@ -205,13 +213,26 @@ func run(ctx context.Context, w io.Writer, name, format string, opts dpbp.Experi
 // requested a collector is attached to every timing run, a metrics
 // section is appended after the experiment sections, and the collected
 // trace is written as its own file (the rendered output is unchanged by
-// -trace alone).
-func runObs(ctx context.Context, w io.Writer, name, format string, opts dpbp.ExperimentOptions, oo obsOpts) error {
+// -trace alone). The trace file is created before any experiment runs,
+// so a bad path fails before anything is written to w, and it is
+// written even when the run fails, so it always holds a trace document.
+func runObs(ctx context.Context, w io.Writer, name, format string, opts dpbp.ExperimentOptions, oo obsOpts) (err error) {
 	if err := checkFormat(format); err != nil {
 		return err
 	}
 	if oo.enabled() && opts.Trace == nil {
 		opts.Trace = dpbp.NewTraceCollector()
+	}
+	if oo.traceFile != "" {
+		f, createErr := os.Create(oo.traceFile)
+		if createErr != nil {
+			return createErr
+		}
+		defer func() {
+			if werr := errors.Join(dpbp.WriteChromeTrace(f, opts.Trace), f.Close()); err == nil {
+				err = werr
+			}
+		}()
 	}
 	sections, err := exp.Collect(ctx, name, opts)
 	if err != nil {
@@ -220,21 +241,7 @@ func runObs(ctx context.Context, w io.Writer, name, format string, opts dpbp.Exp
 	if oo.metrics {
 		sections = append(sections, results.Section{Key: "metrics", Val: buildMetrics(sections, opts)})
 	}
-	if err := report.RenderSections(w, format, sections); err != nil {
-		return err
-	}
-	if oo.traceFile != "" {
-		f, err := os.Create(oo.traceFile)
-		if err != nil {
-			return err
-		}
-		if err := dpbp.WriteChromeTrace(f, opts.Trace); err != nil {
-			_ = f.Close() // the write error is the one worth reporting
-			return err
-		}
-		return f.Close()
-	}
-	return nil
+	return report.RenderSections(w, format, sections)
 }
 
 // buildMetrics unifies the experiment's statistics into one registry:

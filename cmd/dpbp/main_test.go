@@ -348,6 +348,65 @@ func TestRunObsTraceWritesChromeJSON(t *testing.T) {
 	}
 }
 
+// TestRunObsUnwritableTrace: a -trace file that cannot be created fails
+// the run before any experiment runs, so nothing is rendered.
+func TestRunObsUnwritableTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "trace.json")
+	var b bytes.Buffer
+	if err := runObs(context.Background(), &b, "table1", "", tiny(), obsOpts{traceFile: path}); err == nil {
+		t.Error("runObs with an unwritable -trace path succeeded")
+	}
+	if b.Len() != 0 {
+		t.Errorf("runObs rendered before failing on -trace:\n%s", b.String())
+	}
+}
+
+// TestMainExitOutputFileErrors: a -trace or -memprofile file that cannot
+// be created exits 1 before any experiment prints to stdout, and a trace
+// or a CPU or heap profile whose write fails at exit exits 1 too
+// (/dev/full opens but fails every write).
+func TestMainExitOutputFileErrors(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing", "out")
+	stdout, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = stdout
+	defer func() { os.Stdout = saved }()
+
+	type outputCase struct {
+		name             string
+		trace, cpu, heap string
+		quiet            bool // nothing may reach stdout
+	}
+	cases := []outputCase{
+		{"trace", missing, "", "", true},
+		{"memprofile", "", "", missing, true},
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		cases = append(cases,
+			outputCase{"trace write", "/dev/full", "", "", false},
+			outputCase{"cpuprofile write", "", "/dev/full", "", false},
+			outputCase{"memprofile write", "", "", "/dev/full", false})
+	}
+	for _, c := range cases {
+		if err := stdout.Truncate(0); err != nil {
+			t.Fatal(err)
+		}
+		code := mainExit("table1", "comp", "", "", "", 0, 20_000, 0, 0, obsOpts{traceFile: c.trace}, c.cpu, c.heap)
+		if code != 1 {
+			t.Errorf("%s: exit %d, want 1", c.name, code)
+		}
+		if fi, err := stdout.Stat(); err != nil {
+			t.Fatal(err)
+		} else if c.quiet && fi.Size() != 0 {
+			t.Errorf("%s: %d bytes on stdout before failing", c.name, fi.Size())
+		}
+	}
+}
+
 func TestRunObsMetricsSection(t *testing.T) {
 	var b bytes.Buffer
 	err := runObs(context.Background(), &b, "fig7", "json", tiny(), obsOpts{metrics: true})
@@ -572,6 +631,7 @@ func TestRunShootoutTextAndCSV(t *testing.T) {
 // variants, and per-context rows are fully populated.
 func TestRunSMTJSON(t *testing.T) {
 	opts := tiny()
+	opts.Benchmarks = nil // -smt picks the mix
 	var err error
 	if opts.SMT, err = dpbp.ParseSMTSpec("comp+comp"); err != nil {
 		t.Fatal(err)
@@ -621,6 +681,7 @@ func TestRunSMTJSON(t *testing.T) {
 
 func TestRunSMTTextAndCSV(t *testing.T) {
 	opts := tiny()
+	opts.Benchmarks = nil // -smt picks the mix
 	var err error
 	if opts.SMT, err = dpbp.ParseSMTSpec("comp+comp:icount"); err != nil {
 		t.Fatal(err)
@@ -641,6 +702,19 @@ func TestRunSMTTextAndCSV(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(csvOut.String()), "\n")
 	if len(lines) != 5 || !strings.HasPrefix(lines[0], "mix,sharing,") {
 		t.Errorf("unexpected smt CSV:\n%s", csvOut.String())
+	}
+}
+
+// TestRunSMTRefusesBench: only -smt picks the SMT study's mix, so -exp
+// smt with -bench fails with an error naming -smt and prints nothing.
+func TestRunSMTRefusesBench(t *testing.T) {
+	var b bytes.Buffer
+	err := run(context.Background(), &b, "smt", "", tiny())
+	if err == nil || !strings.Contains(err.Error(), "-smt") {
+		t.Errorf("-exp smt -bench comp: err = %v, want one naming -smt", err)
+	}
+	if b.Len() != 0 {
+		t.Errorf("-exp smt -bench comp wrote:\n%s", b.String())
 	}
 }
 

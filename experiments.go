@@ -203,7 +203,8 @@ type SMTExperimentResult = exp.SMTResult
 // SMTStudy runs the SMT interference study. ExperimentOptions.SMT, when
 // it carries contexts, overrides the canned mix list, fetch policy, and
 // shared-variant flags; ParseSMTSpec builds one from the CLI's -smt
-// vocabulary.
+// vocabulary. It is the only way to pick the mix: SMTStudy returns an
+// error when ExperimentOptions.Benchmarks is non-empty.
 func SMTStudy(ctx context.Context, o ExperimentOptions) (*SMTExperimentResult, error) {
 	return exp.SMT(ctx, o)
 }

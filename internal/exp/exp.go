@@ -28,7 +28,8 @@ import (
 
 // Options controls an experiment run.
 type Options struct {
-	// Benchmarks selects the workloads; empty means all twenty.
+	// Benchmarks selects the workloads; empty means all twenty. SMT
+	// refuses it: Options.SMT picks the study's mix.
 	Benchmarks []string
 	// TimingInsts bounds each timing run (default 400k).
 	TimingInsts uint64

@@ -96,6 +96,22 @@ func TestSMTExperimentOverride(t *testing.T) {
 	}
 }
 
+// TestSMTRefusesBenchmarks: only Options.SMT picks the study's mix, so a
+// Benchmarks list, with or without an -smt mix, is an error naming -smt,
+// and no run starts.
+func TestSMTRefusesBenchmarks(t *testing.T) {
+	testHookBeforeRun = func(name string) { t.Errorf("run %s started", name) }
+	defer func() { testHookBeforeRun = nil }()
+	for _, spec := range []string{"", "comp+comp"} {
+		o := tinySMTOpts()
+		o.Benchmarks = []string{"comp"}
+		o.SMT, _ = ParseSMTSpec(spec)
+		if _, err := SMT(context.Background(), o); err == nil || !strings.Contains(err.Error(), "-smt") {
+			t.Errorf("-smt %q -bench comp: err = %v, want one naming -smt", spec, err)
+		}
+	}
+}
+
 // TestSMTExperimentDeterministic pins cache transparency: with and
 // without a run cache the study produces identical results.
 func TestSMTExperimentDeterministic(t *testing.T) {
