@@ -41,7 +41,7 @@ fuzz:
 
 # cover enforces the total-statement coverage floor CI checks (the value
 # measured when the floor was last raised, minus a small margin).
-COVER_FLOOR ?= 75.4
+COVER_FLOOR ?= 76.1
 cover:
 	$(GO) test -count=1 -coverprofile=cover.out ./...
 	@total=$$($(GO) tool cover -func=cover.out | tail -1 | awk '{print $$3}' | tr -d '%'); \

@@ -8,10 +8,10 @@
 //
 //	-bench comp,gcc,...   benchmarks to run (default: all twenty; -exp smt takes -smt instead)
 //	-bpred NAME           direction-predictor backend (hybrid, h2p, tage; default hybrid)
-//	-smt SPEC             SMT mix override for -exp smt (bench+bench[:policy][:flags])
+//	-smt SPEC             SMT mix override, -exp smt only (bench+bench[:policy][:flags])
 //	-format text|json|csv output format (default text)
 //	-insts N              timing-run instruction budget (0 = library default)
-//	-profinsts N          profiling-run instruction budget (0 = library default)
+//	-profinsts N          profiling-run instruction budget (0 = library default; at most 4294967295)
 //	-j N                  parallel benchmark runs (0 = GOMAXPROCS)
 //	-timeout D            whole-invocation time budget (e.g. 90s; 0 = none)
 //	-trace FILE           write a Chrome trace-event JSON of every timing run (created before any run)
@@ -56,8 +56,12 @@
 // optional fetch policy (rr, icount) and shared-structure flags
 // (pathcache, pcache, uram, pred, all), colon-separated:
 // "gcc+ijpeg:icount:pathcache,uram". -smt is the only way to pick the
-// mix: -exp smt with -bench exits 1. Like shootout, smt is not part of
-// "all".
+// mix: -exp smt with -bench exits 1, and so does -smt with any other
+// experiment, "all" included. Like shootout, smt is not part of "all".
+//
+// A profile's path counters are 32 bits wide, so an experiment that
+// profiles (table1, table2, guided, all) exits 1 before any run when
+// -profinsts is above 4294967295 (pathprof.MaxProfileInsts).
 package main
 
 import (
@@ -83,10 +87,10 @@ func main() {
 	expName := flag.String("exp", "all", "experiment: table1, table2, fig6, fig7, fig8, fig9, perfect, guided, ablations, shootout, smt, all")
 	bench := flag.String("bench", "", "comma-separated benchmark names (default: all; -exp smt takes -smt instead)")
 	bpredName := flag.String("bpred", "", "direction-predictor backend: "+strings.Join(dpbp.PredictorBackends(), ", ")+" (default hybrid)")
-	smtSpec := flag.String("smt", "", "SMT mix override for -exp smt: bench+bench[:policy][:flags]")
+	smtSpec := flag.String("smt", "", "SMT mix override, -exp smt only (any other experiment exits 1): bench+bench[:policy][:flags]")
 	format := flag.String("format", "", "output format: text, json, csv (default text)")
 	insts := flag.Uint64("insts", 0, "timing-run instruction budget (0 = library default)")
-	profInsts := flag.Uint64("profinsts", 0, "profiling-run instruction budget (0 = library default)")
+	profInsts := flag.Uint64("profinsts", 0, "profiling-run instruction budget (0 = library default; at most 4294967295)")
 	jobs := flag.Int("j", 0, "parallel benchmark runs (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "whole-invocation time budget; expired sweeps emit partial results (0 = none)")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of every timing run to this file (created before any run)")

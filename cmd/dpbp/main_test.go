@@ -407,6 +407,58 @@ func TestMainExitOutputFileErrors(t *testing.T) {
 	}
 }
 
+// TestMainExitRefusesBeforeAnyRun: a profiling budget above pathprof's
+// bound, and an -smt mix outside -exp smt, exit 1 with nothing on stdout
+// and an error on stderr that names the bound or -exp smt. The timeout
+// bounds the run that a missed refusal would start.
+func TestMainExitRefusesBeforeAnyRun(t *testing.T) {
+	dir := t.TempDir()
+	stdout, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	savedOut, savedErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = stdout, stderr
+	defer func() { os.Stdout, os.Stderr = savedOut, savedErr }()
+
+	for _, c := range []struct {
+		exp, smt  string
+		profInsts uint64
+		want      string
+	}{
+		{"table1", "", 1 << 32, "MaxProfileInsts (4294967295)"},
+		{"all", "", 1 << 32, "MaxProfileInsts (4294967295)"},
+		{"table1", "comp+comp", 20_000, "-exp smt"},
+		{"fig7", "comp+comp", 20_000, "-exp smt"},
+	} {
+		for _, f := range []*os.File{stdout, stderr} {
+			if err := f.Truncate(0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Seek(0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		code := mainExit(c.exp, "comp", "", c.smt, "", 20_000, c.profInsts, 0, 5*time.Second, obsOpts{}, "", "")
+		out, err := os.ReadFile(stdout.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := os.ReadFile(stderr.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != 1 || len(out) != 0 || !strings.Contains(string(msg), c.want) {
+			t.Errorf("-exp %s -smt %q -profinsts %d: exit %d, %d bytes on stdout, stderr %q; want exit 1, none, and %q",
+				c.exp, c.smt, c.profInsts, code, len(out), msg, c.want)
+		}
+	}
+}
+
 func TestRunObsMetricsSection(t *testing.T) {
 	var b bytes.Buffer
 	err := runObs(context.Background(), &b, "fig7", "json", tiny(), obsOpts{metrics: true})

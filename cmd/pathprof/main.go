@@ -4,6 +4,10 @@
 // Usage:
 //
 //	pathprof -bench gcc [-insts 1000000]
+//
+// -insts may not exceed 4294967295 (pathprof.MaxProfileInsts): a
+// profile's path counters are 32 bits wide, so a larger budget exits 1
+// before the run.
 package main
 
 import (
@@ -17,7 +21,7 @@ import (
 
 func main() {
 	bench := flag.String("bench", "gcc", "benchmark name")
-	insts := flag.Uint64("insts", 1_000_000, "instruction budget")
+	insts := flag.Uint64("insts", 1_000_000, "instruction budget (at most 4294967295)")
 	flag.Parse()
 
 	if err := run(os.Stdout, *bench, *insts); err != nil {
@@ -33,7 +37,11 @@ func run(w io.Writer, bench string, insts uint64) error {
 	if err != nil {
 		return err
 	}
-	p := dpbp.Profile(wl, dpbp.PathProfileConfig{MaxInsts: insts})
+	cfg := dpbp.PathProfileConfig{MaxInsts: insts}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	p := dpbp.Profile(wl, cfg)
 	fmt.Fprintln(w, p)
 
 	fmt.Fprintln(w, "\nPath characterisation (Table 1 slice):")

@@ -32,3 +32,15 @@ func TestRunUnknownBenchmark(t *testing.T) {
 		t.Errorf("failed run wrote output: %q", b.String())
 	}
 }
+
+// TestRunRefusesBudgetAboveBound: a budget the profiler's 32-bit path
+// counters cannot count is an error, not a panic, and prints nothing.
+func TestRunRefusesBudgetAboveBound(t *testing.T) {
+	var b bytes.Buffer
+	if err := run(&b, "comp", 1<<32); err == nil || !strings.Contains(err.Error(), "4294967295") {
+		t.Errorf("run(comp, 1<<32) = %v, want an error naming the bound", err)
+	}
+	if b.Len() != 0 {
+		t.Errorf("refused run wrote output: %q", b.String())
+	}
+}

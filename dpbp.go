@@ -207,6 +207,9 @@ type PathProfile = pathprof.Profile
 type PathProfileConfig = pathprof.Config
 
 // Profile runs the functional path profiler (no timing) over a workload.
+// It panics on a config whose Validate method returns an error: a path
+// length below 1, or a MaxInsts above pathprof.MaxProfileInsts
+// (4294967295), the most its 32-bit path counters count exactly.
 func Profile(w *Workload, cfg PathProfileConfig) *PathProfile {
 	return pathprof.Run(w.Program, cfg)
 }

@@ -12,11 +12,12 @@
 //
 //   - Magic numbers (per package): an integer literal elsewhere in a
 //     package that equals one of that package's distinctive Default*
-//     values (>= 100, e.g. the Table 3 sizes 128, 512, 4096, 8192, or
-//     the 100-cycle build latency) duplicates configuration instead of
-//     reading it: resizing the config would leave the copy behind.
-//     Named constants, const declarations, and the Default*/withDefaults
-//     functions themselves are exempt.
+//     values or package-level constants (>= 100, e.g. the Table 3 sizes
+//     128, 512, 4096, 8192, or the 100-cycle build latency) duplicates
+//     configuration instead of reading it: resizing the config or the
+//     constant would leave the copy behind. Named constants, const
+//     declarations, and the Default*/withDefaults functions themselves
+//     are exempt.
 package configplumb
 
 import (
@@ -207,6 +208,29 @@ func runMagic(pass *analysis.Pass) error {
 			}
 			return true
 		})
+	}
+	// A size that no caller varies is a package constant rather than a
+	// Default* value, and a literal copy of it goes stale the same way.
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					c, ok := pass.TypesInfo.Defs[name].(*types.Const)
+					if !ok || c.Val().Kind() != constant.Int {
+						continue
+					}
+					if v, exact := constant.Int64Val(c.Val()); exact && v >= MinMagic {
+						if _, seen := defaults[v]; !seen {
+							defaults[v] = "const " + name.Name
+						}
+					}
+				}
+			}
+		}
 	}
 	if len(defaults) == 0 {
 		return nil

@@ -33,7 +33,8 @@ type Options struct {
 	Benchmarks []string
 	// TimingInsts bounds each timing run (default 400k).
 	TimingInsts uint64
-	// ProfileInsts bounds each functional profiling run (default 1M).
+	// ProfileInsts bounds each functional profiling run (default 1M, at
+	// most pathprof.MaxProfileInsts).
 	ProfileInsts uint64
 	// Parallelism bounds concurrent benchmark runs (default GOMAXPROCS).
 	Parallelism int
@@ -59,7 +60,7 @@ type Options struct {
 	// SMT, when enabled, overrides the SMT interference study's workload
 	// mix, fetch policy, and sharing flags (the CLI's -smt flag; see
 	// ParseSMTSpec for the spec vocabulary). Only the "smt" experiment
-	// reads it.
+	// reads it; every other experiment refuses an enabled one.
 	SMT cpu.SMTConfig
 }
 
@@ -198,9 +199,14 @@ func rows[T any](ctx context.Context, o Options, names []string,
 // perBench generates the selected programs and runs rows over them, one
 // row per benchmark, named by benchmark. A name listed twice is refused
 // like an unknown one: its rows would count twice in every geomean, and
-// a RunError could not say which copy failed.
+// a RunError could not say which copy failed. Every experiment but SMT
+// runs through perBench, and none of them reads Options.SMT, so an
+// enabled one is refused rather than silently dropped.
 func perBench[T any](ctx context.Context, o Options,
 	row func(ctx context.Context, prog *program.Program) (T, error)) ([]T, []results.RunError, error) {
+	if o.SMT.Enabled() {
+		return nil, nil, fmt.Errorf("exp: only the smt study (-exp smt) reads Options.SMT (-smt)")
+	}
 	for i, name := range o.Benchmarks {
 		if slices.Contains(o.Benchmarks[:i], name) {
 			return nil, nil, fmt.Errorf("exp: benchmark %q listed twice", name)

@@ -10,6 +10,7 @@ import (
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/obs"
+	"dpbp/internal/pathprof"
 	"dpbp/internal/results"
 	"dpbp/internal/runcache"
 	"dpbp/internal/synth"
@@ -29,6 +30,28 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if o.TimingInsts == 0 || o.ProfileInsts == 0 {
 		t.Errorf("defaults not filled: %+v", o)
+	}
+}
+
+// TestProfileBudgetRefusedBeforeAnyRow: a ProfileInsts above
+// pathprof.MaxProfileInsts fails every experiment that profiles, "all"
+// included, with pathprof's error naming the bound, and starts no row,
+// where a row-by-row refusal would end in one error per benchmark. The
+// hook cancels the sweep a missed refusal would start.
+func TestProfileBudgetRefusedBeforeAnyRow(t *testing.T) {
+	defer func() { testHookBeforeRun = nil }()
+	for _, name := range []string{"table1", "table2", "guided", "all"} {
+		c, cancel := context.WithCancel(ctx())
+		testHookBeforeRun = func(row string) {
+			t.Errorf("%s: row %s started", name, row)
+			cancel()
+		}
+		o := quick("comp")
+		o.ProfileInsts = pathprof.MaxProfileInsts + 1
+		if _, err := Collect(c, name, o); err == nil || !strings.Contains(err.Error(), "MaxProfileInsts (4294967295)") {
+			t.Errorf("%s: err = %v, want pathprof's budget error", name, err)
+		}
+		cancel()
 	}
 }
 

@@ -234,3 +234,26 @@ func TestParseSMTSpec(t *testing.T) {
 		}
 	}
 }
+
+// TestOtherExperimentsRefuseSMT: only the smt study reads Options.SMT,
+// so every other experiment, "all" included, refuses an enabled one with
+// an error naming -exp smt, and starts no row. The hook cancels the
+// sweep a missed refusal would start.
+func TestOtherExperimentsRefuseSMT(t *testing.T) {
+	defer func() { testHookBeforeRun = nil }()
+	for _, name := range []string{"table1", "table2", "fig6", "fig7", "fig8", "fig9",
+		"perfect", "guided", "ablations", "shootout", "all"} {
+		c, cancel := context.WithCancel(context.Background())
+		testHookBeforeRun = func(row string) {
+			t.Errorf("%s: row %s started", name, row)
+			cancel()
+		}
+		o := tinySMTOpts()
+		o.Benchmarks = []string{"comp"}
+		o.SMT, _ = ParseSMTSpec("comp+comp")
+		if _, err := Collect(c, name, o); err == nil || !strings.Contains(err.Error(), "-exp smt") {
+			t.Errorf("%s with -smt comp+comp: err = %v, want one naming -exp smt", name, err)
+		}
+		cancel()
+	}
+}

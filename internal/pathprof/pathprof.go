@@ -12,6 +12,7 @@ package pathprof
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"dpbp/internal/bpred"
@@ -20,13 +21,15 @@ import (
 	"dpbp/internal/program"
 )
 
-// pathEntry counts one unique path. Every counted path has occurred at
-// least once, so an entry whose occurrences is 0 is an empty slot of the
-// run's path table.
+// pathEntry counts one unique path in 16 bytes. Every counted path has
+// occurred at least once, so an entry whose occurrences is 0 is an empty
+// slot of the run's path table. A path occurs at most once per
+// terminating branch, and a run executes at most MaxProfileInsts of
+// those, so neither counter can wrap.
 type pathEntry struct {
 	id          path.ID
-	occurrences uint64
-	mispredicts uint64
+	occurrences uint32
+	mispredicts uint32
 }
 
 // mispredicted reports whether the path's terminating branch ever
@@ -72,12 +75,17 @@ type Profile struct {
 	branches []branchStats
 }
 
+// MaxProfileInsts is the largest instruction budget a profiling run
+// takes: the bound that keeps every path's counters exact in 32 bits.
+const MaxProfileInsts uint64 = math.MaxUint32
+
 // Config controls a profiling run.
 type Config struct {
 	// Ns lists the path lengths to classify simultaneously
 	// (the paper uses 4, 10, 16).
 	Ns []int
-	// MaxInsts bounds the functional run.
+	// MaxInsts bounds the functional run; it may not exceed
+	// MaxProfileInsts.
 	MaxInsts uint64
 }
 
@@ -101,10 +109,31 @@ func (c Config) Canonical() Config {
 	return c
 }
 
+// Validate returns the error RunContext returns for cfg before it runs:
+// a path length below 1, or a MaxInsts above MaxProfileInsts. It
+// validates the canonical configuration, so zero fields pass.
+func (c Config) Validate() error {
+	c = c.Canonical()
+	for _, n := range c.Ns {
+		if n < 1 {
+			return fmt.Errorf("pathprof: path length %d is below 1", n)
+		}
+	}
+	if c.MaxInsts > MaxProfileInsts {
+		return fmt.Errorf("pathprof: instruction budget %d exceeds MaxProfileInsts (%d), the most that 32-bit path counters count exactly",
+			c.MaxInsts, MaxProfileInsts)
+	}
+	return nil
+}
+
 // Run profiles prog under cfg, simulating the Table 3 baseline predictor
-// against a fresh functional run.
+// against a fresh functional run. It panics with Validate's error on a
+// config that Validate refuses.
 func Run(prog *program.Program, cfg Config) *Profile {
-	p, _ := RunContext(context.Background(), prog, cfg) // Background is never cancelled
+	p, err := RunContext(context.Background(), prog, cfg) // Background is never cancelled
+	if err != nil {
+		panic(err)
+	}
 	return p
 }
 
@@ -113,10 +142,15 @@ func Run(prog *program.Program, cfg Config) *Profile {
 // microseconds, rarely enough to vanish in the run's cost.
 const ctxCheckInterval = 4096
 
-// RunContext is Run that stops when ctx ends: it polls ctx before the
-// first instruction and every ctxCheckInterval instructions after, and
-// returns no profile and the context's error once ctx has ended.
+// RunContext is Run that returns an error instead of panicking. It
+// returns Validate's error before it allocates anything, and it stops
+// when ctx ends: it polls ctx before the first instruction and every
+// ctxCheckInterval instructions after, and returns no profile and the
+// context's error once ctx has ended.
 func RunContext(ctx context.Context, prog *program.Program, cfg Config) (*Profile, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.Canonical()
 	p := &Profile{Benchmark: prog.Name}
 	branches := make([]branchStats, len(prog.Code)) // indexed by PC
@@ -155,7 +189,7 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (*Profil
 			bs.executions++
 			bs.mispredicts += m
 			for i, tr := range trackers {
-				if tr.Full() && tables[i].add(tr.ID(r.PC), m) {
+				if tr.Full() && tables[i].add(tr.ID(r.PC), uint32(m)) {
 					p.ByN[i].scopeSum += uint64(tr.Scope(r.PC))
 				}
 			}
@@ -198,7 +232,7 @@ func (t *pathTable) home(id path.ID) uint64 {
 
 // add counts one occurrence of id, mispredicted when miss is 1, and
 // reports whether id is new.
-func (t *pathTable) add(id path.ID, miss uint64) bool {
+func (t *pathTable) add(id path.ID, miss uint32) bool {
 	mask := uint64(len(t.slots) - 1)
 	for i := t.home(id); ; i = (i + 1) & mask {
 		e := &t.slots[i]
@@ -274,7 +308,7 @@ func (p *Profile) Table1(thresholds []float64) []Table1Row {
 		row := Table1Row{N: np.N, UniquePaths: np.unique, DifficultAt: map[float64]int{}}
 		for _, e := range np.paths {
 			for _, T := range thresholds {
-				if difficult(e.mispredicts, e.occurrences, T) {
+				if difficult(uint64(e.mispredicts), uint64(e.occurrences), T) {
 					row.DifficultAt[T]++
 				}
 			}
@@ -322,9 +356,9 @@ func (p *Profile) Table2(thresholds []float64) []Table2Row {
 		for _, np := range p.ByN {
 			var miss, exe uint64
 			for _, e := range np.paths {
-				if difficult(e.mispredicts, e.occurrences, T) {
-					miss += e.mispredicts
-					exe += e.occurrences
+				if difficult(uint64(e.mispredicts), uint64(e.occurrences), T) {
+					miss += uint64(e.mispredicts)
+					exe += uint64(e.occurrences)
 				}
 			}
 			row.ByN[np.N] = p.coverage(miss, exe)
@@ -365,11 +399,11 @@ func (p *Profile) DifficultPathIDs(n int, T float64, limit int) []uint64 {
 	}
 	type scored struct {
 		id   path.ID
-		miss uint64
+		miss uint32
 	}
 	var all []scored
 	for _, e := range np.paths {
-		if difficult(e.mispredicts, e.occurrences, T) {
+		if difficult(uint64(e.mispredicts), uint64(e.occurrences), T) {
 			all = append(all, scored{e.id, e.mispredicts})
 		}
 	}

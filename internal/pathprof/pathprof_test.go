@@ -7,7 +7,9 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"dpbp/internal/bpred"
 	"dpbp/internal/emu"
@@ -548,4 +550,70 @@ func TestRunContextCancelledBeforeFirstInstruction(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || p != nil {
 		t.Errorf("RunContext = %v, %v; want no profile and context.Canceled", p, err)
 	}
+}
+
+// TestPathEntryIs16Bytes pins the cell size that sets the profiler's
+// memory: a 64-bit path ID and two 32-bit counters.
+func TestPathEntryIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(pathEntry{}); got != 16 {
+		t.Errorf("pathEntry is %d bytes, want 16", got)
+	}
+}
+
+// TestValidateBounds checks the bound where it lies, without running a
+// profile: MaxProfileInsts is accepted, one instruction more is not, and
+// a zero budget takes the default.
+func TestValidateBounds(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want string // substring of the error; empty means accepted
+	}{
+		{Config{}, ""},
+		{Config{MaxInsts: MaxProfileInsts}, ""},
+		{Config{Ns: []int{1}, MaxInsts: 1}, ""},
+		{Config{MaxInsts: MaxProfileInsts + 1}, "MaxProfileInsts (4294967295)"},
+		{Config{MaxInsts: math.MaxUint64}, "MaxProfileInsts (4294967295)"},
+		{Config{Ns: []int{4, 0, 16}}, "path length 0 is below 1"},
+		{Config{Ns: []int{-3}}, "path length -3 is below 1"},
+	} {
+		err := c.cfg.Validate()
+		if c.want == "" && err != nil {
+			t.Errorf("%+v: Validate = %v, want nil", c.cfg, err)
+		}
+		if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%+v: Validate = %v, want an error containing %q", c.cfg, err, c.want)
+		}
+	}
+}
+
+// TestRunContextRefusesBadConfig checks that RunContext returns
+// Validate's error before it looks at ctx or the program: the context
+// has already ended and the program is empty, so a run that got as far
+// as its first poll would return context.Canceled instead, and one that
+// built its trackers first would panic on the bad path length.
+func TestRunContextRefusesBadConfig(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, cfg := range []Config{
+		{MaxInsts: MaxProfileInsts + 1},
+		{Ns: []int{0}, MaxInsts: 100},
+	} {
+		p, err := RunContext(ctx, &program.Program{Name: "empty"}, cfg)
+		if p != nil || err == nil || errors.Is(err, context.Canceled) || err.Error() != cfg.Validate().Error() {
+			t.Errorf("%+v: RunContext = %v, %v; want no profile and %v", cfg, p, err, cfg.Validate())
+		}
+	}
+}
+
+// TestRunPanicsOnBadConfig checks that Run, which has no error to
+// return, panics with Validate's error.
+func TestRunPanicsOnBadConfig(t *testing.T) {
+	cfg := Config{MaxInsts: MaxProfileInsts + 1}
+	defer func() {
+		err, _ := recover().(error)
+		if err == nil || err.Error() != cfg.Validate().Error() {
+			t.Errorf("Run panicked with %v, want %v", err, cfg.Validate())
+		}
+	}()
+	Run(&program.Program{Name: "empty"}, cfg)
 }

@@ -153,7 +153,7 @@ func (g *rgen) build() *program.Program {
 	b.Label("entry")
 	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: isa.RSP, Imm: isa.Word(StackBase)})
 	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: isa.RGP, Imm: isa.Word(DataBase)})
-	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: regIter, Imm: 1 << 20})
+	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: regIter, Imm: mainLoopIterations})
 	b.Emit(isa.Inst{Op: isa.OpLdi, Dst: regPhase, Imm: 0})
 
 	var included []int

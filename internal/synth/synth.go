@@ -45,6 +45,10 @@ const (
 	StackBase isa.Addr = 1 << 19
 )
 
+// mainLoopIterations is every generated program's main-loop trip count:
+// effectively unbounded, because runs stop at an instruction budget.
+const mainLoopIterations = 1 << 20
+
 // Registers reserved by the generator's calling convention.
 const (
 	regIter  = isa.Reg(4) // main-loop iteration counter
@@ -138,7 +142,7 @@ func Profiles() []Profile {
 		{Name: "vpr_2k", Seed: 2012, Kernels: 12, Bias: 0.50, Footprint: 80 << 10, Mix: Mix(4, 2, 3, 0, 1, 0, 0), LoopLen: 36, Pad: 4},
 	}
 	for i := range ps {
-		ps[i].Iterations = 1 << 20 // effectively unbounded; runs use budgets
+		ps[i].Iterations = mainLoopIterations
 	}
 	return ps
 }
