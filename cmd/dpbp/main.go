@@ -10,8 +10,10 @@
 //	-bpred NAME           direction-predictor backend (hybrid, h2p, tage; default hybrid)
 //	-smt SPEC             SMT mix override, -exp smt only (bench+bench[:policy][:flags])
 //	-format text|json|csv output format (default text)
-//	-insts N              timing-run instruction budget (0 = library default)
-//	-profinsts N          profiling-run instruction budget (0 = library default; at most 4294967295)
+//	-insts N              timing-run instruction budget (0 = library default);
+//	                      read by perfect, fig6-fig9, guided, ablations, shootout, smt, all
+//	-profinsts N          profiling-run instruction budget (0 = library default; at most 4294967295);
+//	                      read by table1, table2, guided, all
 //	-j N                  parallel benchmark runs (0 = GOMAXPROCS)
 //	-timeout D            whole-invocation time budget (e.g. 90s; 0 = none)
 //	-trace FILE           write a Chrome trace-event JSON of every timing run (created before any run)
@@ -59,9 +61,13 @@
 // mix: -exp smt with -bench exits 1, and so does -smt with any other
 // experiment, "all" included. Like shootout, smt is not part of "all".
 //
-// A profile's path counters are 32 bits wide, so an experiment that
-// profiles (table1, table2, guided, all) exits 1 before any run when
-// -profinsts is above 4294967295 (pathprof.MaxProfileInsts).
+// Each experiment reads only the budgets its runs take: -insts sizes the
+// timing runs of perfect, fig6-fig9, guided, ablations, shootout, smt and
+// all, and -profinsts the profiles of table1, table2, guided and all. A
+// budget an experiment does not read is ignored, but a profile's path
+// counters are 32 bits wide, so every experiment, profiling or not,
+// exits 1 before any run when -profinsts is above 4294967295
+// (pathprof.MaxProfileInsts).
 package main
 
 import (
@@ -89,8 +95,8 @@ func main() {
 	bpredName := flag.String("bpred", "", "direction-predictor backend: "+strings.Join(dpbp.PredictorBackends(), ", ")+" (default hybrid)")
 	smtSpec := flag.String("smt", "", "SMT mix override, -exp smt only (any other experiment exits 1): bench+bench[:policy][:flags]")
 	format := flag.String("format", "", "output format: text, json, csv (default text)")
-	insts := flag.Uint64("insts", 0, "timing-run instruction budget (0 = library default)")
-	profInsts := flag.Uint64("profinsts", 0, "profiling-run instruction budget (0 = library default; at most 4294967295)")
+	insts := flag.Uint64("insts", 0, "timing-run instruction budget, read by perfect, fig6-fig9, guided, ablations, shootout, smt and all (0 = library default)")
+	profInsts := flag.Uint64("profinsts", 0, "profiling-run instruction budget, read by table1, table2, guided and all (0 = library default; every experiment refuses one above 4294967295)")
 	jobs := flag.Int("j", 0, "parallel benchmark runs (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "whole-invocation time budget; expired sweeps emit partial results (0 = none)")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of every timing run to this file (created before any run)")

@@ -432,6 +432,7 @@ func TestMainExitRefusesBeforeAnyRun(t *testing.T) {
 	}{
 		{"table1", "", 1 << 32, "MaxProfileInsts (4294967295)"},
 		{"all", "", 1 << 32, "MaxProfileInsts (4294967295)"},
+		{"fig7", "", 1 << 32, "MaxProfileInsts (4294967295)"},
 		{"table1", "comp+comp", 20_000, "-exp smt"},
 		{"fig7", "comp+comp", 20_000, "-exp smt"},
 	} {

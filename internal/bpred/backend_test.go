@@ -67,7 +67,7 @@ func TestHybridBackendMatchesBareHybrid(t *testing.T) {
 		want.Updates++
 		gp, pp := h.G.Predict(pc), h.P.Predict(pc)
 		pred := pp
-		if h.selector[uint64(pc)&h.selMask].taken() {
+		if h.selector.at(uint64(pc) & h.selMask).taken() {
 			want.GshareSelected++
 			pred = gp
 		} else {

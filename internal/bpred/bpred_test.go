@@ -304,3 +304,44 @@ func TestPow2Helpers(t *testing.T) {
 		t.Error("log2 wrong")
 	}
 }
+
+// TestCounterTableMatchesReference drives a packed counter table and a
+// plain []counter2 with the same random updates, a fill (what Reset does)
+// and more updates; every counter must agree after each step. Sizes below
+// four counters leave part of the last byte unused.
+func TestCounterTableMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 4, 64, 1 << 10} {
+		packed := newCounterTable(n, weaklyTaken)
+		ref := make([]counter2, n)
+		for i := range ref {
+			ref[i] = weaklyTaken
+		}
+		check := func(step string) {
+			t.Helper()
+			for i, want := range ref {
+				if got := packed.at(uint64(i)); got != want {
+					t.Fatalf("n=%d %s: counter %d = %d, want %d", n, step, i, got, want)
+				}
+			}
+		}
+		update := func() {
+			for k := 0; k < 20*n; k++ {
+				i := uint64(rng.Intn(n))
+				taken := rng.Intn(3) > 0
+				packed.set(i, packed.at(i).update(taken))
+				ref[i] = ref[i].update(taken)
+			}
+		}
+		check("new")
+		update()
+		check("updated")
+		packed.fill(weaklyTaken)
+		for i := range ref {
+			ref[i] = weaklyTaken
+		}
+		check("reset")
+		update()
+		check("updated after reset")
+	}
+}

@@ -38,3 +38,33 @@ func (c counter2) update(outcome bool) counter2 {
 
 // weaklyTaken is the common initial state for direction counters.
 const weaklyTaken counter2 = 2
+
+// counterTable is a table of 2-bit counters packed four to a byte:
+// counter i is bits 2*(i%4) and 2*(i%4)+1 of byte i/4.
+type counterTable []uint8
+
+// newCounterTable returns a table of n counters, each set to c.
+func newCounterTable(n int, c counter2) counterTable {
+	t := make(counterTable, (n+3)/4)
+	t.fill(c)
+	return t
+}
+
+// at returns counter i.
+func (t counterTable) at(i uint64) counter2 {
+	return counter2(t[i/4]>>(i%4*2)) & 3
+}
+
+// set stores c as counter i.
+func (t counterTable) set(i uint64, c counter2) {
+	sh := i % 4 * 2
+	t[i/4] = t[i/4]&^(3<<sh) | uint8(c)<<sh
+}
+
+// fill sets every counter to c.
+func (t counterTable) fill(c counter2) {
+	b := uint8(c) * 0b01010101
+	for i := range t {
+		t[i] = b
+	}
+}

@@ -3,16 +3,17 @@ package bpred
 import "dpbp/internal/isa"
 
 // Gshare is a global-history XOR-indexed pattern history table of 2-bit
-// counters (McFarling). History is maintained by the caller-visible Update;
-// the simulator trains with resolved outcomes in fetch order, which models
-// a machine with perfectly repaired history checkpoints.
+// counters (McFarling), packed four to a byte. History is maintained by
+// the caller-visible Update; the simulator trains with resolved outcomes
+// in fetch order, which models a machine with perfectly repaired history
+// checkpoints.
 type Gshare struct {
-	pht      []counter2
+	pht      counterTable
 	hist     uint64
 	histBits uint   //dpbp:reset-skip sizing, fixed at construction
 	mask     uint64 //dpbp:reset-skip sizing, fixed at construction
 	// histShift positions the history against the PC in index:
-	// log2(len(pht)) - histBits, fixed at construction.
+	// log2(entries) - histBits, fixed at construction.
 	histShift uint //dpbp:reset-skip sizing, fixed at construction
 }
 
@@ -24,12 +25,8 @@ func NewGshare(entries int) *Gshare {
 	if hb > 16 {
 		hb = 16
 	}
-	g := &Gshare{pht: make([]counter2, n), histBits: hb, mask: uint64(n - 1),
+	return &Gshare{pht: newCounterTable(n, weaklyTaken), histBits: hb, mask: uint64(n - 1),
 		histShift: uint(log2(n)) - hb}
-	for i := range g.pht {
-		g.pht[i] = weaklyTaken
-	}
-	return g
 }
 
 func (g *Gshare) index(pc isa.Addr) uint64 {
@@ -38,14 +35,14 @@ func (g *Gshare) index(pc isa.Addr) uint64 {
 
 // Predict returns the predicted direction for the conditional branch at pc.
 func (g *Gshare) Predict(pc isa.Addr) bool {
-	return g.pht[g.index(pc)].taken()
+	return g.pht.at(g.index(pc)).taken()
 }
 
 // Update trains the entry used for pc and shifts the outcome into the
 // global history.
 func (g *Gshare) Update(pc isa.Addr, taken bool) {
 	i := g.index(pc)
-	g.pht[i] = g.pht[i].update(taken)
+	g.pht.set(i, g.pht.at(i).update(taken))
 	g.shift(taken)
 }
 
@@ -60,10 +57,11 @@ func (g *Gshare) shift(taken bool) {
 
 // PAs is a per-address two-level predictor: a first-level table of local
 // history registers indexed by PC, and a second-level PHT indexed by the
-// local history concatenated with PC bits.
+// local history concatenated with PC bits. Its PHT packs its 2-bit
+// counters four to a byte.
 type PAs struct {
 	localHist []uint16
-	pht       []counter2
+	pht       counterTable
 	histBits  uint   //dpbp:reset-skip sizing, fixed at construction
 	bhtMask   uint64 //dpbp:reset-skip sizing, fixed at construction
 	phtMask   uint64 //dpbp:reset-skip sizing, fixed at construction
@@ -81,17 +79,13 @@ func NewPAs(phtEntries, bhtEntries int) *PAs {
 	if hb < 4 {
 		hb = 4
 	}
-	p := &PAs{
+	return &PAs{
 		localHist: make([]uint16, bn),
-		pht:       make([]counter2, pn),
+		pht:       newCounterTable(pn, weaklyTaken),
 		histBits:  hb,
 		bhtMask:   uint64(bn - 1),
 		phtMask:   uint64(pn - 1),
 	}
-	for i := range p.pht {
-		p.pht[i] = weaklyTaken
-	}
-	return p
 }
 
 func (p *PAs) index(pc isa.Addr) uint64 {
@@ -101,14 +95,14 @@ func (p *PAs) index(pc isa.Addr) uint64 {
 
 // Predict returns the predicted direction for the conditional branch at pc.
 func (p *PAs) Predict(pc isa.Addr) bool {
-	return p.pht[p.index(pc)].taken()
+	return p.pht.at(p.index(pc)).taken()
 }
 
 // Update trains the used entry and shifts the outcome into pc's local
 // history register.
 func (p *PAs) Update(pc isa.Addr, taken bool) {
 	i := p.index(pc)
-	p.pht[i] = p.pht[i].update(taken)
+	p.pht.set(i, p.pht.at(i).update(taken))
 	b := uint64(pc) & p.bhtMask
 	p.localHist[b] <<= 1
 	if taken {
@@ -117,12 +111,12 @@ func (p *PAs) Update(pc isa.Addr, taken bool) {
 }
 
 // Hybrid combines gshare and PAs with a selector table of 2-bit counters
-// (counter high → use gshare). The selector trains only when the two
-// components disagree.
+// (counter high → use gshare), packed four to a byte. The selector trains
+// only when the two components disagree.
 type Hybrid struct {
 	G        *Gshare
 	P        *PAs
-	selector []counter2
+	selector counterTable
 	selMask  uint64 //dpbp:reset-skip sizing, fixed at construction
 
 	Stats HybridStats
@@ -147,23 +141,19 @@ type HybridStats struct {
 // NewHybrid builds the Table 3 configuration scaled by the given sizes.
 func NewHybrid(phtEntries, selEntries int) *Hybrid {
 	n := pow2AtLeast(selEntries)
-	h := &Hybrid{
+	return &Hybrid{
 		G:        NewGshare(phtEntries),
 		P:        NewPAs(phtEntries, phtEntries/32),
-		selector: make([]counter2, n),
+		selector: newCounterTable(n, weaklyTaken), // start trusting gshare
 		selMask:  uint64(n - 1),
 	}
-	for i := range h.selector {
-		h.selector[i] = weaklyTaken // start trusting gshare
-	}
-	return h
 }
 
 // Predict returns the hybrid's direction prediction for pc. It changes
 // no prediction state, only the lookup count.
 func (h *Hybrid) Predict(pc isa.Addr) bool {
 	h.Stats.Lookups++
-	if h.selector[uint64(pc)&h.selMask].taken() {
+	if h.selector.at(uint64(pc) & h.selMask).taken() {
 		return h.G.Predict(pc)
 	}
 	return h.P.Predict(pc)
@@ -178,7 +168,7 @@ func (h *Hybrid) Update(pc isa.Addr, taken bool) {
 	i := uint64(pc) & h.selMask
 	pred := pp
 	h.Stats.Updates++
-	if h.selector[i].taken() {
+	if h.selector.at(i).taken() {
 		h.Stats.GshareSelected++
 		pred = gp
 	} else {
@@ -189,7 +179,7 @@ func (h *Hybrid) Update(pc isa.Addr, taken bool) {
 	}
 	if gp != pp {
 		h.Stats.Disagreements++
-		h.selector[i] = h.selector[i].update(gp == taken)
+		h.selector.set(i, h.selector.at(i).update(gp == taken))
 	}
 	h.G.Update(pc, taken)
 	h.P.Update(pc, taken)

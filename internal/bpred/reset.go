@@ -16,17 +16,13 @@ func (p *Predictor) Reset() {
 func (h *Hybrid) Reset() {
 	h.G.Reset()
 	h.P.Reset()
-	for i := range h.selector {
-		h.selector[i] = weaklyTaken
-	}
+	h.selector.fill(weaklyTaken)
 	h.Stats = HybridStats{}
 }
 
 // Reset reinitialises the PHT to weakly-taken and clears the history.
 func (g *Gshare) Reset() {
-	for i := range g.pht {
-		g.pht[i] = weaklyTaken
-	}
+	g.pht.fill(weaklyTaken)
 	g.hist = 0
 }
 
@@ -36,9 +32,7 @@ func (p *PAs) Reset() {
 	for i := range p.localHist {
 		p.localHist[i] = 0
 	}
-	for i := range p.pht {
-		p.pht[i] = weaklyTaken
-	}
+	p.pht.fill(weaklyTaken)
 }
 
 // Reset invalidates every entry.

@@ -3,68 +3,66 @@ package cpu
 import "fmt"
 
 // calendar tracks per-cycle usage of a shared resource (functional units,
-// L1 read ports) over a sliding horizon. Slots are validated by absolute
-// cycle and a generation number, so the ring can be reused across cycles
-// and across runs without any clearing; scheduling never looks further
-// ahead than memory latency plus queueing, far below the horizon, and
-// earliest/earliest2 panic if that invariant is ever violated rather than
-// silently aliasing the ring.
+// L1 read ports) over a sliding horizon. Each ring slot is one word,
+// cycle<<calendarUsedBits | used: it counts bookings only for the cycle
+// it names, so the ring is reused across cycles without clearing, and a
+// zeroed slot reads as no bookings for any cycle. A cycle must stay below
+// calendarMaxCycle to fit its field; add panics at one that does not.
+// Scheduling never looks further ahead than memory latency plus queueing,
+// far below the horizon, and earliest/earliest2 panic if that invariant
+// is ever violated rather than silently aliasing the ring.
 type calendar struct {
 	limit int
-	// gen distinguishes runs: reset bumps it, instantly invalidating
-	// every slot. Zeroing the two 32K-slot arrays on every reset cost
-	// ~640KB of writes per run pair; the generation check is one extra
-	// compare on a line the slot access already touched.
-	gen     uint64
-	used    []uint16
-	cycle   []uint64
-	slotGen []uint64
+	slots []uint64
 }
 
-const calendarHorizon = 1 << 15
+const (
+	calendarHorizon = 1 << 15
+	// calendarUsedBits holds a slot's booking count; limits are far
+	// smaller (funcUnits, l1Ports).
+	calendarUsedBits = 16
+	// calendarMaxCycle bounds the cycles a slot can name.
+	calendarMaxCycle = 1 << (64 - calendarUsedBits)
+)
 
 func newCalendar(limit int) *calendar {
-	return &calendar{
-		limit:   limit,
-		gen:     1,
-		used:    make([]uint16, calendarHorizon),
-		cycle:   make([]uint64, calendarHorizon),
-		slotGen: make([]uint64, calendarHorizon),
-	}
+	return &calendar{limit: limit, slots: make([]uint64, calendarHorizon)}
 }
 
-// reset invalidates every slot so the calendar can serve another run. A
-// new run's cycle numbers restart from zero, so stale entries could
-// otherwise masquerade as live bookings; bumping the generation retires
-// them all in O(1).
+// reset clears every slot so the calendar can serve another run, whose
+// cycle numbers restart from zero.
 func (c *calendar) reset() {
-	c.gen++
+	clear(c.slots)
 }
 
 func (c *calendar) usedAt(cyc uint64) uint16 {
-	i := cyc % calendarHorizon
-	if c.slotGen[i] != c.gen || c.cycle[i] != cyc {
+	s := c.slots[cyc%calendarHorizon]
+	if s>>calendarUsedBits != cyc {
 		return 0
 	}
-	return c.used[i]
+	return uint16(s)
 }
 
+// add books one slot at cyc. Callers book only below the limit, so the
+// count never carries into the cycle field.
 func (c *calendar) add(cyc uint64) {
-	i := cyc % calendarHorizon
-	if c.slotGen[i] != c.gen || c.cycle[i] != cyc {
-		c.slotGen[i] = c.gen
-		c.cycle[i] = cyc
-		c.used[i] = 0
+	if cyc >= calendarMaxCycle {
+		panic(fmt.Sprintf("cpu: resource calendar cycle %d is beyond its %d-bit cycle field",
+			cyc, 64-calendarUsedBits))
 	}
-	c.used[i]++
+	i := cyc % calendarHorizon
+	if c.slots[i]>>calendarUsedBits != cyc {
+		c.slots[i] = cyc << calendarUsedBits
+	}
+	c.slots[i]++
 }
 
 // remove refunds one slot at cyc (microthread abort). It is a no-op if the
 // slot has already been recycled.
 func (c *calendar) remove(cyc uint64) {
 	i := cyc % calendarHorizon
-	if c.slotGen[i] == c.gen && c.cycle[i] == cyc && c.used[i] > 0 {
-		c.used[i]--
+	if s := c.slots[i]; s>>calendarUsedBits == cyc && uint16(s) > 0 {
+		c.slots[i]--
 	}
 }
 

@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// TestCalendarGenerationReset verifies reset invalidates stale bookings
-// without clearing the arrays: cycle numbers restart at zero and must see
-// an empty calendar.
+// TestCalendarGenerationReset verifies reset invalidates stale bookings:
+// cycle numbers restart at zero and must see an empty calendar.
 func TestCalendarGenerationReset(t *testing.T) {
 	c := newCalendar(2)
 	for cyc := uint64(0); cyc < 100; cyc++ {
@@ -33,7 +32,7 @@ func TestCalendarGenerationReset(t *testing.T) {
 }
 
 // TestCalendarRemoveRespectsGeneration verifies a refund from a previous
-// run (stale generation) cannot corrupt the current one.
+// run cannot corrupt the current one.
 func TestCalendarRemoveRespectsGeneration(t *testing.T) {
 	c := newCalendar(4)
 	c.add(10)
@@ -77,4 +76,47 @@ func TestCalendarHorizonGuard(t *testing.T) {
 	a, b := newCalendar(1), newCalendar(1)
 	book(b, 5) // only the second calendar is full; earliest2 must still stop
 	expectPanic("earliest2", func() { earliest2(a, b, 5) })
+}
+
+// TestCalendarResetFreesEverySlot books every slot of the ring to its
+// limit, resets, and expects the same cycles, which a new run reuses from
+// zero, to be free again.
+func TestCalendarResetFreesEverySlot(t *testing.T) {
+	c := newCalendar(3)
+	for cyc := uint64(0); cyc < calendarHorizon; cyc++ {
+		for i := 0; i < c.limit; i++ {
+			c.add(cyc)
+		}
+	}
+	c.reset()
+	for cyc := uint64(0); cyc < calendarHorizon; cyc++ {
+		if got := c.usedAt(cyc); got != 0 {
+			t.Fatalf("usedAt(%d) = %d after reset, want 0", cyc, got)
+		}
+		if got := c.earliest(cyc); got != cyc {
+			t.Fatalf("earliest(%d) = %d after reset, want %d", cyc, got, cyc)
+		}
+	}
+}
+
+// TestCalendarCycleFieldGuard checks the bound of a slot's cycle field:
+// the last cycle that fits books normally, and the first that does not
+// panics instead of aliasing a lower cycle.
+func TestCalendarCycleFieldGuard(t *testing.T) {
+	c := newCalendar(2)
+	last := uint64(calendarMaxCycle - 1)
+	c.add(last)
+	if got := c.usedAt(last); got != 1 {
+		t.Fatalf("usedAt(%d) = %d, want 1", last, got)
+	}
+	if got := c.usedAt(last % calendarHorizon); got != 0 {
+		t.Fatalf("cycle %d aliases cycle %d", last, last%calendarHorizon)
+	}
+	defer func() {
+		v := recover()
+		if s, ok := v.(string); !ok || !strings.Contains(s, "cycle field") {
+			t.Fatalf("add(%d): panic = %v, want cycle-field message", uint64(calendarMaxCycle), v)
+		}
+	}()
+	c.add(calendarMaxCycle)
 }

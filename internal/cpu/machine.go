@@ -21,8 +21,12 @@ import (
 
 // Machine holds the state of one timing run. A Machine is reusable:
 // Reset rewinds every component for a new (program, config) pair,
-// recycling the large allocations — window ring, resource calendars,
-// predictor tables, cache arrays — that dominate a fresh construction.
+// recycling the large allocations that dominate a fresh construction:
+// the window ring, the resource calendars, the branch predictor's
+// tables, the cache arrays, the value and address predictor tables
+// (resized for each program within their storage) and the emulator's
+// private memory pages (the program's data image is shared, not
+// copied).
 // Obtain reusable instances from NewMachine or a Pool; the package-level
 // Run remains the one-shot convenience path.
 type Machine struct {
@@ -139,11 +143,13 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 	m.cfg = cfg
 	m.prog = prog
 
-	// Components with fixed Table 3 sizes are built once and rewound.
+	// Components with fixed Table 3 sizes are built once and rewound. The
+	// value and address predictors are built once too, and each Reset
+	// sizes them for the program it loads.
 	if fresh {
 		m.em = emu.New(prog)
-		m.vp = vpred.New(vpred.DefaultConfig())
-		m.ap = vpred.New(vpred.DefaultConfig())
+		m.vp = vpred.New(vpred.DefaultConfig(), len(prog.Code))
+		m.ap = vpred.New(vpred.DefaultConfig(), len(prog.Code))
 		m.msys = mem.New(mem.DefaultConfig())
 		m.prb = uthread.NewPRB(prbEntries)
 		m.builder = uthread.NewBuilder(uthread.DefaultBuildConfig(cfg.Pruning))
@@ -163,8 +169,8 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		}
 	} else {
 		m.em.Reset(prog)
-		m.vp.Reset()
-		m.ap.Reset()
+		m.vp.Reset(len(prog.Code))
+		m.ap.Reset(len(prog.Code))
 		m.msys.Reset()
 		m.prb.Reset()
 		m.builder.Reset(uthread.DefaultBuildConfig(cfg.Pruning))

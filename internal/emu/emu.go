@@ -12,6 +12,7 @@ package emu
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dpbp/internal/isa"
@@ -21,15 +22,28 @@ import (
 // pageBits sizes memory pages: 4096 words per page.
 const pageBits = 12
 
+// page is one page of data memory.
+type page = [1 << pageBits]isa.Word
+
 // Memory is a sparse, paged word-addressed data memory. Programs touch a
 // handful of pages (data segment plus stack), so pages live in a small
 // slice scanned linearly, fronted by a one-entry cache of the last page
 // hit; both beat a map's hashing on this access pattern.
+//
+// A page that lies wholly inside the data image Reset loads is not
+// copied: it points into the image, which every emulator of the program
+// shares read-only, and the first Store to it copies it. A page the image
+// only partly covers is copied at Reset.
 type Memory struct {
 	pageAddrs []isa.Addr // page numbers, parallel to pages
-	pages     []*[1 << pageBits]isa.Word
+	pages     []*page
+	image     []bool // image[i]: pages[i] aliases the image, copy before writing
+	// free holds the private pages Reset released, reused before
+	// allocating new ones.
+	free      []*page
 	lastAddr  isa.Addr // page number of the last page hit
-	lastPg    *[1 << pageBits]isa.Word
+	lastPg    *page
+	lastImage bool // lastPg aliases the image
 }
 
 // NewMemory returns an empty memory.
@@ -37,18 +51,72 @@ func NewMemory() *Memory {
 	return &Memory{}
 }
 
-// page returns the page with number pn, or nil if it was never written.
-func (m *Memory) page(pn isa.Addr) *[1 << pageBits]isa.Word {
+// Reset empties the memory and loads image at base, keeping the storage
+// of its private pages for reuse. The memory never writes to image.
+func (m *Memory) Reset(base isa.Addr, image []isa.Word) {
+	for i, pg := range m.pages {
+		if !m.image[i] {
+			m.free = append(m.free, pg)
+		}
+	}
+	m.pageAddrs, m.pages, m.image = m.pageAddrs[:0], m.pages[:0], m.image[:0]
+	m.lastAddr, m.lastPg, m.lastImage = 0, nil, false
+	for i := 0; i < len(image); {
+		addr := base + isa.Addr(i)
+		off := int(addr & (1<<pageBits - 1))
+		n := min(1<<pageBits-off, len(image)-i)
+		if n == 1<<pageBits {
+			m.pageAddrs = append(m.pageAddrs, addr>>pageBits)
+			m.pages = append(m.pages, (*page)(image[i:i+n]))
+			m.image = append(m.image, true)
+		} else {
+			copy(m.writable(addr >> pageBits)[off:], image[i:i+n])
+		}
+		i += n
+	}
+}
+
+// page returns the page with number pn, or nil if the memory holds none.
+func (m *Memory) page(pn isa.Addr) *page {
 	if m.lastPg != nil && pn == m.lastAddr {
 		return m.lastPg
 	}
 	for i, a := range m.pageAddrs {
 		if a == pn {
-			m.lastAddr, m.lastPg = pn, m.pages[i] //dpbp:nonarch last-page lookup cache, not architectural state
+			m.lastAddr, m.lastPg, m.lastImage = pn, m.pages[i], m.image[i] //dpbp:nonarch last-page lookup cache, not architectural state
 			return m.lastPg
 		}
 	}
 	return nil
+}
+
+// writable returns a page with number pn that Store may write: it copies
+// a page that aliases the image, and adds a zeroed page if the memory
+// holds none.
+func (m *Memory) writable(pn isa.Addr) *page {
+	pg := m.newPage()
+	if i := slices.Index(m.pageAddrs, pn); i >= 0 {
+		*pg = *m.pages[i]
+		m.pages[i], m.image[i] = pg, false
+	} else {
+		m.pageAddrs = append(m.pageAddrs, pn)
+		m.pages = append(m.pages, pg)
+		m.image = append(m.image, false)
+	}
+	m.lastAddr, m.lastPg, m.lastImage = pn, pg, false
+	return pg
+}
+
+// newPage returns a zeroed private page, reusing one Reset released.
+func (m *Memory) newPage() *page {
+	n := len(m.free)
+	if n == 0 {
+		return new(page)
+	}
+	pg := m.free[n-1]
+	m.free = m.free[:n-1]
+	*pg = page{}
+	return pg
 }
 
 // Load returns the word at addr (zero if never written).
@@ -62,13 +130,9 @@ func (m *Memory) Load(addr isa.Addr) isa.Word {
 
 // Store writes the word at addr.
 func (m *Memory) Store(addr isa.Addr, v isa.Word) {
-	pn := addr >> pageBits
-	pg := m.page(pn)
-	if pg == nil {
-		pg = new([1 << pageBits]isa.Word)
-		m.pageAddrs = append(m.pageAddrs, pn)
-		m.pages = append(m.pages, pg)
-		m.lastAddr, m.lastPg = pn, pg
+	pg := m.page(addr >> pageBits)
+	if pg == nil || m.lastImage {
+		pg = m.writable(addr >> pageBits)
 	}
 	pg[addr&(1<<pageBits-1)] = v
 }
@@ -198,12 +262,10 @@ func kindOf(in isa.Inst) uint8 {
 
 // New creates a machine with the program loaded: data image installed,
 // SP/GP initialised by the program's own prologue, PC at the entry point.
+// The machine shares p's data image read-only (see Memory).
 func New(p *program.Program) *Machine {
-	m := &Machine{Prog: p, Mem: NewMemory(), pc: p.Entry}
-	for i, w := range p.Data {
-		m.Mem.Store(p.DataBase+isa.Addr(i), w)
-	}
-	m.indexProg()
+	m := &Machine{Mem: NewMemory()}
+	m.Reset(p)
 	return m
 }
 
@@ -357,12 +419,7 @@ func (m *Machine) Run(maxInsts uint64, visit func(*Record) bool) uint64 {
 func (m *Machine) Reset(p *program.Program) {
 	m.Prog = p
 	m.Regs = [isa.NumRegs]isa.Word{}
-	for _, pg := range m.Mem.pages {
-		*pg = [1 << pageBits]isa.Word{}
-	}
-	for i, w := range p.Data {
-		m.Mem.Store(p.DataBase+isa.Addr(i), w)
-	}
+	m.Mem.Reset(p.DataBase, p.Data)
 	m.pc = p.Entry
 	m.seq = 0
 	m.halted = false

@@ -34,7 +34,8 @@ type Options struct {
 	// TimingInsts bounds each timing run (default 400k).
 	TimingInsts uint64
 	// ProfileInsts bounds each functional profiling run (default 1M, at
-	// most pathprof.MaxProfileInsts).
+	// most pathprof.MaxProfileInsts). Every experiment refuses a larger
+	// one before any row starts, whether it profiles or not.
 	ProfileInsts uint64
 	// Parallelism bounds concurrent benchmark runs (default GOMAXPROCS).
 	Parallelism int
@@ -201,11 +202,16 @@ func rows[T any](ctx context.Context, o Options, names []string,
 // like an unknown one: its rows would count twice in every geomean, and
 // a RunError could not say which copy failed. Every experiment but SMT
 // runs through perBench, and none of them reads Options.SMT, so an
-// enabled one is refused rather than silently dropped.
+// enabled one is refused rather than silently dropped. So is a
+// ProfileInsts above pathprof.MaxProfileInsts, by the experiments that
+// profile and by those that do not.
 func perBench[T any](ctx context.Context, o Options,
 	row func(ctx context.Context, prog *program.Program) (T, error)) ([]T, []results.RunError, error) {
 	if o.SMT.Enabled() {
 		return nil, nil, fmt.Errorf("exp: only the smt study (-exp smt) reads Options.SMT (-smt)")
+	}
+	if err := profileConfig(o).Validate(); err != nil {
+		return nil, nil, err
 	}
 	for i, name := range o.Benchmarks {
 		if slices.Contains(o.Benchmarks[:i], name) {

@@ -33,23 +33,63 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// experimentNames lists every experiment Collect runs.
+var experimentNames = []string{"table1", "table2", "fig6", "fig7", "fig8", "fig9",
+	"perfect", "guided", "ablations", "shootout", "smt", "all"}
+
+// budgetOptions returns options for experiment name at profiling budget
+// n: comp, or for smt (which refuses -bench) the comp+comp mix.
+func budgetOptions(name string, n uint64) Options {
+	o := quick("comp")
+	if name == "smt" {
+		o.Benchmarks = nil
+		o.SMT, _ = ParseSMTSpec("comp+comp")
+	}
+	o.ProfileInsts = n
+	return o
+}
+
 // TestProfileBudgetRefusedBeforeAnyRow: a ProfileInsts above
-// pathprof.MaxProfileInsts fails every experiment that profiles, "all"
-// included, with pathprof's error naming the bound, and starts no row,
-// where a row-by-row refusal would end in one error per benchmark. The
-// hook cancels the sweep a missed refusal would start.
+// pathprof.MaxProfileInsts fails every experiment, whether it profiles
+// or not, "all" and smt included, with pathprof's error naming the
+// bound, and starts no row, where a row-by-row refusal would end in one
+// error per benchmark. The hook cancels the sweep a missed refusal would
+// start.
 func TestProfileBudgetRefusedBeforeAnyRow(t *testing.T) {
 	defer func() { testHookBeforeRun = nil }()
-	for _, name := range []string{"table1", "table2", "guided", "all"} {
+	for _, name := range experimentNames {
 		c, cancel := context.WithCancel(ctx())
 		testHookBeforeRun = func(row string) {
 			t.Errorf("%s: row %s started", name, row)
 			cancel()
 		}
-		o := quick("comp")
-		o.ProfileInsts = pathprof.MaxProfileInsts + 1
+		o := budgetOptions(name, pathprof.MaxProfileInsts+1)
 		if _, err := Collect(c, name, o); err == nil || !strings.Contains(err.Error(), "MaxProfileInsts (4294967295)") {
 			t.Errorf("%s: err = %v, want pathprof's budget error", name, err)
+		}
+		cancel()
+	}
+}
+
+// TestProfileBudgetAtBoundAccepted: a ProfileInsts of exactly
+// pathprof.MaxProfileInsts passes every experiment's check and reaches
+// its first row. The hook cancels the sweep there, so no run executes.
+func TestProfileBudgetAtBoundAccepted(t *testing.T) {
+	defer func() { testHookBeforeRun = nil }()
+	for _, name := range experimentNames {
+		c, cancel := context.WithCancel(ctx())
+		started := 0
+		testHookBeforeRun = func(string) {
+			started++
+			cancel()
+		}
+		o := budgetOptions(name, pathprof.MaxProfileInsts)
+		o.Parallelism = 1
+		if _, err := Collect(c, name, o); err != nil {
+			t.Errorf("%s: err = %v, want the budget accepted", name, err)
+		}
+		if started == 0 {
+			t.Errorf("%s: no row started", name)
 		}
 		cancel()
 	}

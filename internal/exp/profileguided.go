@@ -16,14 +16,10 @@ import (
 // 8K Path Cache leaves on the table. Each benchmark is profiled offline,
 // its top difficult paths pre-promoted (n=10, T=.10, up to the 8K
 // MicroRAM capacity), and the full mechanism compared under dynamic vs
-// guided promotion. Like Table1, it refuses a ProfileInsts that pathprof
-// refuses before any row starts.
+// guided promotion.
 func ProfileGuided(ctx context.Context, o Options) (*results.ProfileGuidedResult, error) {
 	o = o.withDefaults()
 	pcfg := pathprof.Config{Ns: []int{10}, MaxInsts: o.ProfileInsts}
-	if err := pcfg.Validate(); err != nil {
-		return nil, err
-	}
 	rows, runErrs, err := perBench(ctx, o, func(ctx context.Context, prog *program.Program) (results.ProfileGuidedRow, error) {
 		prof, err := profileRun(ctx, o, prog, pcfg)
 		if err != nil {

@@ -80,7 +80,9 @@ func coveragePct(r *cpu.Result) float64 {
 // contended-spawn traffic against the machine-wide microcontext budget.
 // Options.SMT, when enabled, overrides the mix list, fetch policy, and
 // the shared variant's flags; it is the only way to pick the mix, so SMT
-// refuses a non-empty Options.Benchmarks. SMT runs are not cached: the
+// refuses a non-empty Options.Benchmarks. Like every experiment, it
+// refuses a ProfileInsts above pathprof.MaxProfileInsts. SMT runs are not
+// cached: the
 // study runs each (mix, sharing) unit once, as one row named
 // "mix/sharing". A failed unit costs only its own variant of its mix,
 // recorded in Errors under the unit's name.
@@ -88,6 +90,9 @@ func SMT(ctx context.Context, o Options) (*results.SMTResult, error) {
 	if len(o.Benchmarks) > 0 {
 		return nil, fmt.Errorf("exp: the smt study takes its mix from Options.SMT (-smt), not Benchmarks (-bench %s)",
 			strings.Join(o.Benchmarks, ","))
+	}
+	if err := profileConfig(o).Validate(); err != nil {
+		return nil, err
 	}
 	o = o.withDefaults()
 	mixes := defaultSMTMixes()

@@ -50,13 +50,9 @@ func table1Cells(rows []pathprof.Table1Row) []results.Table1Cell {
 }
 
 // Table1 runs the functional path profiler over the selected benchmarks.
-// It refuses a ProfileInsts that pathprof refuses before any row starts.
 func Table1(ctx context.Context, o Options) (*results.Table1Result, error) {
 	o = o.withDefaults()
 	cfg := profileConfig(o)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	rows, runErrs, err := perBench(ctx, o, func(ctx context.Context, prog *program.Program) (results.Table1Row, error) {
 		p, err := profileRun(ctx, o, prog, cfg)
 		if err != nil {
@@ -95,13 +91,9 @@ func table2Blocks(rows []pathprof.Table2Row) []results.Table2Block {
 }
 
 // Table2 runs the functional path profiler over the selected benchmarks.
-// It refuses a ProfileInsts that pathprof refuses before any row starts.
 func Table2(ctx context.Context, o Options) (*results.Table2Result, error) {
 	o = o.withDefaults()
 	cfg := profileConfig(o)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	rows, runErrs, err := perBench(ctx, o, func(ctx context.Context, prog *program.Program) (results.Table2Row, error) {
 		p, err := profileRun(ctx, o, prog, cfg)
 		if err != nil {

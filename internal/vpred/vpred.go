@@ -17,7 +17,8 @@ import "dpbp/internal/isa"
 
 // Config sizes a stride predictor.
 type Config struct {
-	// Entries is the table size (rounded up to a power of two).
+	// Entries is the largest table size (rounded up to a power of two);
+	// a predictor for a shorter program takes fewer (see Predictor).
 	Entries int
 	// ConfMax is the confidence saturation value.
 	ConfMax int
@@ -43,10 +44,17 @@ type entry struct {
 	valid  bool
 }
 
-// Predictor is a last-value/stride predictor with confidence.
+// Predictor is a last-value/stride predictor with confidence. Its table
+// is direct-mapped by PC and sized for the program it serves: the
+// smallest power of two that holds every PC of the program, up to
+// cfg.Entries. Each of the program's PCs then maps to the slot the
+// full-size table would give it, so the shorter table leaves out only
+// slots the program never trains. A query for a PC beyond the program (a
+// co-runner's routine under a shared MicroRAM) misses the tag check at
+// either size.
 type Predictor struct {
 	entries []entry
-	mask    uint64 //dpbp:reset-skip sizing, fixed at construction
+	mask    uint64
 	cfg     Config //dpbp:reset-skip configuration, fixed at construction
 
 	// Stats.
@@ -56,13 +64,13 @@ type Predictor struct {
 	Confidents uint64
 }
 
-// New returns a predictor sized by cfg.
-func New(cfg Config) *Predictor {
-	n := 1
-	for n < cfg.Entries {
-		n *= 2
-	}
-	return &Predictor{entries: make([]entry, n), mask: uint64(n - 1), cfg: cfg}
+// New returns a predictor for a program of pcs instructions, sized by
+// cfg (see Predictor). Train must see only PCs below pcs, unless pcs is
+// at least cfg.Entries.
+func New(cfg Config, pcs int) *Predictor {
+	p := &Predictor{cfg: cfg}
+	p.Reset(pcs)
+	return p
 }
 
 func (p *Predictor) at(pc isa.Addr) *entry {
