@@ -42,7 +42,7 @@ fuzz:
 
 # cover enforces the total-statement coverage floor CI checks (the value
 # measured when the floor was last raised, minus a small margin).
-COVER_FLOOR ?= 76.6
+COVER_FLOOR ?= 76.9
 cover:
 	$(GO) test -count=1 -coverprofile=cover.out ./...
 	@total=$$($(GO) tool cover -func=cover.out | tail -1 | awk '{print $$3}' | tr -d '%'); \

@@ -14,8 +14,8 @@
 //	                      read by perfect, fig6-fig9, guided, ablations, shootout, smt, all
 //	-profinsts N          profiling-run instruction budget (0 = library default; at most 4294967295);
 //	                      read by table1, table2, guided, all
-//	-j N                  parallel benchmark runs (0 = GOMAXPROCS)
-//	-timeout D            whole-invocation time budget (e.g. 90s; 0 = none)
+//	-j N                  parallel benchmark runs (0 = GOMAXPROCS; negative is refused)
+//	-timeout D            whole-invocation time budget (e.g. 90s; 0 = none; negative is refused)
 //	-trace FILE           write a Chrome trace-event JSON of every timing run (created before any run)
 //	-metrics              append a metrics section (unified counters/histograms)
 //	-cpuprofile FILE      write a CPU profile of the whole invocation
@@ -67,7 +67,8 @@
 // budget an experiment does not read is ignored, but a profile's path
 // counters are 32 bits wide, so every experiment, profiling or not,
 // exits 1 before any run when -profinsts is above 4294967295
-// (pathprof.MaxProfileInsts).
+// (pathprof.MaxProfileInsts). So does a negative -timeout or -j: 0 is
+// how to ask for no time budget or for GOMAXPROCS runs.
 package main
 
 import (
@@ -97,8 +98,8 @@ func main() {
 	format := flag.String("format", "", "output format: text, json, csv (default text)")
 	insts := flag.Uint64("insts", 0, "timing-run instruction budget, read by perfect, fig6-fig9, guided, ablations, shootout, smt and all (0 = library default)")
 	profInsts := flag.Uint64("profinsts", 0, "profiling-run instruction budget, read by table1, table2, guided and all (0 = library default; every experiment refuses one above 4294967295)")
-	jobs := flag.Int("j", 0, "parallel benchmark runs (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "whole-invocation time budget; expired sweeps emit partial results (0 = none)")
+	jobs := flag.Int("j", 0, "parallel benchmark runs (0 = GOMAXPROCS; negative is refused)")
+	timeout := flag.Duration("timeout", 0, "whole-invocation time budget; expired sweeps emit partial results (0 = none; negative is refused)")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of every timing run to this file (created before any run)")
 	metrics := flag.Bool("metrics", false, "append a metrics section (unified counters and histograms)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
@@ -123,11 +124,20 @@ type obsOpts struct {
 func (o obsOpts) enabled() bool { return o.traceFile != "" || o.metrics }
 
 // mainExit is main minus os.Exit, so profile writers run via defer before
-// the process terminates. Both profile files are opened before any
-// experiment runs, so a bad path fails the invocation before it prints
-// anything, and a profile that cannot be written at exit sets status 1.
+// the process terminates. A negative -timeout or -j is refused first.
+// Both profile files are opened before any experiment runs, so a bad path
+// fails the invocation before it prints anything, and a profile that
+// cannot be written at exit sets status 1.
 func mainExit(expName, bench, bpredName, smtSpec, format string, insts, profInsts uint64, jobs int,
 	timeout time.Duration, oo obsOpts, cpuProfile, memProfile string) (code int) {
+	if timeout < 0 {
+		fmt.Fprintf(os.Stderr, "dpbp: -timeout %v is negative (0 means no time budget)\n", timeout)
+		return 1
+	}
+	if jobs < 0 {
+		fmt.Fprintf(os.Stderr, "dpbp: -j %d is negative (0 means GOMAXPROCS)\n", jobs)
+		return 1
+	}
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)
 		if err != nil {

@@ -428,13 +428,18 @@ func TestMainExitRefusesBeforeAnyRun(t *testing.T) {
 	for _, c := range []struct {
 		exp, smt  string
 		profInsts uint64
+		jobs      int
+		timeout   time.Duration
 		want      string
 	}{
-		{"table1", "", 1 << 32, "MaxProfileInsts (4294967295)"},
-		{"all", "", 1 << 32, "MaxProfileInsts (4294967295)"},
-		{"fig7", "", 1 << 32, "MaxProfileInsts (4294967295)"},
-		{"table1", "comp+comp", 20_000, "-exp smt"},
-		{"fig7", "comp+comp", 20_000, "-exp smt"},
+		{"table1", "", 1 << 32, 0, 5 * time.Second, "MaxProfileInsts (4294967295)"},
+		{"all", "", 1 << 32, 0, 5 * time.Second, "MaxProfileInsts (4294967295)"},
+		{"fig7", "", 1 << 32, 0, 5 * time.Second, "MaxProfileInsts (4294967295)"},
+		{"table1", "comp+comp", 20_000, 0, 5 * time.Second, "-exp smt"},
+		{"fig7", "comp+comp", 20_000, 0, 5 * time.Second, "-exp smt"},
+		{"fig7", "", 20_000, 0, -time.Second, "-timeout"},
+		{"fig7", "", 20_000, -1, 5 * time.Second, "-j"},
+		{"table1", "", 20_000, -3, 0, "-j"},
 	} {
 		for _, f := range []*os.File{stdout, stderr} {
 			if err := f.Truncate(0); err != nil {
@@ -444,7 +449,7 @@ func TestMainExitRefusesBeforeAnyRun(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		code := mainExit(c.exp, "comp", "", c.smt, "", 20_000, c.profInsts, 0, 5*time.Second, obsOpts{}, "", "")
+		code := mainExit(c.exp, "comp", "", c.smt, "", 20_000, c.profInsts, c.jobs, c.timeout, obsOpts{}, "", "")
 		out, err := os.ReadFile(stdout.Name())
 		if err != nil {
 			t.Fatal(err)
@@ -454,8 +459,8 @@ func TestMainExitRefusesBeforeAnyRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if code != 1 || len(out) != 0 || !strings.Contains(string(msg), c.want) {
-			t.Errorf("-exp %s -smt %q -profinsts %d: exit %d, %d bytes on stdout, stderr %q; want exit 1, none, and %q",
-				c.exp, c.smt, c.profInsts, code, len(out), msg, c.want)
+			t.Errorf("-exp %s -smt %q -profinsts %d -j %d -timeout %v: exit %d, %d bytes on stdout, stderr %q; want exit 1, none, and %q",
+				c.exp, c.smt, c.profInsts, c.jobs, c.timeout, code, len(out), msg, c.want)
 		}
 	}
 }

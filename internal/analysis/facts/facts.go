@@ -19,9 +19,11 @@
 // become edges, and calls inside nested function literals are attributed
 // to the enclosing declaration. What it cannot see are dynamic calls
 // through function-typed variables and struct fields (e.g. uthread.Env's
-// closures) and interface dispatch; those edges simply do not exist,
-// which is why the dynamic oracle (DESIGN.md §12) remains the backstop
-// for properties the static encoding cannot close.
+// closures, which only the functional reference uthread.Execute calls)
+// and interface dispatch (e.g. the bpred.Backend direction predictors);
+// those edges simply do not exist, which is why the dynamic oracle
+// (DESIGN.md §12) remains the backstop for properties the static
+// encoding cannot close.
 package facts
 
 import (

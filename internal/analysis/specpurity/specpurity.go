@@ -23,10 +23,13 @@
 //
 // Reachability runs over the facts.BuildCallGraph approximation: static
 // calls plus named-function references, with dynamic calls through
-// func-valued fields (uthread.Env's closures) invisible. That blind spot
-// is deliberate and safe in direction: the closures are constructed by
-// non-speculative code (cpu.Machine.Reset) and read — never write — the
-// emulator; the dynamic oracle still checks every run end to end.
+// func-valued fields and interfaces invisible. The SSMT core's spawn
+// makes no such call: cpu.Machine.spawn runs each routine instruction
+// through uthread's Routine.Step and reads the emulator's registers and
+// memory and the value and address predictors directly, so the whole
+// spawn path is in the graph and checked. uthread.Env's closures serve
+// only uthread.Execute, the functional reference the builder's tests
+// call; the dynamic oracle still checks every run end to end.
 package specpurity
 
 import (

@@ -12,11 +12,15 @@ import (
 // calls Predict at fetch and Update with the resolved outcome, paired
 // one-to-one per conditional branch in fetch order with no backend
 // state change in between; Update may therefore re-derive the
-// prediction to classify its own outcome. Each backend counts its own
-// statistics, which Predictor.BackendStats reports.
+// prediction to classify its own outcome. Resolve is that pair in one
+// call: it returns what Predict would have returned and leaves the
+// backend, statistics included, as Update would have, deriving the
+// prediction once. Each backend counts its own statistics, which
+// Predictor.BackendStats reports.
 type Backend interface {
 	Predict(pc isa.Addr) bool
 	Update(pc isa.Addr, taken bool)
+	Resolve(pc isa.Addr, taken bool) bool
 	Reset()
 }
 

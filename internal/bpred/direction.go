@@ -42,7 +42,13 @@ func (g *Gshare) Predict(pc isa.Addr) bool {
 // global history.
 func (g *Gshare) Update(pc isa.Addr, taken bool) {
 	i := g.index(pc)
-	g.pht.set(i, g.pht.at(i).update(taken))
+	g.train(i, g.pht.at(i), taken)
+}
+
+// train stores counter i, which holds c, trained toward the outcome, and
+// shifts the outcome into the global history.
+func (g *Gshare) train(i uint64, c counter2, taken bool) {
+	g.pht.set(i, c.update(taken))
 	g.shift(taken)
 }
 
@@ -88,22 +94,31 @@ func NewPAs(phtEntries, bhtEntries int) *PAs {
 	}
 }
 
-func (p *PAs) index(pc isa.Addr) uint64 {
-	h := uint64(p.localHist[uint64(pc)&p.bhtMask]) & ((1 << p.histBits) - 1)
-	return ((uint64(pc) << p.histBits) | h) & p.phtMask
+// index returns pc's local-history register b and its PHT counter i,
+// reading the register once.
+func (p *PAs) index(pc isa.Addr) (b, i uint64) {
+	b = uint64(pc) & p.bhtMask
+	h := uint64(p.localHist[b]) & ((1 << p.histBits) - 1)
+	return b, ((uint64(pc) << p.histBits) | h) & p.phtMask
 }
 
 // Predict returns the predicted direction for the conditional branch at pc.
 func (p *PAs) Predict(pc isa.Addr) bool {
-	return p.pht.at(p.index(pc)).taken()
+	_, i := p.index(pc)
+	return p.pht.at(i).taken()
 }
 
 // Update trains the used entry and shifts the outcome into pc's local
 // history register.
 func (p *PAs) Update(pc isa.Addr, taken bool) {
-	i := p.index(pc)
-	p.pht.set(i, p.pht.at(i).update(taken))
-	b := uint64(pc) & p.bhtMask
+	b, i := p.index(pc)
+	p.train(b, i, p.pht.at(i), taken)
+}
+
+// train stores counter i, which holds c, trained toward the outcome, and
+// shifts the outcome into local-history register b.
+func (p *PAs) train(b, i uint64, c counter2, taken bool) {
+	p.pht.set(i, c.update(taken))
 	p.localHist[b] <<= 1
 	if taken {
 		p.localHist[b] |= 1
@@ -163,12 +178,28 @@ func (h *Hybrid) Predict(pc isa.Addr) bool {
 // whether the prediction was right, then trains both components, and the
 // selector toward whichever component was right when they disagreed.
 func (h *Hybrid) Update(pc isa.Addr, taken bool) {
-	gp := h.G.Predict(pc)
-	pp := h.P.Predict(pc)
+	h.update(pc, taken)
+}
+
+// Resolve is Predict followed by Update, computing the gshare index, the
+// PAs index (one local-history read) and the selector index once. It
+// returns the prediction Predict would have returned.
+func (h *Hybrid) Resolve(pc isa.Addr, taken bool) bool {
+	h.Stats.Lookups++
+	return h.update(pc, taken)
+}
+
+// update is Update, returning the prediction the hybrid made.
+func (h *Hybrid) update(pc isa.Addr, taken bool) bool {
+	gi := h.G.index(pc)
+	pb, pi := h.P.index(pc)
+	gc, pc2 := h.G.pht.at(gi), h.P.pht.at(pi)
+	gp, pp := gc.taken(), pc2.taken()
 	i := uint64(pc) & h.selMask
+	sel := h.selector.at(i)
 	pred := pp
 	h.Stats.Updates++
-	if h.selector.at(i).taken() {
+	if sel.taken() {
 		h.Stats.GshareSelected++
 		pred = gp
 	} else {
@@ -179,10 +210,11 @@ func (h *Hybrid) Update(pc isa.Addr, taken bool) {
 	}
 	if gp != pp {
 		h.Stats.Disagreements++
-		h.selector.set(i, h.selector.at(i).update(gp == taken))
+		h.selector.set(i, sel.update(gp == taken))
 	}
-	h.G.Update(pc, taken)
-	h.P.Update(pc, taken)
+	h.G.train(gi, gc, taken)
+	h.P.train(pb, pi, pc2, taken)
+	return pred
 }
 
 // pow2AtLeast returns the smallest power of two >= n (at least 1).

@@ -95,11 +95,14 @@ type Stats struct {
 // Base is the direction predictor the side predictor wraps. Predict
 // must not change prediction state (it may count the lookup), because
 // the update path re-derives the prediction; Update owns all state
-// evolution. The bpred.Hybrid direction predictor satisfies this
-// contract; its own statistics are never reported under this backend.
+// evolution, and Resolve is Predict followed by Update in one call,
+// returning the prediction. The bpred.Hybrid direction predictor
+// satisfies this contract; its own statistics are never reported under
+// this backend.
 type Base interface {
 	Predict(pc isa.Addr) bool
 	Update(pc isa.Addr, taken bool)
+	Resolve(pc isa.Addr, taken bool) bool
 	Reset()
 }
 
@@ -235,8 +238,12 @@ type decision struct {
 // the base's Predict leaves it alone by contract, and the filter/side
 // reads are pure.
 func (p *Predictor) decide(pc isa.Addr) decision {
-	d := decision{basePred: p.base.Predict(pc)}
-	d.pred = d.basePred
+	return p.decideFrom(pc, p.base.Predict(pc))
+}
+
+// decideFrom is decide given the base predictor's prediction.
+func (p *Predictor) decideFrom(pc isa.Addr, basePred bool) decision {
+	d := decision{basePred: basePred, pred: basePred}
 	if p.filter.IsH2P(pc) {
 		d.h2p = true
 		c := p.side[p.sideIndex(pc)]
@@ -259,7 +266,26 @@ func (p *Predictor) Predict(pc isa.Addr) bool {
 // branches, feeds the filter the base's outcome, advances the side
 // history, and finally trains the base.
 func (p *Predictor) Update(pc isa.Addr, taken bool) {
-	d := p.decide(pc)
+	p.train(pc, p.decide(pc), taken)
+	p.base.Update(pc, taken)
+}
+
+// Resolve is Predict followed by Update in one pass: the base resolves
+// first (its training reads none of the side state), and its prediction
+// feeds the same decision and side training. It returns the prediction
+// Predict would have returned. The base's own statistics, which this
+// backend never reports, count one lookup per branch here and two under
+// Predict and Update.
+func (p *Predictor) Resolve(pc isa.Addr, taken bool) bool {
+	p.Stats.Lookups++
+	d := p.decideFrom(pc, p.base.Resolve(pc, taken))
+	p.train(pc, d, taken)
+	return d.pred
+}
+
+// train is Update's own part, given the branch's decision: the side
+// table, the filter and the side history. The base trains separately.
+func (p *Predictor) train(pc isa.Addr, d decision, taken bool) {
 	p.Stats.Updates++
 	if d.h2p {
 		p.Stats.H2PBranches++
@@ -280,7 +306,6 @@ func (p *Predictor) Update(pc isa.Addr, taken bool) {
 	}
 	p.filter.Observe(pc, d.basePred != taken)
 	p.hist = (p.hist<<1 | b2u(taken)) & p.histMask
-	p.base.Update(pc, taken)
 }
 
 func b2u(b bool) uint64 {

@@ -147,6 +147,27 @@ func (p *Predictor) Predict(pc isa.Addr, in isa.Inst) Prediction {
 	return Prediction{Taken: false, Target: pc + 1}
 }
 
+// Resolve is Predict followed by Update for the branch in at pc with the
+// resolved outcome (taken, target): it returns the prediction and whether
+// it missed, and leaves the predictor and its statistics as the pair
+// would. A conditional branch's direction backend resolves in one call.
+func (p *Predictor) Resolve(pc isa.Addr, in isa.Inst, taken bool, target isa.Addr) (Prediction, bool) {
+	if !in.IsCondBranch() {
+		pr := p.Predict(pc, in)
+		return pr, p.Update(pc, in, pr, taken, target)
+	}
+	pr := Prediction{Taken: p.Dir.Resolve(pc, taken), Target: in.Target}
+	p.Stats.CondPredicted++
+	miss := pr.Taken != taken
+	if miss {
+		p.Stats.CondMispredicted++
+	}
+	if taken {
+		p.BTB.Update(pc, target)
+	}
+	return pr, miss
+}
+
 // Update trains the predictor with the resolved outcome and records
 // statistics. pred must be the value Predict returned for this instance.
 // It reports whether the branch was mispredicted.

@@ -305,8 +305,9 @@ func (p *Predictor) bit(i int) uint64 {
 // for the same branch (the simulator trains in fetch order, with no
 // state change between the pair).
 type lookup struct {
-	provider     int // tagged table index; -1 = bimodal
-	alt          int // alternate table index; -1 = bimodal
+	provider     int    // tagged table index; -1 = bimodal
+	alt          int    // alternate table index; -1 = bimodal
+	providerIdx  uint64 // the provider's entry index in its table
 	providerPred bool
 	altPred      bool
 	pred         bool
@@ -315,15 +316,17 @@ type lookup struct {
 
 func (p *Predictor) lookup(pc isa.Addr) lookup {
 	lk := lookup{provider: -1, alt: -1}
+	var altIdx uint64
 	for i := len(p.tables) - 1; i >= 0; i-- {
 		t := &p.tables[i]
-		if t.entries[t.index(pc)].tag != t.tag(pc) {
+		idx := t.index(pc)
+		if t.entries[idx].tag != t.tag(pc) {
 			continue
 		}
 		if lk.provider < 0 {
-			lk.provider = i
+			lk.provider, lk.providerIdx = i, idx
 		} else {
-			lk.alt = i
+			lk.alt, altIdx = i, idx
 			break
 		}
 	}
@@ -334,12 +337,10 @@ func (p *Predictor) lookup(pc isa.Addr) lookup {
 		lk.pred = bimodalPred
 		return lk
 	}
-	pt := &p.tables[lk.provider]
-	pe := &pt.entries[pt.index(pc)]
+	pe := &p.tables[lk.provider].entries[lk.providerIdx]
 	lk.providerPred = pe.ctr.taken()
 	if lk.alt >= 0 {
-		at := &p.tables[lk.alt]
-		lk.altPred = at.entries[at.index(pc)].ctr.taken()
+		lk.altPred = p.tables[lk.alt].entries[altIdx].ctr.taken()
 	} else {
 		lk.altPred = bimodalPred
 	}
@@ -364,8 +365,21 @@ func (p *Predictor) Predict(pc isa.Addr) bool {
 // allocation on a misprediction, periodic usefulness decay, and the
 // history shift.
 func (p *Predictor) Update(pc isa.Addr, taken bool) {
-	p.Stats.Updates++
+	p.update(pc, p.lookup(pc), taken)
+}
+
+// Resolve is Predict followed by Update, with one lookup: it returns the
+// prediction Predict would have returned and trains as Update would.
+func (p *Predictor) Resolve(pc isa.Addr, taken bool) bool {
+	p.Stats.Lookups++
 	lk := p.lookup(pc)
+	p.update(pc, lk, taken)
+	return lk.pred
+}
+
+// update is Update given the branch's lookup.
+func (p *Predictor) update(pc isa.Addr, lk lookup, taken bool) {
+	p.Stats.Updates++
 	if lk.pred == taken {
 		p.Stats.Correct++
 	} else {
@@ -381,8 +395,7 @@ func (p *Predictor) Update(pc isa.Addr, taken bool) {
 	}
 
 	if lk.provider >= 0 {
-		pt := &p.tables[lk.provider]
-		pe := &pt.entries[pt.index(pc)]
+		pe := &p.tables[lk.provider].entries[lk.providerIdx]
 		// Train the use-alt chooser on branches where the weak new
 		// provider and the alternate actually disagreed.
 		if pe.u == 0 && pe.ctr.weak() && lk.providerPred != lk.altPred {

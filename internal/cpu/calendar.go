@@ -7,13 +7,15 @@ import "fmt"
 // cycle<<calendarUsedBits | used: it counts bookings only for the cycle
 // it names, so the ring is reused across cycles without clearing, and a
 // zeroed slot reads as no bookings for any cycle. A cycle must stay below
-// calendarMaxCycle to fit its field; add panics at one that does not.
+// calendarMaxCycle to fit its field; a booking panics at one that does not.
 // Scheduling never looks further ahead than memory latency plus queueing,
 // far below the horizon, and earliest/earliest2 panic if that invariant
 // is ever violated rather than silently aliasing the ring.
 type calendar struct {
 	limit int
-	slots []uint64
+	// slots is an array, not a slice, so indexing it by a cycle modulo
+	// the horizon needs no bounds check.
+	slots *[calendarHorizon]uint64
 }
 
 const (
@@ -26,35 +28,33 @@ const (
 )
 
 func newCalendar(limit int) *calendar {
-	return &calendar{limit: limit, slots: make([]uint64, calendarHorizon)}
+	return &calendar{limit: limit, slots: new([calendarHorizon]uint64)}
 }
 
 // reset clears every slot so the calendar can serve another run, whose
 // cycle numbers restart from zero.
 func (c *calendar) reset() {
-	clear(c.slots)
+	clear(c.slots[:])
 }
 
-func (c *calendar) usedAt(cyc uint64) uint16 {
-	s := c.slots[cyc%calendarHorizon]
-	if s>>calendarUsedBits != cyc {
-		return 0
+// word returns the slot word for cyc: the stored word when the slot names
+// cyc, else a word naming cyc with no bookings. For a cycle beyond the
+// cycle field that fresh word would alias a lower cycle, so every booking
+// passes checkCycle first.
+func (c *calendar) word(cyc uint64) uint64 {
+	if s := c.slots[cyc%calendarHorizon]; s>>calendarUsedBits == cyc {
+		return s
 	}
-	return uint16(s)
+	return cyc << calendarUsedBits
 }
 
-// add books one slot at cyc. Callers book only below the limit, so the
-// count never carries into the cycle field.
-func (c *calendar) add(cyc uint64) {
+// checkCycle panics at a cycle beyond the slot's cycle field instead of
+// letting its booking alias a lower cycle.
+func checkCycle(cyc uint64) {
 	if cyc >= calendarMaxCycle {
 		panic(fmt.Sprintf("cpu: resource calendar cycle %d is beyond its %d-bit cycle field",
 			cyc, 64-calendarUsedBits))
 	}
-	i := cyc % calendarHorizon
-	if c.slots[i]>>calendarUsedBits != cyc {
-		c.slots[i] = cyc << calendarUsedBits
-	}
-	c.slots[i]++
 }
 
 // remove refunds one slot at cyc (microthread abort). It is a no-op if the
@@ -81,27 +81,39 @@ func (c *calendar) checkHorizon(cyc, ready uint64) {
 }
 
 // earliest returns the first cycle at or after ready with a free slot,
-// and books it.
+// and books it. Each probed slot is read once and the booked one written
+// once.
 func (c *calendar) earliest(ready uint64) uint64 {
+	limit := uint16(c.limit)
 	cyc := ready
-	for c.usedAt(cyc) >= uint16(c.limit) {
+	for {
+		if w := c.word(cyc); uint16(w) < limit {
+			checkCycle(cyc)
+			c.slots[cyc%calendarHorizon] = w + 1
+			return cyc
+		}
 		cyc++
 		c.checkHorizon(cyc, ready)
 	}
-	c.add(cyc)
-	return cyc
 }
 
 // earliest2 books a slot in both calendars at the first cycle at or after
 // ready where both have capacity (loads need a functional unit and an L1
-// port in the same cycle).
+// port in the same cycle), reading and writing each slot once.
 func earliest2(a, b *calendar, ready uint64) uint64 {
+	la, lb := uint16(a.limit), uint16(b.limit)
 	cyc := ready
-	for a.usedAt(cyc) >= uint16(a.limit) || b.usedAt(cyc) >= uint16(b.limit) {
+	for {
+		if wa := a.word(cyc); uint16(wa) < la {
+			if wb := b.word(cyc); uint16(wb) < lb {
+				checkCycle(cyc)
+				i := cyc % calendarHorizon
+				a.slots[i] = wa + 1
+				b.slots[i] = wb + 1
+				return cyc
+			}
+		}
 		cyc++
 		a.checkHorizon(cyc, ready)
 	}
-	a.add(cyc)
-	b.add(cyc)
-	return cyc
 }

@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// usedAt returns the bookings at cyc.
+func (c *calendar) usedAt(cyc uint64) uint16 { return uint16(c.word(cyc)) }
+
+// add books one slot at cyc, as earliest does when cyc has room. Tests
+// book below the limit, so the count never carries into the cycle field.
+func (c *calendar) add(cyc uint64) {
+	checkCycle(cyc)
+	c.slots[cyc%calendarHorizon] = c.word(cyc) + 1
+}
+
 // TestCalendarGenerationReset verifies reset invalidates stale bookings:
 // cycle numbers restart at zero and must see an empty calendar.
 func TestCalendarGenerationReset(t *testing.T) {

@@ -51,11 +51,10 @@ type Machine struct {
 	uram      *uthread.MicroRAM
 	predCache *pcache.Cache
 
-	// uenv is the microthreads' view of the machine, built once per
-	// Machine: its closures read the current components through m, so
-	// spawns share it instead of allocating an Env (and four closures)
-	// each.
-	uenv uthread.Env
+	// uvals holds the value each instruction of the spawning routine
+	// produced, indexed by slot. A spawn writes every slot before a
+	// later one reads it, so the buffer is reused without clearing.
+	uvals []isa.Word //dpbp:reset-skip scratch: a spawn writes each slot before reading it
 
 	builderFreeAt uint64
 	promoted      map[path.ID]struct{} // ModePerfectPromoted's promoted set
@@ -151,28 +150,18 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		m.vp = vpred.New(vpred.DefaultConfig(), len(prog.Code))
 		m.ap = vpred.New(vpred.DefaultConfig(), len(prog.Code))
 		m.msys = mem.New(mem.DefaultConfig())
-		m.prb = uthread.NewPRB(prbEntries)
+		m.prb = uthread.NewPRB(prbEntries, prog.Code)
 		m.builder = uthread.NewBuilder(uthread.DefaultBuildConfig(cfg.Pruning))
 		m.fus = newCalendar(funcUnits)
 		m.ports = newCalendar(l1Ports)
 		m.promoted = make(map[path.ID]struct{})
 		m.prePromoted = make(map[path.ID]struct{})
-		m.uenv = uthread.Env{
-			ReadReg: func(r isa.Reg) isa.Word { return m.em.Reg(r) },
-			LoadMem: func(a isa.Addr) isa.Word { return m.em.Mem.Load(a) },
-			PredictValue: func(pc isa.Addr, ahead int) (isa.Word, bool) {
-				return m.vp.Predict(pc, ahead)
-			},
-			PredictAddr: func(pc isa.Addr, ahead int) (isa.Word, bool) {
-				return m.ap.Predict(pc, ahead)
-			},
-		}
 	} else {
 		m.em.Reset(prog)
 		m.vp.Reset(len(prog.Code))
 		m.ap.Reset(len(prog.Code))
 		m.msys.Reset()
-		m.prb.Reset()
+		m.prb.Reset(prog.Code)
 		m.builder.Reset(uthread.DefaultBuildConfig(cfg.Pruning))
 		m.fus.reset()
 		m.ports.reset()
@@ -636,8 +625,7 @@ func (m *Machine) execute(rec *emu.Record, fc uint64) {
 func (m *Machine) handleBranch(rec *emu.Record, fc, resolve uint64, termID path.ID) bool {
 	cfg := &m.cfg
 	in := rec.Inst
-	pr := m.pred.Predict(rec.PC, in)
-	hwMiss := m.pred.Update(rec.PC, in, pr, rec.Taken, rec.NextPC)
+	pr, hwMiss := m.pred.Resolve(rec.PC, in, rec.Taken, rec.NextPC)
 
 	hwNext := pr.Target
 	if in.IsCondBranch() && !pr.Taken {

@@ -154,9 +154,10 @@ func (m *Machine) activeMinTarget() uint64 {
 	return least
 }
 
-// spawn allocates a microcontext, functionally executes the routine
-// against the primary thread's architectural state at the spawn point, and
-// schedules its instructions through the shared execution resources.
+// spawn allocates a microcontext and runs the routine in one pass: each
+// instruction executes against the primary thread's architectural state at
+// the spawn point and is scheduled through the shared execution resources
+// in the same iteration.
 //
 //dpbp:speculative
 func (m *Machine) spawn(ci int, r *uthread.Routine, seq, fc uint64) {
@@ -167,25 +168,28 @@ func (m *Machine) spawn(ci int, r *uthread.Routine, seq, fc uint64) {
 	}
 	m.windowSpawns++
 
-	// Functional execution against spawn-point state: the emulator has
-	// executed exactly the instructions before seq, which is the
-	// architectural state the paper's spawn-point selection guarantees.
-	// The Env is the machine's shared one (built in Reset); Execute's
-	// LoadedEAs use its scratch buffer and are copied into the context's
-	// watch list below, before the next spawn can overwrite them.
-	fr := uthread.Execute(r, &m.uenv)
-	m.res.Micro.MicroInsts += uint64(fr.Executed)
-
-	// Timing: schedule the routine's instructions through the shared
-	// calendars from the template Build decoded. Live-ins become ready
-	// when their primary-thread producers complete; in-routine operands
-	// when their producer slot completes.
+	// Functional execution: the emulator has executed exactly the
+	// instructions before seq, which is the architectural state the
+	// paper's spawn-point selection guarantees. Live-ins read its
+	// registers, loads its memory, and Vp_Inst/Ap_Inst the machine's
+	// value and address predictors; uthread's Step defines what each
+	// instruction computes. Each loaded address goes straight into the
+	// context's watch list.
+	//
+	// Timing: live-ins become ready when their primary-thread producers
+	// complete, in-routine operands when their producer slot completes.
+	// Loads reach the memory system in slot order.
+	if cap(m.uvals) < len(r.Slots) {
+		m.uvals = make([]isa.Word, len(r.Slots))
+	}
+	vals := m.uvals[:len(r.Slots)]
+	var out uthread.Outcome
+	watch := ctx.watch[:0]
 	start := fc + uint64(m.cfg.SpawnOverhead)
 	issues := ctx.issues[:0]
 	// Microcontext queues feed injectPerCycle instructions into the
 	// machine per cycle.
 	inject, injected := start, 0
-	loadIdx := 0
 	for i := range r.Slots {
 		s := &r.Slots[i]
 		ready := inject
@@ -201,19 +205,25 @@ func (m *Machine) spawn(ci int, r *uthread.Routine, seq, fc uint64) {
 			}
 		}
 		ir := issueRec{isLoad: s.Load}
-		if s.Load {
+		switch read, ea := r.Step(i, vals, &m.em.Regs, &out); read {
+		case uthread.ReadMem:
+			vals[i] = m.em.Mem.Load(ea)
+			watch = append(watch, ea)
 			ir.cycle = earliest2(m.fus, m.ports, ready)
-			ir.done = ir.cycle + uint64(m.msys.LoadLatency(m.space(fr.LoadedEAs[loadIdx]), ir.cycle))
-			loadIdx++
-		} else {
+			ir.done = ir.cycle + uint64(m.msys.LoadLatency(m.space(ea), ir.cycle))
+		case uthread.ReadValue:
+			vals[i], _ = m.vp.Predict(r.Insts[i].OrigPC, r.Insts[i].Ahead)
+		case uthread.ReadAddr:
+			vals[i], _ = m.ap.Predict(r.Insts[i].OrigPC, r.Insts[i].Ahead)
+		}
+		if !s.Load {
 			ir.cycle = m.fus.earliest(ready)
 			ir.done = ir.cycle + uint64(s.Latency)
 		}
 		issues = append(issues, ir)
 	}
+	m.res.Micro.MicroInsts += uint64(len(r.Slots))
 	complete := issues[len(issues)-1].done
-
-	watch := append(ctx.watch[:0], fr.LoadedEAs...)
 
 	targetSeq := seq + r.SeqDelta
 	*ctx = mctx{
@@ -230,8 +240,8 @@ func (m *Machine) spawn(ci int, r *uthread.Routine, seq, fc uint64) {
 			Ctx:    m.ctxID,
 			PathID: r.PathID,
 			Seq:    targetSeq,
-			Taken:  fr.Taken,
-			Target: fr.Target,
+			Taken:  out.Taken,
+			Target: out.Target,
 			Ready:  complete,
 		})
 		if m.obs != nil {

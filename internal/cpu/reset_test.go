@@ -5,6 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"dpbp/internal/emu"
+	"dpbp/internal/isa"
+	"dpbp/internal/path"
+	"dpbp/internal/pcache"
 	"dpbp/internal/synth"
 )
 
@@ -153,4 +157,97 @@ func TestPoolReuse(t *testing.T) {
 		t.Error("result mutated by machine reuse; RunContext must copy out")
 	}
 	pool.Put(m)
+}
+
+// TestResetComponentsMatchFresh resets a machine dirtied by a long
+// pruning microthread run and compares each recycled microthread-side
+// component with a fresh machine's, field by field: the value and
+// address predictors, the PRB, the Path Cache (tags and entry state),
+// the Prediction Cache, and the memory system with its store buffer and
+// bucket counts. A run-level comparison misses a component whose stale
+// state happens not to change a short run's statistics; this one does
+// not depend on the run.
+func TestResetComponentsMatchFresh(t *testing.T) {
+	p, err := synth.ProfileByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := synth.Generate(p)
+	cfg := DefaultConfig()
+	cfg.MaxInsts = 300_000
+
+	dirty := NewMachine()
+	if _, err := dirty.RunContext(context.Background(), prog, cfg); err != nil {
+		t.Fatal(err)
+	}
+	// The run must have left state in every component compared below.
+	if dirty.vp.Trains == 0 || dirty.ap.Trains == 0 || dirty.prb.Len() == 0 ||
+		dirty.pathCache.Occupancy() == 0 || dirty.predCache.Stats == (pcache.Stats{}) ||
+		dirty.msys.Stores == 0 || dirty.res.Build.Builds == 0 {
+		t.Fatalf("run left a component clean: vp %d ap %d trains, prb %d, path cache %d, pcache %+v, stores %d, builds %d",
+			dirty.vp.Trains, dirty.ap.Trains, dirty.prb.Len(), dirty.pathCache.Occupancy(),
+			dirty.predCache.Stats, dirty.msys.Stores, dirty.res.Build.Builds)
+	}
+
+	for _, bench := range []string{"gcc", "mcf_2k"} {
+		p, err := synth.ProfileByName(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := synth.Generate(p)
+		dirty.Reset(next, cfg)
+		fresh := NewMachine()
+		fresh.Reset(next, cfg)
+
+		for _, c := range []struct {
+			name      string
+			got, want any
+		}{
+			{"value predictor", dirty.vp, fresh.vp},
+			{"address predictor", dirty.ap, fresh.ap},
+			{"path cache", dirty.pathCache, fresh.pathCache},
+			{"memory system", dirty.msys, fresh.msys},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Errorf("%s: reset %s differs from a fresh one", bench, c.name)
+			}
+		}
+		// The PRB and the Prediction Cache keep stale slots that their
+		// occupancy gates, so they are compared by behaviour: both take
+		// the same operations and must answer alike.
+		em := emu.New(next)
+		var rec emu.Record
+		for i := 0; i < 2*prbEntries && em.Step(&rec); i++ {
+			dirty.prb.Push(&rec, i%3 == 0, i%5 == 0)
+			fresh.prb.Push(&rec, i%3 == 0, i%5 == 0)
+		}
+		d, f := dirty.prb, fresh.prb
+		if d.Len() != f.Len() || d.OldestSeq() != f.OldestSeq() || d.YoungestSeq() != f.YoungestSeq() {
+			t.Errorf("%s: reset PRB holds seqs %d..%d (%d), fresh %d..%d (%d)", bench,
+				d.OldestSeq(), d.YoungestSeq(), d.Len(), f.OldestSeq(), f.YoungestSeq(), f.Len())
+		}
+		for seq := f.OldestSeq(); seq <= f.YoungestSeq(); seq++ {
+			de, dok := d.BySeq(seq)
+			fe, fok := f.BySeq(seq)
+			if de != fe || dok != fok {
+				t.Fatalf("%s: reset PRB seq %d = %+v %v, fresh %+v %v", bench, seq, de, dok, fe, fok)
+			}
+		}
+		for i := uint64(0); i < 3*uint64(cfg.PCacheEntries); i++ {
+			e := pcache.Entry{PathID: path.ID(i % 7), Seq: i, Taken: i%2 == 0, Target: isa.Addr(i), Ready: i}
+			dirty.predCache.Write(e)
+			fresh.predCache.Write(e)
+			if i%4 == 0 {
+				de, dok := dirty.predCache.Consume(0, path.ID(i%7), i/2)
+				fe, fok := fresh.predCache.Consume(0, path.ID(i%7), i/2)
+				if de != fe || dok != fok {
+					t.Fatalf("%s: reset Prediction Cache consumed %+v %v, fresh %+v %v", bench, de, dok, fe, fok)
+				}
+			}
+		}
+		if dirty.predCache.Len() != fresh.predCache.Len() || dirty.predCache.Stats != fresh.predCache.Stats {
+			t.Errorf("%s: reset Prediction Cache holds %d, stats %+v; fresh %d, %+v", bench,
+				dirty.predCache.Len(), dirty.predCache.Stats, fresh.predCache.Len(), fresh.predCache.Stats)
+		}
+	}
 }

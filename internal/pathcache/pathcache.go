@@ -71,22 +71,26 @@ type Stats struct {
 	PromotionsRejected uint64
 }
 
-type entry struct {
-	id        path.ID
-	valid     bool
+// meta is everything an entry holds but its Path_Id. A probe reads only
+// the Path_Ids; it reads an entry's meta once its Path_Id matches.
+type meta struct {
+	lru       uint64 // last-touch tick
 	occ       uint32
 	mis       uint32
+	valid     bool
 	difficult bool
 	promoted  bool
-	lru       uint64 // last-touch tick
 }
 
-// Cache is the Path Cache.
+// Cache is the Path Cache. Entry i of set s is ids[s*Ways+i] with
+// metas[s*Ways+i]: a set's Path_Ids are contiguous, so an 8-way set's
+// tags fill one 64-byte line and a lookup touches that line alone.
 type Cache struct {
-	cfg  Config //dpbp:reset-skip configuration, fixed at construction
-	sets [][]entry
-	mask uint64 //dpbp:reset-skip geometry, fixed at construction
-	tick uint64
+	cfg   Config //dpbp:reset-skip configuration, fixed at construction
+	ids   []path.ID
+	metas []meta
+	mask  uint64 //dpbp:reset-skip geometry, fixed at construction
+	tick  uint64
 
 	Stats Stats
 
@@ -122,31 +126,32 @@ func New(cfg Config) *Cache {
 		p *= 2
 	}
 	nsets = p
-	sets := make([][]entry, nsets)
-	backing := make([]entry, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
+	return &Cache{
+		cfg:   cfg,
+		ids:   make([]path.ID, nsets*cfg.Ways),
+		metas: make([]meta, nsets*cfg.Ways),
+		mask:  uint64(nsets - 1),
 	}
-	return &Cache{cfg: cfg, sets: sets, mask: uint64(nsets - 1)}
 }
 
 // Capacity returns the effective entry count: sets × ways after the
 // power-of-two set rounding. It is at most the configured Entries.
-func (c *Cache) Capacity() int { return len(c.sets) * c.cfg.Ways }
+func (c *Cache) Capacity() int { return len(c.ids) }
 
-func (c *Cache) set(id path.ID) []entry {
-	return c.sets[uint64(id)&c.mask]
+// setBase returns the index of the first entry of id's set.
+func (c *Cache) setBase(id path.ID) int {
+	return int(uint64(id)&c.mask) * c.cfg.Ways
 }
 
-// lookup returns the entry for id, or nil.
-func (c *Cache) lookup(id path.ID) *entry {
-	set := c.set(id)
-	for i := range set {
-		if set[i].valid && set[i].id == id {
-			return &set[i]
+// lookup returns the index of id's entry, or -1.
+func (c *Cache) lookup(id path.ID) int {
+	base := c.setBase(id)
+	for i, x := range c.ids[base : base+c.cfg.Ways] {
+		if x == id && c.metas[base+i].valid {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
 // Observe updates the Path Cache for a retired terminating branch on path
@@ -154,8 +159,12 @@ func (c *Cache) lookup(id path.ID) *entry {
 // wrong. It returns any promotion/demotion event the update produced.
 func (c *Cache) Observe(id path.ID, mispredicted bool) Event {
 	c.tick++
-	e := c.lookup(id)
-	if e == nil {
+	var e *meta
+	if i := c.lookup(id); i >= 0 {
+		c.Stats.Hits++
+		e = &c.metas[i]
+		e.lru = c.tick
+	} else {
 		c.Stats.Misses++
 		if !mispredicted && !c.cfg.AllocateAlways {
 			// Allocate-on-mispredict: correctly predicted first
@@ -163,21 +172,19 @@ func (c *Cache) Observe(id path.ID, mispredicted bool) Event {
 			c.Stats.AllocsAvoided++
 			return Event{}
 		}
-		var replaced bool
-		e, replaced = c.victim(id)
+		v, replaced := c.victim(id)
 		c.Stats.Allocations++
 		if replaced {
 			c.Stats.Replacements++
 			if c.Trace != nil {
-				c.Trace.Emit(obs.KindPathReplace, uint64(id), 0, uint64(e.id))
+				c.Trace.Emit(obs.KindPathReplace, uint64(id), 0, uint64(c.ids[v]))
 			}
 		} else if c.Trace != nil {
 			c.Trace.Emit(obs.KindPathAlloc, uint64(id), 0, 0)
 		}
-		*e = entry{id: id, valid: true, lru: c.tick}
-	} else {
-		c.Stats.Hits++
-		e.lru = c.tick
+		c.ids[v] = id
+		e = &c.metas[v]
+		*e = meta{valid: true, lru: c.tick}
 	}
 
 	e.occ++
@@ -221,10 +228,11 @@ func (c *Cache) Observe(id path.ID, mispredicted bool) Event {
 // additionally counts a demotion (the bit transitions 1->0), so
 // builder-rejected promotions no longer vanish from the statistics.
 func (c *Cache) SetPromoted(id path.ID, ok bool) {
-	e := c.lookup(id)
-	if e == nil {
+	i := c.lookup(id)
+	if i < 0 {
 		return
 	}
+	e := &c.metas[i]
 	if ok {
 		if !e.promoted {
 			c.Stats.Promotions++
@@ -249,27 +257,29 @@ func (c *Cache) SetPromoted(id path.ID, ok bool) {
 
 // Difficult reports whether the path currently has its Difficult bit set.
 func (c *Cache) Difficult(id path.ID) bool {
-	e := c.lookup(id)
-	return e != nil && e.difficult
+	i := c.lookup(id)
+	return i >= 0 && c.metas[i].difficult
 }
 
 // Promoted reports whether the path currently has its Promoted bit set.
 func (c *Cache) Promoted(id path.ID) bool {
-	e := c.lookup(id)
-	return e != nil && e.promoted
+	i := c.lookup(id)
+	return i >= 0 && c.metas[i].promoted
 }
 
-// victim picks a replacement slot in id's set: an invalid slot if any,
-// otherwise the LRU entry among non-difficult entries, falling back to
-// the overall LRU entry when every way is difficult. PlainLRU disables
-// the difficulty bias. The second return reports whether the slot holds
-// a valid entry being replaced; victim itself is pure selection — the
-// caller does the statistics and event accounting.
-func (c *Cache) victim(id path.ID) (*entry, bool) {
-	set := c.set(id)
+// victim picks a replacement slot in id's set and returns its index: an
+// invalid slot if any, otherwise the LRU entry among non-difficult
+// entries, falling back to the overall LRU entry when every way is
+// difficult. PlainLRU disables the difficulty bias. The second return
+// reports whether the slot holds a valid entry being replaced; victim
+// itself is pure selection — the caller does the statistics and event
+// accounting.
+func (c *Cache) victim(id path.ID) (int, bool) {
+	base := c.setBase(id)
+	set := c.metas[base : base+c.cfg.Ways]
 	for i := range set {
 		if !set[i].valid {
-			return &set[i], false
+			return base + i, false
 		}
 	}
 	best := -1
@@ -288,7 +298,7 @@ func (c *Cache) victim(id path.ID) (*entry, bool) {
 			}
 		}
 	}
-	return &set[best], true
+	return base + best, true
 }
 
 // Occupancy returns the number of valid entries currently resident. It
@@ -296,11 +306,9 @@ func (c *Cache) victim(id path.ID) (*entry, bool) {
 // internal/oracle check exactly that on shared caches.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				n++
-			}
+	for i := range c.metas {
+		if c.metas[i].valid {
+			n++
 		}
 	}
 	return n
@@ -310,11 +318,9 @@ func (c *Cache) Occupancy() int {
 // statistics.
 func (c *Cache) DifficultCount() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid && set[i].difficult {
-				n++
-			}
+	for i := range c.metas {
+		if c.metas[i].valid && c.metas[i].difficult {
+			n++
 		}
 	}
 	return n

@@ -157,10 +157,10 @@ func TestLRUPrefersNonDifficultVictims(t *testing.T) {
 	if !c.Difficult(1) || !c.Difficult(2) {
 		t.Error("difficult entry evicted despite easy victims")
 	}
-	if c.lookup(path.ID(4)) != nil {
+	if c.lookup(path.ID(4)) >= 0 {
 		t.Error("expected id 4 to be evicted")
 	}
-	if c.lookup(path.ID(99)) == nil {
+	if c.lookup(path.ID(99)) < 0 {
 		t.Error("new path not inserted")
 	}
 }
@@ -177,7 +177,7 @@ func TestLRUFallbackWhenAllDifficult(t *testing.T) {
 	}
 	// Must still be able to allocate.
 	c.Observe(path.ID(50), true)
-	if c.lookup(path.ID(50)) == nil {
+	if c.lookup(path.ID(50)) < 0 {
 		t.Error("allocation failed with all-difficult set")
 	}
 	if c.Stats.Replacements != 1 {
@@ -195,7 +195,7 @@ func TestPlainLRUAblation(t *testing.T) {
 	c.Observe(path.ID(2), false)
 	// Plain LRU evicts id 1 (oldest) even though difficult.
 	c.Observe(path.ID(50), true)
-	if c.lookup(path.ID(1)) != nil {
+	if c.lookup(path.ID(1)) >= 0 {
 		t.Error("plain LRU should evict oldest regardless of difficulty")
 	}
 }
@@ -218,7 +218,7 @@ func TestDifficultCountAndAvoidedFraction(t *testing.T) {
 
 func TestZeroConfigDefaults(t *testing.T) {
 	c := New(Config{})
-	if len(c.sets) == 0 {
+	if c.Capacity() == 0 {
 		t.Fatal("zero config produced empty cache")
 	}
 	// Interval defaults to 32; threshold 0 means any misprediction makes
@@ -245,8 +245,8 @@ func TestCapacityRoundsDownToPowerOfTwo(t *testing.T) {
 	}
 	for _, tc := range cases {
 		c := New(Config{Entries: tc.entries, Ways: tc.ways, TrainInterval: 8, Threshold: 0.10})
-		if len(c.sets) != tc.wantSets {
-			t.Errorf("Entries=%d Ways=%d: sets = %d, want %d", tc.entries, tc.ways, len(c.sets), tc.wantSets)
+		if sets := int(c.mask) + 1; sets != tc.wantSets {
+			t.Errorf("Entries=%d Ways=%d: sets = %d, want %d", tc.entries, tc.ways, sets, tc.wantSets)
 		}
 		if got := c.Capacity(); got != tc.wantCap {
 			t.Errorf("Entries=%d Ways=%d: Capacity = %d, want %d", tc.entries, tc.ways, got, tc.wantCap)
@@ -310,11 +310,11 @@ func TestVictimPrefersInvalidSlot(t *testing.T) {
 	cfg := Config{Entries: 4, Ways: 4, TrainInterval: 4, Threshold: 0.10}
 	c := New(cfg)
 	c.Observe(path.ID(1), true)
-	e, replaced := c.victim(path.ID(2))
+	v, replaced := c.victim(path.ID(2))
 	if replaced {
 		t.Error("victim reported replacement with invalid slots free")
 	}
-	if e == nil || e.valid {
+	if v < 0 || c.metas[v].valid {
 		t.Error("victim did not pick an invalid slot")
 	}
 }
@@ -333,12 +333,12 @@ func TestVictimAllDifficultFallback(t *testing.T) {
 			t.Fatal("setup wrong")
 		}
 	}
-	e, replaced := c.victim(path.ID(50))
+	v, replaced := c.victim(path.ID(50))
 	if !replaced {
 		t.Error("full set must report a replacement")
 	}
-	if e.id != path.ID(1) {
-		t.Errorf("all-difficult fallback picked id %d, want overall LRU id 1", e.id)
+	if c.ids[v] != path.ID(1) {
+		t.Errorf("all-difficult fallback picked id %d, want overall LRU id 1", c.ids[v])
 	}
 }
 
@@ -352,9 +352,9 @@ func TestVictimPlainLRUIgnoresDifficulty(t *testing.T) {
 		c.Observe(id, true)
 		c.Observe(id, false)
 	}
-	e, replaced := c.victim(path.ID(50))
-	if !replaced || e.id != path.ID(1) {
-		t.Errorf("PlainLRU victim = id %d (replaced=%v), want oldest id 1", e.id, replaced)
+	v, replaced := c.victim(path.ID(50))
+	if !replaced || c.ids[v] != path.ID(1) {
+		t.Errorf("PlainLRU victim = id %d (replaced=%v), want oldest id 1", c.ids[v], replaced)
 	}
 }
 
@@ -370,15 +370,15 @@ func TestVictimLRUOrdering(t *testing.T) {
 	// Touch 1 and 3; LRU order is now 2, 4, 1, 3.
 	c.Observe(path.ID(1), false)
 	c.Observe(path.ID(3), false)
-	e, replaced := c.victim(path.ID(50))
-	if !replaced || e.id != path.ID(2) {
-		t.Errorf("victim = id %d (replaced=%v), want LRU id 2", e.id, replaced)
+	v, replaced := c.victim(path.ID(50))
+	if !replaced || c.ids[v] != path.ID(2) {
+		t.Errorf("victim = id %d (replaced=%v), want LRU id 2", c.ids[v], replaced)
 	}
 	// Touch 2; next victim is 4.
 	c.Observe(path.ID(2), false)
-	e, _ = c.victim(path.ID(50))
-	if e.id != path.ID(4) {
-		t.Errorf("victim after touching 2 = id %d, want 4", e.id)
+	v, _ = c.victim(path.ID(50))
+	if c.ids[v] != path.ID(4) {
+		t.Errorf("victim after touching 2 = id %d, want 4", c.ids[v])
 	}
 }
 

@@ -4,12 +4,8 @@ package pathcache
 // returning the cache to its post-construction state without reallocating
 // the backing array.
 func (c *Cache) Reset() {
-	for si := range c.sets {
-		set := c.sets[si]
-		for i := range set {
-			set[i] = entry{}
-		}
-	}
+	clear(c.ids)
+	clear(c.metas)
 	c.tick = 0
 	c.Stats = Stats{}
 	// A tracer wired by a previous run must not leak events into the

@@ -177,7 +177,7 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (*Profil
 		if !r.Inst.IsBranch() {
 			continue
 		}
-		miss := pred.Update(r.PC, r.Inst, pred.Predict(r.PC, r.Inst), r.Taken, r.NextPC)
+		_, miss := pred.Resolve(r.PC, r.Inst, r.Taken, r.NextPC)
 		if r.Inst.IsTerminatingBranch() {
 			var m uint64
 			if miss {

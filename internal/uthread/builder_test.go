@@ -21,7 +21,19 @@ type rec struct {
 // fillPRB pushes recs with sequence numbers 0..len-1 and returns the PRB
 // and the seq of the last entry.
 func fillPRB(recs []rec) (*PRB, uint64) {
-	p := NewPRB(512)
+	// The PRB reads each entry's instruction from the program's code:
+	// lay the recs' instructions out at their PCs.
+	var code []isa.Inst
+	for _, r := range recs {
+		if n := int(r.pc) + 1; n > len(code) {
+			code = append(code, make([]isa.Inst, n-len(code))...)
+		}
+		if code[r.pc] != (isa.Inst{}) && code[r.pc] != r.inst {
+			panic("fillPRB: two instructions at one pc")
+		}
+		code[r.pc] = r.inst
+	}
+	p := NewPRB(512, code)
 	for i, r := range recs {
 		p.Push(&emu.Record{
 			Seq:   uint64(i),

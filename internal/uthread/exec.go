@@ -6,9 +6,11 @@ import (
 	"dpbp/internal/isa"
 )
 
-// Env supplies a microthread's view of the machine at spawn time: live-in
+// Env supplies Execute's view of the machine at spawn time: live-in
 // registers and memory come from the primary thread's architectural state
 // at the spawn point, and Vp_Inst/Ap_Inst query the back-end predictors.
+// The timing core's spawn does not go through it: it runs Step against
+// the machine's own registers, memory and predictors.
 type Env struct {
 	// ReadReg returns the primary thread's value of a live-in register
 	// at spawn.
@@ -34,12 +36,17 @@ type Env struct {
 	vals []isa.Word
 }
 
-// Result is the functional outcome of executing a routine.
-type Result struct {
+// Outcome is a routine's pre-computed branch outcome.
+type Outcome struct {
 	// Taken is the pre-computed direction (true for indirect branches).
 	Taken bool
 	// Target is the pre-computed next PC.
 	Target isa.Addr
+}
+
+// Result is the functional outcome of executing a routine.
+type Result struct {
+	Outcome
 	// LoadedEAs lists the memory addresses the routine read; the SSMT
 	// core watches primary-thread stores to them between spawn and the
 	// target branch to detect memory-dependence violations.
@@ -48,61 +55,100 @@ type Result struct {
 	Executed int
 }
 
-// Execute runs a routine functionally against env. The timing core models
-// when the result becomes available; Execute determines what the result
-// is. It panics on malformed routines (builder bugs), never on data.
+// Read names the word a routine instruction takes from the machine
+// rather than from its operands. Step leaves that read to its caller.
+type Read uint8
+
+const (
+	// ReadNone: the operands determine the value.
+	ReadNone Read = iota
+	// ReadMem: a load's value is the memory word at the address Step
+	// returns.
+	ReadMem
+	// ReadValue: a Vp_Inst's value is the value predictor's prediction
+	// for OrigPC, Ahead instances ahead. When the predictor has no entry
+	// the value is zero, and the prediction is simply likely to be wrong
+	// — as in hardware.
+	ReadValue
+	// ReadAddr: an Ap_Inst's value is the address predictor's prediction,
+	// likewise.
+	ReadAddr
+)
+
+// Step executes instruction i of r: the micro-op semantics that Execute
+// and the timing core's one-pass spawn share. vals holds the values of
+// the instructions before i, and regs the primary thread's registers at
+// spawn, which live-in operands read. An ALU instruction's value goes to
+// vals[i], and the Store_PCache that ends every routine writes the
+// outcome to out. For a load, Vp_Inst or Ap_Inst, Step returns the read
+// the caller must make, and the load's address, and the caller stores
+// the word it reads in vals[i]. Step panics on an op a routine cannot
+// hold (a builder bug), never on data.
+func (r *Routine) Step(i int, vals []isa.Word, regs *[isa.NumRegs]isa.Word, out *Outcome) (Read, isa.Addr) {
+	mi := &r.Insts[i]
+	s := &r.Slots[i]
+	var src [2]isa.Word
+	for k, p := range s.Prod {
+		if p >= 0 {
+			src[k] = vals[p]
+		} else if reg := s.LiveIn[k]; reg != isa.RZero {
+			src[k] = regs[reg]
+		}
+	}
+	in := &mi.Inst
+	switch {
+	case isa.IsALU(in.Op):
+		vals[i] = isa.EvalALU(in.Op, src[0], src[1], in.Imm)
+	case in.Op == isa.OpLoad:
+		return ReadMem, isa.Addr(src[0] + in.Imm)
+	case in.Op == isa.OpVpInst:
+		return ReadValue, 0
+	case in.Op == isa.OpApInst:
+		return ReadAddr, 0
+	case in.Op == isa.OpStorePCache:
+		if mi.BranchOp == isa.OpJmpInd {
+			*out = Outcome{Taken: true, Target: isa.Addr(src[0])}
+		} else if isa.BranchTaken(mi.BranchOp, src[0], src[1]) {
+			*out = Outcome{Taken: true, Target: r.BranchTarget}
+		} else {
+			*out = Outcome{Target: r.BranchPC + 1}
+		}
+	default:
+		panic(fmt.Sprintf("uthread: illegal op %v in routine", in.Op))
+	}
+	return ReadNone, 0
+}
+
+// Execute runs a routine functionally against env, one Step per
+// instruction. The timing core models when the result becomes available;
+// Execute determines what the result is. It panics on malformed routines
+// (builder bugs), never on data.
 func Execute(r *Routine, env *Env) Result {
 	if cap(env.vals) < len(r.Insts) {
 		env.vals = make([]isa.Word, len(r.Insts))
 	}
 	vals := env.vals[:len(r.Insts)]
+	var regs [isa.NumRegs]isa.Word
+	for reg := range regs {
+		regs[reg] = env.ReadReg(isa.Reg(reg))
+	}
 	res := Result{LoadedEAs: env.eaScratch[:0]}
 
 	for i := range r.Insts {
 		mi := &r.Insts[i]
-		s := &r.Slots[i]
-		var src [2]isa.Word
-		for k, p := range s.Prod {
-			if p >= 0 {
-				src[k] = vals[p]
-			} else if reg := s.LiveIn[k]; reg != isa.RZero {
-				src[k] = env.ReadReg(reg)
-			}
-		}
 		res.Executed++
-		in := &mi.Inst
-		switch {
-		case isa.IsALU(in.Op):
-			vals[i] = isa.EvalALU(in.Op, src[0], src[1], in.Imm)
-
-		case in.Op == isa.OpLoad:
-			ea := isa.Addr(src[0] + in.Imm)
+		switch read, ea := r.Step(i, vals, &regs, &res.Outcome); read {
+		case ReadMem:
 			vals[i] = env.LoadMem(ea)
 			res.LoadedEAs = append(res.LoadedEAs, ea)
-
-		case in.Op == isa.OpVpInst:
+		case ReadValue:
 			vals[i], _ = env.PredictValue(mi.OrigPC, mi.Ahead)
-
-		case in.Op == isa.OpApInst:
+		case ReadAddr:
 			vals[i], _ = env.PredictAddr(mi.OrigPC, mi.Ahead)
-
-		case in.Op == isa.OpStorePCache:
-			if mi.BranchOp == isa.OpJmpInd {
-				res.Taken = true
-				res.Target = isa.Addr(src[0])
-			} else {
-				res.Taken = isa.BranchTaken(mi.BranchOp, src[0], src[1])
-				if res.Taken {
-					res.Target = r.BranchTarget
-				} else {
-					res.Target = r.BranchPC + 1
-				}
-			}
+		}
+		if mi.Inst.Op == isa.OpStorePCache {
 			env.eaScratch = res.LoadedEAs
 			return res
-
-		default:
-			panic(fmt.Sprintf("uthread: illegal op %v in routine", in.Op))
 		}
 	}
 	panic("uthread: routine missing Store_PCache")

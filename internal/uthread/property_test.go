@@ -14,71 +14,14 @@ import (
 	"dpbp/internal/isa"
 	"dpbp/internal/path"
 	"dpbp/internal/program"
+	"dpbp/internal/uthread/uthreadtest"
 )
-
-// randProgram builds a random straight-line program: a data image, a
-// sequence of ALU ops, loads, and stores over registers r4..r19, ending in
-// a conditional branch to a halt label. Deterministic per seed.
-func randProgram(seed int64, withStores bool) *program.Program {
-	rng := rand.New(rand.NewSource(seed))
-	b := program.NewBuilder("prop")
-	const dataBase = 1000
-	b.Label("entry")
-	// Initialise a few registers from data so values are non-trivial.
-	for r := isa.Reg(4); r < 8; r++ {
-		b.Emit(isa.Inst{Op: isa.OpLdi, Dst: 20, Imm: dataBase + isa.Word(r)*2})
-		b.Emit(isa.Inst{Op: isa.OpLoad, Dst: r, Src1: 20})
-	}
-	n := 10 + rng.Intn(30)
-	for i := 0; i < n; i++ {
-		dst := isa.Reg(4 + rng.Intn(16))
-		s1 := isa.Reg(4 + rng.Intn(16))
-		s2 := isa.Reg(4 + rng.Intn(16))
-		switch rng.Intn(8) {
-		case 0:
-			b.Emit(isa.Inst{Op: isa.OpAdd, Dst: dst, Src1: s1, Src2: s2})
-		case 1:
-			b.Emit(isa.Inst{Op: isa.OpXor, Dst: dst, Src1: s1, Src2: s2})
-		case 2:
-			b.Emit(isa.Inst{Op: isa.OpAddi, Dst: dst, Src1: s1, Imm: isa.Word(rng.Intn(64) - 32)})
-		case 3:
-			b.Emit(isa.Inst{Op: isa.OpAndi, Dst: dst, Src1: s1, Imm: isa.Word(rng.Intn(255))})
-		case 4:
-			b.Emit(isa.Inst{Op: isa.OpMov, Dst: dst, Src1: s1})
-		case 5:
-			b.Emit(isa.Inst{Op: isa.OpLdi, Dst: dst, Imm: isa.Word(rng.Intn(1000))})
-		case 6:
-			// Load from a small data region.
-			b.Emit(isa.Inst{Op: isa.OpLdi, Dst: 21, Imm: dataBase + isa.Word(rng.Intn(32))})
-			b.Emit(isa.Inst{Op: isa.OpLoad, Dst: dst, Src1: 21})
-		case 7:
-			if withStores {
-				b.Emit(isa.Inst{Op: isa.OpLdi, Dst: 22, Imm: dataBase + isa.Word(rng.Intn(32))})
-				b.Emit(isa.Inst{Op: isa.OpStore, Src1: 22, Src2: s1})
-			} else {
-				b.Emit(isa.Inst{Op: isa.OpOr, Dst: dst, Src1: s1, Src2: s2})
-			}
-		}
-	}
-	cond := []isa.Op{isa.OpBeqz, isa.OpBnez, isa.OpBltz, isa.OpBgez, isa.OpBeq, isa.OpBne}
-	br := isa.Inst{Op: cond[rng.Intn(len(cond))], Src1: isa.Reg(4 + rng.Intn(16)), Src2: isa.Reg(4 + rng.Intn(16))}
-	b.EmitBranch(br, "halt")
-	b.Label("halt")
-	b.EmitBranch(isa.Inst{Op: isa.OpJmp}, "halt")
-	p := b.Finish()
-	p.DataBase = dataBase
-	p.Data = make([]isa.Word, 64)
-	for i := range p.Data {
-		p.Data[i] = isa.Word(rng.Int63n(1 << 20))
-	}
-	return p
-}
 
 // runToBranch executes the program, filling the PRB and capturing the
 // branch record and a pre-execution snapshot machine for live-in reads.
 func runToBranch(t *testing.T, p *program.Program, cfg BuildConfig) (routine *Routine, actualTaken bool, env *Env) {
 	t.Helper()
-	prb := NewPRB(512)
+	prb := NewPRB(512, p.Code)
 	snapshot := emu.New(p) // stays at entry: spawn-time state source
 	m := emu.New(p)
 	var branchRec *emu.Record
@@ -119,7 +62,7 @@ func runToBranch(t *testing.T, p *program.Program, cfg BuildConfig) (routine *Ro
 
 func TestPropertyRoutineReproducesBranch(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
-		p := randProgram(seed, false) // no stores: speculation always safe
+		p := uthreadtest.RandProgram(seed, false) // no stores: speculation always safe
 		for _, cfg := range []BuildConfig{
 			{MCBCapacity: 64},
 			{MCBCapacity: 64, MoveElim: true},
@@ -142,7 +85,7 @@ func TestPropertyRoutineWithStoresStillSound(t *testing.T) {
 	// snapshot (replayed to the spawn point) still yields the exact
 	// outcome.
 	for seed := int64(100); seed < 150; seed++ {
-		p := randProgram(seed, true)
+		p := uthreadtest.RandProgram(seed, true)
 		cfg := DefaultBuildConfig(false)
 		r, taken, env := runToBranch(t, p, cfg)
 		res := Execute(r, env)
@@ -155,7 +98,7 @@ func TestPropertyRoutineWithStoresStillSound(t *testing.T) {
 
 func TestPropertyOptimisationsOnlyShrink(t *testing.T) {
 	for seed := int64(200); seed < 240; seed++ {
-		p := randProgram(seed, false)
+		p := uthreadtest.RandProgram(seed, false)
 		plain, _, _ := runToBranch(t, p, BuildConfig{MCBCapacity: 64})
 		opt, _, _ := runToBranch(t, p, BuildConfig{MCBCapacity: 64, MoveElim: true, ConstProp: true})
 		if opt.Size() > plain.Size() {
@@ -175,7 +118,7 @@ func TestPropertyOptimisationsOnlyShrink(t *testing.T) {
 
 func TestPropertyRoutineEndsWithStorePCache(t *testing.T) {
 	for seed := int64(300); seed < 330; seed++ {
-		p := randProgram(seed, true)
+		p := uthreadtest.RandProgram(seed, true)
 		r, _, _ := runToBranch(t, p, DefaultBuildConfig(false))
 		if r.Size() == 0 {
 			t.Fatalf("seed %d: empty routine", seed)
@@ -199,7 +142,7 @@ func TestPropertyLiveInsAreReal(t *testing.T) {
 	// Every reported live-in must actually be read before written by the
 	// routine, and no unreported register below isa.NumRegs may be.
 	for seed := int64(400); seed < 430; seed++ {
-		p := randProgram(seed, false)
+		p := uthreadtest.RandProgram(seed, false)
 		r, _, _ := runToBranch(t, p, DefaultBuildConfig(false))
 		want := map[isa.Reg]bool{}
 		written := map[isa.Reg]bool{}
@@ -254,7 +197,7 @@ func TestSlotsMatchDirectDecode(t *testing.T) {
 	routines := []*Routine{handBuilt}
 	for seed := int64(0); seed < 450; seed++ {
 		for _, withStores := range []bool{false, true} {
-			p := randProgram(seed, withStores)
+			p := uthreadtest.RandProgram(seed, withStores)
 			for _, cfg := range []BuildConfig{{MCBCapacity: 64}, DefaultBuildConfig(false), DefaultBuildConfig(true)} {
 				routines = append(routines, buildWithRandomConfidence(t, p, cfg, seed))
 			}
@@ -318,7 +261,7 @@ func TestSlotsMatchDirectDecode(t *testing.T) {
 func buildWithRandomConfidence(t *testing.T, p *program.Program, cfg BuildConfig, seed int64) *Routine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	prb := NewPRB(512)
+	prb := NewPRB(512, p.Code)
 	var branchSeq uint64
 	found := false
 	emu.New(p).Run(10_000, func(r *emu.Record) bool {

@@ -51,9 +51,9 @@ type Routine struct {
 	SeqDelta uint64
 	// Insts is the routine body; the last instruction is Store_PCache.
 	Insts []MicroInst
-	// Slots is Insts decoded once, at build time, for the two loops
-	// every spawn runs: Execute's functional pass and the timing core's
-	// schedule. Slots[i] describes Insts[i].
+	// Slots is Insts decoded once, at build time, for the loop every
+	// spawn runs, which executes each instruction (Step) and schedules
+	// it in the same iteration. Slots[i] describes Insts[i].
 	Slots []Slot
 	// LiveIns are the registers the routine reads from the primary
 	// thread's architectural state at spawn.
