@@ -94,14 +94,13 @@ type Stats struct {
 
 // Base is the direction predictor the side predictor wraps. Predict
 // must not change prediction state (it may count the lookup), because
-// the update path re-derives the prediction; Update owns all state
-// evolution, and Resolve is Predict followed by Update in one call,
-// returning the prediction. The bpred.Hybrid direction predictor
+// the update path re-derives the prediction; Resolve owns all state
+// evolution: it is Predict followed by training on the outcome in one
+// call, returning the prediction. The bpred.Hybrid direction predictor
 // satisfies this contract; its own statistics are never reported under
 // this backend.
 type Base interface {
 	Predict(pc isa.Addr) bool
-	Update(pc isa.Addr, taken bool)
 	Resolve(pc isa.Addr, taken bool) bool
 	Reset()
 }
@@ -234,14 +233,9 @@ type decision struct {
 	override bool // side table supplied pred
 }
 
-// decide computes the prediction without mutating any prediction state:
-// the base's Predict leaves it alone by contract, and the filter/side
+// decideFrom computes the decision given the base predictor's
+// prediction, without mutating any prediction state: the filter and side
 // reads are pure.
-func (p *Predictor) decide(pc isa.Addr) decision {
-	return p.decideFrom(pc, p.base.Predict(pc))
-}
-
-// decideFrom is decide given the base predictor's prediction.
 func (p *Predictor) decideFrom(pc isa.Addr, basePred bool) decision {
 	d := decision{basePred: basePred, pred: basePred}
 	if p.filter.IsH2P(pc) {
@@ -255,29 +249,34 @@ func (p *Predictor) decideFrom(pc isa.Addr, basePred bool) decision {
 	return d
 }
 
-// Predict returns the predicted direction for a conditional branch.
+// Predict returns the predicted direction for a conditional branch. The
+// base's Predict leaves its state alone by contract.
 func (p *Predictor) Predict(pc isa.Addr) bool {
 	p.Stats.Lookups++
-	return p.decide(pc).pred
+	return p.decideFrom(pc, p.base.Predict(pc)).pred
 }
 
-// Update trains on the resolved outcome. It re-derives the decision
-// (Predict having mutated nothing), trains the side table for H2P
-// branches, feeds the filter the base's outcome, advances the side
-// history, and finally trains the base.
+// Update trains on the resolved outcome (Predict having mutated
+// nothing): see resolve.
 func (p *Predictor) Update(pc isa.Addr, taken bool) {
-	p.train(pc, p.decide(pc), taken)
-	p.base.Update(pc, taken)
+	p.resolve(pc, taken)
 }
 
-// Resolve is Predict followed by Update in one pass: the base resolves
-// first (its training reads none of the side state), and its prediction
-// feeds the same decision and side training. It returns the prediction
-// Predict would have returned. The base's own statistics, which this
-// backend never reports, count one lookup per branch here and two under
-// Predict and Update.
+// Resolve is Predict followed by Update in one call. It returns the
+// prediction Predict would have returned. The base's own statistics,
+// which this backend never reports, count one lookup per branch here and
+// two under Predict and Update.
 func (p *Predictor) Resolve(pc isa.Addr, taken bool) bool {
 	p.Stats.Lookups++
+	return p.resolve(pc, taken)
+}
+
+// resolve trains on the resolved outcome and returns the prediction. The
+// base resolves first, which re-derives its prediction and trains it (its
+// training reads none of the side state); that prediction then re-derives
+// the decision, which trains the side table for H2P branches, feeds the
+// filter the base's outcome and advances the side history.
+func (p *Predictor) resolve(pc isa.Addr, taken bool) bool {
 	d := p.decideFrom(pc, p.base.Resolve(pc, taken))
 	p.train(pc, d, taken)
 	return d.pred

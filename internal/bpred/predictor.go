@@ -157,15 +157,22 @@ func (p *Predictor) Resolve(pc isa.Addr, in isa.Inst, taken bool, target isa.Add
 		return pr, p.Update(pc, in, pr, taken, target)
 	}
 	pr := Prediction{Taken: p.Dir.Resolve(pc, taken), Target: in.Target}
+	return pr, p.condResolved(pc, pr.Taken, taken, target)
+}
+
+// condResolved records a conditional branch's outcome against its
+// predicted direction, trains the BTB on a taken one and reports whether
+// the branch was mispredicted. The direction backend trains separately.
+func (p *Predictor) condResolved(pc isa.Addr, predTaken, taken bool, target isa.Addr) bool {
 	p.Stats.CondPredicted++
-	miss := pr.Taken != taken
+	miss := predTaken != taken
 	if miss {
 		p.Stats.CondMispredicted++
 	}
 	if taken {
 		p.BTB.Update(pc, target)
 	}
-	return pr, miss
+	return miss
 }
 
 // Update trains the predictor with the resolved outcome and records
@@ -175,15 +182,8 @@ func (p *Predictor) Update(pc isa.Addr, in isa.Inst, pred Prediction, taken bool
 	miss := false
 	switch {
 	case in.IsCondBranch():
-		p.Stats.CondPredicted++
-		miss = pred.Taken != taken
-		if miss {
-			p.Stats.CondMispredicted++
-		}
 		p.Dir.Update(pc, taken)
-		if taken {
-			p.BTB.Update(pc, target)
-		}
+		miss = p.condResolved(pc, pred.Taken, taken, target)
 	case in.Op == isa.OpJmpInd:
 		p.Stats.IndPredicted++
 		miss = pred.Target != target

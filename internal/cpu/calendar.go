@@ -39,8 +39,8 @@ func (c *calendar) reset() {
 
 // word returns the slot word for cyc: the stored word when the slot names
 // cyc, else a word naming cyc with no bookings. For a cycle beyond the
-// cycle field that fresh word would alias a lower cycle, so every booking
-// passes checkCycle first.
+// cycle field that fresh word would alias a lower cycle, so book checks
+// the cycle before it stores one.
 func (c *calendar) word(cyc uint64) uint64 {
 	if s := c.slots[cyc%calendarHorizon]; s>>calendarUsedBits == cyc {
 		return s
@@ -48,13 +48,26 @@ func (c *calendar) word(cyc uint64) uint64 {
 	return cyc << calendarUsedBits
 }
 
-// checkCycle panics at a cycle beyond the slot's cycle field instead of
-// letting its booking alias a lower cycle.
-func checkCycle(cyc uint64) {
+// book stores w, cyc's slot word as word returned it, with one more
+// booking. It is the one write of a booking, so every booking passes the
+// cycle-field check; callers book only below the limit, so the count
+// never carries into the cycle field.
+func (c *calendar) book(cyc, w uint64) {
 	if cyc >= calendarMaxCycle {
-		panic(fmt.Sprintf("cpu: resource calendar cycle %d is beyond its %d-bit cycle field",
-			cyc, 64-calendarUsedBits))
+		cycleFieldOverflow(cyc)
 	}
+	c.slots[cyc%calendarHorizon] = w + 1
+}
+
+// cycleFieldOverflow panics at a cycle beyond the slot's cycle field
+// instead of letting its booking alias a lower cycle. It is apart from
+// book, and not inlined, so that book stays within the compiler's
+// inlining budget.
+//
+//go:noinline
+func cycleFieldOverflow(cyc uint64) {
+	panic(fmt.Sprintf("cpu: resource calendar cycle %d is beyond its %d-bit cycle field",
+		cyc, 64-calendarUsedBits))
 }
 
 // remove refunds one slot at cyc (microthread abort). It is a no-op if the
@@ -88,8 +101,7 @@ func (c *calendar) earliest(ready uint64) uint64 {
 	cyc := ready
 	for {
 		if w := c.word(cyc); uint16(w) < limit {
-			checkCycle(cyc)
-			c.slots[cyc%calendarHorizon] = w + 1
+			c.book(cyc, w)
 			return cyc
 		}
 		cyc++
@@ -106,10 +118,8 @@ func earliest2(a, b *calendar, ready uint64) uint64 {
 	for {
 		if wa := a.word(cyc); uint16(wa) < la {
 			if wb := b.word(cyc); uint16(wb) < lb {
-				checkCycle(cyc)
-				i := cyc % calendarHorizon
-				a.slots[i] = wa + 1
-				b.slots[i] = wb + 1
+				a.book(cyc, wa)
+				b.book(cyc, wb)
 				return cyc
 			}
 		}

@@ -8,12 +8,9 @@ import (
 // usedAt returns the bookings at cyc.
 func (c *calendar) usedAt(cyc uint64) uint16 { return uint16(c.word(cyc)) }
 
-// add books one slot at cyc, as earliest does when cyc has room. Tests
-// book below the limit, so the count never carries into the cycle field.
-func (c *calendar) add(cyc uint64) {
-	checkCycle(cyc)
-	c.slots[cyc%calendarHorizon] = c.word(cyc) + 1
-}
+// add books one slot at cyc through book, as earliest does when cyc has
+// room. Tests book below the limit.
+func (c *calendar) add(cyc uint64) { c.book(cyc, c.word(cyc)) }
 
 // TestCalendarGenerationReset verifies reset invalidates stale bookings:
 // cycle numbers restart at zero and must see an empty calendar.
@@ -109,24 +106,41 @@ func TestCalendarResetFreesEverySlot(t *testing.T) {
 	}
 }
 
-// TestCalendarCycleFieldGuard checks the bound of a slot's cycle field:
-// the last cycle that fits books normally, and the first that does not
-// panics instead of aliasing a lower cycle.
+// TestCalendarCycleFieldGuard checks the bound of a slot's cycle field
+// on both booking paths, earliest and earliest2: the last cycle that fits
+// books normally, and the first that does not panics instead of aliasing
+// a lower cycle.
 func TestCalendarCycleFieldGuard(t *testing.T) {
-	c := newCalendar(2)
 	last := uint64(calendarMaxCycle - 1)
-	c.add(last)
+	expectPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			v := recover()
+			if s, ok := v.(string); !ok || !strings.Contains(s, "cycle field") {
+				t.Fatalf("%s: panic = %v, want cycle-field message", name, v)
+			}
+		}()
+		fn()
+	}
+
+	c := newCalendar(2)
+	if got := c.earliest(last); got != last {
+		t.Fatalf("earliest(%d) = %d", last, got)
+	}
 	if got := c.usedAt(last); got != 1 {
 		t.Fatalf("usedAt(%d) = %d, want 1", last, got)
 	}
 	if got := c.usedAt(last % calendarHorizon); got != 0 {
 		t.Fatalf("cycle %d aliases cycle %d", last, last%calendarHorizon)
 	}
-	defer func() {
-		v := recover()
-		if s, ok := v.(string); !ok || !strings.Contains(s, "cycle field") {
-			t.Fatalf("add(%d): panic = %v, want cycle-field message", uint64(calendarMaxCycle), v)
-		}
-	}()
-	c.add(calendarMaxCycle)
+	expectPanic("earliest", func() { c.earliest(calendarMaxCycle) })
+
+	a, b := newCalendar(1), newCalendar(1)
+	if got := earliest2(a, b, last); got != last {
+		t.Fatalf("earliest2(%d) = %d", last, got)
+	}
+	if a.usedAt(last) != 1 || b.usedAt(last) != 1 {
+		t.Fatalf("earliest2(%d) booked %d and %d, want 1 and 1", last, a.usedAt(last), b.usedAt(last))
+	}
+	expectPanic("earliest2", func() { earliest2(a, b, calendarMaxCycle) })
 }

@@ -150,7 +150,7 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		m.vp = vpred.New(vpred.DefaultConfig(), len(prog.Code))
 		m.ap = vpred.New(vpred.DefaultConfig(), len(prog.Code))
 		m.msys = mem.New(mem.DefaultConfig())
-		m.prb = uthread.NewPRB(prbEntries, prog.Code)
+		m.prb = uthread.NewPRB(prbEntries)
 		m.builder = uthread.NewBuilder(uthread.DefaultBuildConfig(cfg.Pruning))
 		m.fus = newCalendar(funcUnits)
 		m.ports = newCalendar(l1Ports)
@@ -161,7 +161,7 @@ func (m *Machine) Reset(prog *program.Program, cfg Config) {
 		m.vp.Reset(len(prog.Code))
 		m.ap.Reset(len(prog.Code))
 		m.msys.Reset()
-		m.prb.Reset(prog.Code)
+		m.prb.Reset()
 		m.builder.Reset(uthread.DefaultBuildConfig(cfg.Pruning))
 		m.fus.reset()
 		m.ports.reset()

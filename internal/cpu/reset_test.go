@@ -163,10 +163,10 @@ func TestPoolReuse(t *testing.T) {
 // pruning microthread run and compares each recycled microthread-side
 // component with a fresh machine's, field by field: the value and
 // address predictors, the PRB, the Path Cache (tags and entry state),
-// the Prediction Cache, and the memory system with its store buffer and
-// bucket counts. A run-level comparison misses a component whose stale
-// state happens not to change a short run's statistics; this one does
-// not depend on the run.
+// the Prediction Cache, and the memory system with its store buffer. A
+// run-level comparison misses a component whose stale state happens not
+// to change a short run's statistics; this one does not depend on the
+// run.
 func TestResetComponentsMatchFresh(t *testing.T) {
 	p, err := synth.ProfileByName("gcc")
 	if err != nil {
@@ -227,10 +227,9 @@ func TestResetComponentsMatchFresh(t *testing.T) {
 				d.OldestSeq(), d.YoungestSeq(), d.Len(), f.OldestSeq(), f.YoungestSeq(), f.Len())
 		}
 		for seq := f.OldestSeq(); seq <= f.YoungestSeq(); seq++ {
-			de, dok := d.BySeq(seq)
-			fe, fok := f.BySeq(seq)
-			if de != fe || dok != fok {
-				t.Fatalf("%s: reset PRB seq %d = %+v %v, fresh %+v %v", bench, seq, de, dok, fe, fok)
+			de, fe := d.BySeq(seq), f.BySeq(seq)
+			if de == nil || fe == nil || *de != *fe {
+				t.Fatalf("%s: reset PRB seq %d = %+v, fresh %+v", bench, seq, de, fe)
 			}
 		}
 		for i := uint64(0); i < 3*uint64(cfg.PCacheEntries); i++ {

@@ -107,7 +107,7 @@ func TestSpawnMatchesExecute(t *testing.T) {
 func buildRandom(t *testing.T, prog *program.Program, cfg uthread.BuildConfig, seed int64) (*uthread.Routine, uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	prb := uthread.NewPRB(prbEntries, prog.Code)
+	prb := uthread.NewPRB(prbEntries)
 	var branchSeq uint64
 	found := false
 	emu.New(prog).Run(10_000, func(r *emu.Record) bool {

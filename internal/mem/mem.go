@@ -25,9 +25,6 @@ const (
 	busCycles   = 2 // core-to-memory bus occupancy per transfer
 )
 
-// sbBuckets is the number of store-buffer address buckets.
-const sbBuckets = 256
-
 // Config sizes the DRAM banks and the store buffer, the parts of the
 // hierarchy the tests vary. New takes it complete.
 type Config struct {
@@ -61,16 +58,10 @@ type System struct {
 	bankFree []uint64 // next free cycle per DRAM bank
 
 	// Store buffer: a ring of recently stored word addresses with their
-	// forwardability deadline. sbLen counts the slots written so far, up
-	// to the ring's length.
+	// forwardability deadline.
 	sbAddr  []isa.Addr
 	sbUntil []uint64
 	sbHead  int
-	sbLen   int
-	// sbBucket counts the written slots whose address falls in each
-	// bucket, addr mod sbBuckets. A load whose bucket is empty cannot
-	// forward, so it skips the scan.
-	sbBucket [sbBuckets]int32
 
 	// Stats.
 	Loads      uint64
@@ -96,9 +87,6 @@ func New(cfg Config) *System {
 // forwardable reports whether a buffered store can forward to a load of
 // addr at cycle now.
 func (s *System) forwardable(addr isa.Addr, now uint64) bool {
-	if s.sbBucket[addr%sbBuckets] == 0 {
-		return false
-	}
 	for i := range s.sbAddr {
 		if s.sbAddr[i] == addr && s.sbUntil[i] > now {
 			return true
@@ -144,13 +132,7 @@ func (s *System) StoreLatency(addr isa.Addr, now uint64) int {
 	s.Stores++
 	s.L1.Invalidate(addr)
 	s.L2.Access(addr)
-	if s.sbLen == len(s.sbAddr) {
-		s.sbBucket[s.sbAddr[s.sbHead]%sbBuckets]-- // the overwritten store leaves
-	} else {
-		s.sbLen++
-	}
 	s.sbAddr[s.sbHead] = addr
-	s.sbBucket[addr%sbBuckets]++
 	s.sbUntil[s.sbHead] = now + uint64(s.cfg.StoreDrainCycles)
 	s.sbHead = (s.sbHead + 1) % len(s.sbAddr)
 	return 1

@@ -14,8 +14,6 @@ func (s *System) Reset() {
 		s.sbUntil[i] = 0
 	}
 	s.sbHead = 0
-	s.sbLen = 0
-	s.sbBucket = [sbBuckets]int32{}
 	s.Loads = 0
 	s.Stores = 0
 	s.L1Hits = 0

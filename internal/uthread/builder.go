@@ -89,8 +89,8 @@ type pruneRec struct {
 // It returns nil when construction is impossible (branch not in the PRB or
 // not a terminating branch).
 func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist []path.TakenBranch) *Routine {
-	br, ok := prb.BySeq(branchSeq)
-	if !ok || !br.Inst.IsTerminatingBranch() {
+	br := prb.BySeq(branchSeq)
+	if br == nil || !br.Inst.IsTerminatingBranch() {
 		return nil
 	}
 
@@ -141,8 +141,8 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 
 	if branchSeq > ws {
 		for seq := branchSeq - 1; ; seq-- {
-			e, ok := prb.BySeq(seq)
-			if !ok {
+			e := prb.BySeq(seq)
+			if e == nil {
 				termSeq = seq + 1
 				break
 			}
@@ -221,8 +221,8 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 	if minSpawn > branchSeq {
 		minSpawn = branchSeq
 	}
-	spawnEnt, ok := prb.BySeq(minSpawn)
-	if !ok {
+	spawnEnt := prb.BySeq(minSpawn)
+	if spawnEnt == nil {
 		return nil
 	}
 
@@ -236,7 +236,7 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 	countPCIn := func(pc isa.Addr, from, to uint64) int {
 		c := 0
 		for s := from; s <= to; s++ {
-			if e, ok := prb.BySeq(s); ok && e.PC == pc {
+			if e := prb.BySeq(s); e != nil && e.PC == pc {
 				c++
 			}
 		}
@@ -285,7 +285,7 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 			})
 		}
 		if included[seq] {
-			e, _ := prb.BySeq(seq)
+			e := prb.BySeq(seq)
 			in := e.Inst
 			if tmp, ok := addrPruned[seq]; ok {
 				// Base register comes from the Ap temp; the
@@ -323,8 +323,8 @@ func (b *Builder) Build(prb *PRB, branchSeq uint64, id path.ID, scope int, hist 
 	// the spawn-time Path_History screen.
 	var expected, prefix []isa.Addr
 	for seq := minSpawn + 1; seq < branchSeq; seq++ {
-		e, ok := prb.BySeq(seq)
-		if !ok {
+		e := prb.BySeq(seq)
+		if e == nil {
 			continue
 		}
 		if e.Inst.IsBranch() && e.Taken {

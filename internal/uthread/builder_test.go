@@ -21,19 +21,7 @@ type rec struct {
 // fillPRB pushes recs with sequence numbers 0..len-1 and returns the PRB
 // and the seq of the last entry.
 func fillPRB(recs []rec) (*PRB, uint64) {
-	// The PRB reads each entry's instruction from the program's code:
-	// lay the recs' instructions out at their PCs.
-	var code []isa.Inst
-	for _, r := range recs {
-		if n := int(r.pc) + 1; n > len(code) {
-			code = append(code, make([]isa.Inst, n-len(code))...)
-		}
-		if code[r.pc] != (isa.Inst{}) && code[r.pc] != r.inst {
-			panic("fillPRB: two instructions at one pc")
-		}
-		code[r.pc] = r.inst
-	}
-	p := NewPRB(512, code)
+	p := NewPRB(512)
 	for i, r := range recs {
 		p.Push(&emu.Record{
 			Seq:   uint64(i),
@@ -496,12 +484,14 @@ func TestBuildStatsAverages(t *testing.T) {
 }
 
 func TestDepChain(t *testing.T) {
-	// Chain: a->b->c is depth 3; an independent d is depth 1.
+	// Chain: a->b->c is depth 3; an independent d is depth 1, and the
+	// Store_PCache reading d depth 2.
 	insts := []MicroInst{
 		{Inst: isa.Inst{Op: isa.OpLdi, Dst: 64, Imm: 1}},
 		{Inst: isa.Inst{Op: isa.OpAddi, Dst: 65, Src1: 64, Imm: 1}},
 		{Inst: isa.Inst{Op: isa.OpAddi, Dst: 66, Src1: 65, Imm: 1}},
 		{Inst: isa.Inst{Op: isa.OpLdi, Dst: 67, Imm: 9}},
+		{Inst: isa.Inst{Op: isa.OpStorePCache, Src1: 67}, BranchOp: isa.OpBnez},
 	}
 	if _, got := decode(insts); got != 3 {
 		t.Errorf("depChain = %d, want 3", got)

@@ -120,9 +120,11 @@ func (r *Routine) Step(i int, vals []isa.Word, regs *[isa.NumRegs]isa.Word, out 
 }
 
 // Execute runs a routine functionally against env, one Step per
-// instruction. The timing core models when the result becomes available;
-// Execute determines what the result is. It panics on malformed routines
-// (builder bugs), never on data.
+// instruction; the routine's last instruction, its one Store_PCache,
+// writes the outcome (decode refuses any other routine). The timing core
+// models when the result becomes available; Execute determines what the
+// result is. It panics on malformed routines (builder bugs), never on
+// data.
 func Execute(r *Routine, env *Env) Result {
 	if cap(env.vals) < len(r.Insts) {
 		env.vals = make([]isa.Word, len(r.Insts))
@@ -146,10 +148,7 @@ func Execute(r *Routine, env *Env) Result {
 		case ReadAddr:
 			vals[i], _ = env.PredictAddr(mi.OrigPC, mi.Ahead)
 		}
-		if mi.Inst.Op == isa.OpStorePCache {
-			env.eaScratch = res.LoadedEAs
-			return res
-		}
 	}
-	panic("uthread: routine missing Store_PCache")
+	env.eaScratch = res.LoadedEAs
+	return res
 }

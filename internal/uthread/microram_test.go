@@ -1,6 +1,7 @@
 package uthread
 
 import (
+	"strings"
 	"testing"
 
 	"dpbp/internal/isa"
@@ -137,23 +138,34 @@ func TestExecutePanicsOnMalformedRoutine(t *testing.T) {
 		PredictValue: func(isa.Addr, int) (isa.Word, bool) { return 0, false },
 		PredictAddr:  func(isa.Addr, int) (isa.Word, bool) { return 0, false },
 	}
-	t.Run("missing Store_PCache", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Error("no panic")
-			}
-		}()
-		r := &Routine{Insts: []MicroInst{{Inst: isa.Inst{Op: isa.OpAddi, Dst: 64}}}}
-		r.Slots, _ = decode(r.Insts)
-		Execute(r, env)
-	})
+	storePCache := MicroInst{Inst: isa.Inst{Op: isa.OpStorePCache, Src1: 64}, BranchOp: isa.OpBnez}
+	addi := MicroInst{Inst: isa.Inst{Op: isa.OpAddi, Dst: 64}}
+	// decode refuses a routine that does not end in its one Store_PCache,
+	// so neither Execute nor the timing core's spawn can run one.
+	for _, tc := range []struct {
+		name  string
+		insts []MicroInst
+	}{
+		{"empty", nil},
+		{"missing Store_PCache", []MicroInst{addi}},
+		{"Store_PCache not last", []MicroInst{storePCache, addi, storePCache}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if s, ok := recover().(string); !ok || !strings.Contains(s, "Store_PCache") {
+					t.Errorf("decode panic = %q, want a Store_PCache message", s)
+				}
+			}()
+			decode(tc.insts)
+		})
+	}
 	t.Run("illegal op", func(t *testing.T) {
 		defer func() {
 			if recover() == nil {
 				t.Error("no panic")
 			}
 		}()
-		r := &Routine{Insts: []MicroInst{{Inst: isa.Inst{Op: isa.OpStore}}}}
+		r := &Routine{Insts: []MicroInst{{Inst: isa.Inst{Op: isa.OpStore}}, storePCache}}
 		r.Slots, _ = decode(r.Insts)
 		Execute(r, env)
 	})

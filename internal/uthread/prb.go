@@ -29,30 +29,11 @@ type PRBEntry struct {
 	AConfident bool
 }
 
-// prbSlot is one ring slot, 16 bytes: the effective address, and the PC
-// above the three flag bits. An entry's Seq follows from its slot and the
-// youngest sequence number, and its Inst from the program's code at PC.
-type prbSlot struct {
-	ea    isa.Addr
-	pcFlg uint64
-}
-
-// Flag bits of prbSlot.pcFlg, below the PC.
-const (
-	prbTaken = 1 << iota
-	prbVConfident
-	prbAConfident
-	prbFlagBits = iota
-)
-
 // PRB is the Post-Retirement Buffer: a ring of the last i retired
 // instructions (the paper uses i = 512). Entries are addressed by their
 // dynamic sequence number.
 type PRB struct {
-	buf []prbSlot //dpbp:reset-skip stale slots are gated by size, which Reset zeroes
-	// code is the running program's code, which BySeq reads each
-	// entry's instruction from.
-	code []isa.Inst
+	buf  []PRBEntry //dpbp:reset-skip stale entries are gated by size, which Reset zeroes
 	size int
 	// next is the sequence number the next pushed entry must carry;
 	// enforcing contiguity keeps BySeq O(1).
@@ -64,13 +45,12 @@ type PRB struct {
 	at int
 }
 
-// NewPRB returns a PRB holding capacity entries of a run of the program
-// whose code is code.
-func NewPRB(capacity int, code []isa.Inst) *PRB {
+// NewPRB returns a PRB holding capacity entries.
+func NewPRB(capacity int) *PRB {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &PRB{buf: make([]prbSlot, capacity), code: code}
+	return &PRB{buf: make([]PRBEntry, capacity)}
 }
 
 // Cap returns the buffer capacity.
@@ -79,10 +59,9 @@ func (p *PRB) Cap() int { return len(p.buf) }
 // Len returns the number of live entries.
 func (p *PRB) Len() int { return p.size }
 
-// Push appends a retired instruction with its confidence snapshot. The
-// record's instruction must be the program's at its PC. Sequence numbers
-// must be contiguous; Push panics otherwise (the retirement stream is
-// in-order by definition).
+// Push appends a retired instruction with its confidence snapshot.
+// Sequence numbers must be contiguous; Push panics otherwise (the
+// retirement stream is in-order by definition).
 func (p *PRB) Push(rec *emu.Record, vconf, aconf bool) {
 	if p.started {
 		if rec.Seq != p.next {
@@ -92,20 +71,12 @@ func (p *PRB) Push(rec *emu.Record, vconf, aconf bool) {
 		p.started = true
 		p.at = int(rec.Seq % uint64(len(p.buf)))
 	}
-	pcFlg := uint64(rec.PC) << prbFlagBits
-	if rec.Taken {
-		pcFlg |= prbTaken
-	}
-	if vconf {
-		pcFlg |= prbVConfident
-	}
-	if aconf {
-		pcFlg |= prbAConfident
-	}
-	p.buf[p.at] = prbSlot{ea: rec.EA, pcFlg: pcFlg}
+	e := &p.buf[p.at]
 	if p.at++; p.at == len(p.buf) {
 		p.at = 0
 	}
+	e.Seq, e.PC, e.Inst, e.EA, e.Taken = rec.Seq, rec.PC, rec.Inst, rec.EA, rec.Taken
+	e.VConfident, e.AConfident = vconf, aconf
 	p.next = rec.Seq + 1
 	if p.size < len(p.buf) {
 		p.size++
@@ -119,21 +90,11 @@ func (p *PRB) YoungestSeq() uint64 { return p.next - 1 }
 // OldestSeq returns the sequence number of the oldest live entry.
 func (p *PRB) OldestSeq() uint64 { return p.next - uint64(p.size) }
 
-// BySeq returns the entry with the given sequence number; ok is false if
-// it has been pushed out or never pushed.
-func (p *PRB) BySeq(seq uint64) (e PRBEntry, ok bool) {
+// BySeq returns the entry with the given sequence number, or nil if it has
+// been pushed out or never pushed.
+func (p *PRB) BySeq(seq uint64) *PRBEntry {
 	if p.size == 0 || seq >= p.next || seq < p.OldestSeq() {
-		return PRBEntry{}, false
+		return nil
 	}
-	s := p.buf[seq%uint64(len(p.buf))]
-	pc := isa.Addr(s.pcFlg >> prbFlagBits)
-	return PRBEntry{
-		Seq:        seq,
-		PC:         pc,
-		Inst:       p.code[pc],
-		EA:         s.ea,
-		Taken:      s.pcFlg&prbTaken != 0,
-		VConfident: s.pcFlg&prbVConfident != 0,
-		AConfident: s.pcFlg&prbAConfident != 0,
-	}, true
+	return &p.buf[seq%uint64(len(p.buf))]
 }

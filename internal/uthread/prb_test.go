@@ -2,51 +2,47 @@ package uthread
 
 import (
 	"testing"
-	"unsafe"
 
 	"dpbp/internal/emu"
 	"dpbp/internal/isa"
 )
 
-// prbTestCode is the one-instruction program the records below retire.
-var prbTestCode = []isa.Inst{{Op: isa.OpAdd}}
-
-func entryAt(seq uint64) *emu.Record {
-	return &emu.Record{Seq: seq, Inst: prbTestCode[0]}
+func entryAt(seq uint64, op isa.Op) *emu.Record {
+	return &emu.Record{Seq: seq, Inst: isa.Inst{Op: op}}
 }
 
 func TestPRBPushAndLookup(t *testing.T) {
-	p := NewPRB(4, prbTestCode)
+	p := NewPRB(4)
 	if p.Len() != 0 || p.Cap() != 4 {
 		t.Fatalf("fresh PRB wrong: len=%d cap=%d", p.Len(), p.Cap())
 	}
 	for seq := uint64(0); seq < 3; seq++ {
-		p.Push(entryAt(seq), false, false)
+		p.Push(entryAt(seq, isa.OpAdd), false, false)
 	}
 	if p.Len() != 3 || p.YoungestSeq() != 2 || p.OldestSeq() != 0 {
 		t.Fatalf("state wrong: len=%d young=%d old=%d", p.Len(), p.YoungestSeq(), p.OldestSeq())
 	}
-	if e, ok := p.BySeq(1); !ok || e.Seq != 1 || e.Inst != prbTestCode[0] {
+	if e := p.BySeq(1); e == nil || e.Seq != 1 {
 		t.Error("BySeq(1) wrong")
 	}
-	if _, ok := p.BySeq(3); ok {
+	if p.BySeq(3) != nil {
 		t.Error("BySeq of future seq should be nil")
 	}
 }
 
 func TestPRBWrapsAndForgets(t *testing.T) {
-	p := NewPRB(4, prbTestCode)
+	p := NewPRB(4)
 	for seq := uint64(0); seq < 10; seq++ {
-		p.Push(entryAt(seq), false, false)
+		p.Push(entryAt(seq, isa.OpAdd), false, false)
 	}
 	if p.Len() != 4 || p.OldestSeq() != 6 || p.YoungestSeq() != 9 {
 		t.Fatalf("wrap state wrong: len=%d old=%d young=%d", p.Len(), p.OldestSeq(), p.YoungestSeq())
 	}
-	if _, ok := p.BySeq(5); ok {
+	if p.BySeq(5) != nil {
 		t.Error("pushed-out entry still visible")
 	}
 	for seq := uint64(6); seq <= 9; seq++ {
-		if e, ok := p.BySeq(seq); !ok || e.Seq != seq {
+		if e := p.BySeq(seq); e == nil || e.Seq != seq {
 			t.Errorf("BySeq(%d) wrong", seq)
 		}
 	}
@@ -58,51 +54,19 @@ func TestPRBOutOfOrderPanics(t *testing.T) {
 			t.Error("out-of-order push did not panic")
 		}
 	}()
-	p := NewPRB(4, prbTestCode)
-	p.Push(entryAt(0), false, false)
-	p.Push(entryAt(2), false, false)
+	p := NewPRB(4)
+	p.Push(entryAt(0, isa.OpAdd), false, false)
+	p.Push(entryAt(2, isa.OpAdd), false, false)
 }
 
 func TestPRBStartsAtNonZeroSeq(t *testing.T) {
-	p := NewPRB(4, prbTestCode)
-	p.Push(entryAt(100), false, false)
-	p.Push(entryAt(101), false, false)
+	p := NewPRB(4)
+	p.Push(entryAt(100, isa.OpAdd), false, false)
+	p.Push(entryAt(101, isa.OpAdd), false, false)
 	if p.OldestSeq() != 100 || p.YoungestSeq() != 101 {
 		t.Errorf("old=%d young=%d", p.OldestSeq(), p.YoungestSeq())
 	}
-	if _, ok := p.BySeq(99); ok {
+	if p.BySeq(99) != nil {
 		t.Error("BySeq(99) should be nil")
-	}
-}
-
-// TestPRBSlotRoundTrip checks that a 16-byte slot gives back every field
-// the builder reads, across flag combinations and a wrapped ring, and
-// that BySeq allocates nothing.
-func TestPRBSlotRoundTrip(t *testing.T) {
-	if n := unsafe.Sizeof(prbSlot{}); n != 16 {
-		t.Fatalf("PRB slot is %d bytes, want 16", n)
-	}
-	code := []isa.Inst{
-		{Op: isa.OpAdd, Dst: 1, Src1: 2, Src2: 3},
-		{Op: isa.OpLoad, Dst: 2, Src1: 3, Imm: 4},
-		{Op: isa.OpBeqz, Src1: 2, Target: 0},
-	}
-	p := NewPRB(8, code)
-	want := func(seq uint64) PRBEntry {
-		pc := isa.Addr(seq % 3)
-		return PRBEntry{Seq: seq, PC: pc, Inst: code[pc], EA: isa.Addr(seq * 977),
-			Taken: seq%2 == 0, VConfident: seq%3 == 0, AConfident: seq%5 == 0}
-	}
-	for seq := uint64(40); seq < 60; seq++ {
-		w := want(seq)
-		p.Push(&emu.Record{Seq: seq, PC: w.PC, Inst: w.Inst, EA: w.EA, Taken: w.Taken}, w.VConfident, w.AConfident)
-	}
-	for seq := p.OldestSeq(); seq <= p.YoungestSeq(); seq++ {
-		if e, ok := p.BySeq(seq); !ok || e != want(seq) {
-			t.Errorf("BySeq(%d) = %+v %v, want %+v", seq, e, ok, want(seq))
-		}
-	}
-	if a := testing.AllocsPerRun(100, func() { p.BySeq(55) }); a != 0 {
-		t.Errorf("BySeq allocates %.0f times per call", a)
 	}
 }

@@ -21,7 +21,7 @@ import (
 // branch record and a pre-execution snapshot machine for live-in reads.
 func runToBranch(t *testing.T, p *program.Program, cfg BuildConfig) (routine *Routine, actualTaken bool, env *Env) {
 	t.Helper()
-	prb := NewPRB(512, p.Code)
+	prb := NewPRB(512)
 	snapshot := emu.New(p) // stays at entry: spawn-time state source
 	m := emu.New(p)
 	var branchRec *emu.Record
@@ -261,7 +261,7 @@ func TestSlotsMatchDirectDecode(t *testing.T) {
 func buildWithRandomConfidence(t *testing.T, p *program.Program, cfg BuildConfig, seed int64) *Routine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	prb := NewPRB(512, p.Code)
+	prb := NewPRB(512)
 	var branchSeq uint64
 	found := false
 	emu.New(p).Run(10_000, func(r *emu.Record) bool {

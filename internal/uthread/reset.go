@@ -1,12 +1,8 @@
 package uthread
 
-import "dpbp/internal/isa"
-
-// Reset empties the buffer so it can host another run's retirement
-// stream, of the program whose code is code, without reallocating the
-// ring.
-func (p *PRB) Reset(code []isa.Inst) {
-	p.code = code
+// Reset empties the buffer so it can host another run's retirement stream
+// without reallocating the ring.
+func (p *PRB) Reset() {
 	p.size = 0
 	p.next = 0
 	p.started = false

@@ -122,14 +122,22 @@ type Slot struct {
 
 // decode builds the Slots of insts and returns them with the longest
 // register-dependence chain through insts, in instructions (Figure 8's
-// metric; live-in values have depth 0).
+// metric; live-in values have depth 0). It panics unless insts ends in
+// the routine's one Store_PCache (a builder bug), so Execute and the
+// timing core's spawn, which run every slot, always write an outcome.
 func decode(insts []MicroInst) (slots []Slot, chain int) {
+	if n := len(insts); n == 0 || insts[n-1].Inst.Op != isa.OpStorePCache {
+		panic("uthread: routine missing Store_PCache")
+	}
 	slots = make([]Slot, len(insts))
 	// writer holds 1 + the index of each register's latest writer (0 for
 	// none yet), and depth that writer's chain length.
 	var writer, depth [MicroRegs]int32
 	for i := range insts {
 		in := &insts[i].Inst
+		if in.Op == isa.OpStorePCache && i < len(insts)-1 {
+			panic(fmt.Sprintf("uthread: Store_PCache at routine instruction %d of %d", i, len(insts)))
+		}
 		s := &slots[i]
 		s.Prod = [2]int32{-1, -1}
 		var buf [2]isa.Reg
